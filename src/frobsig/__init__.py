@@ -53,7 +53,7 @@ from .monomial import (
     ffrt_witness,
     free_rank_formula,
 )
-from .ring import PrimeField, SparsePoly, parse_poly, poly_mul, poly_pow
+from .ring import PrimeField, SparsePoly, parse_poly
 
 __all__ = [
     "FrobBasis",
@@ -96,8 +96,6 @@ __all__ = [
     "PrimeField",
     "SparsePoly",
     "parse_poly",
-    "poly_mul",
-    "poly_pow",
 ]
 
 __version__ = "0.1.0"

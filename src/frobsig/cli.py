@@ -22,6 +22,7 @@ from .fsig import (
     fsignature_z2_closed,
 )
 from .hypersurface import free_rank_uv, free_rank_z2, presentation_fk
+from .matfac import verify_matfac
 from .monomial import MonomialData, decomposition_report
 from .ring import SparsePoly, parse_poly
 
@@ -163,7 +164,9 @@ def cmd_verify(cfg: RunConfig) -> str:
     f = _parse_f(cfg)
     basis = FrobBasis(cfg.p, cfg.e, f.n, f.names)
     _check_size(cfg, basis.size ** 2)
-    mf = presentation_fk(f, cfg.k, basis)  # raises if the pair fails to verify
+    mf = presentation_fk(f, cfg.k, basis)
+    if not verify_matfac(mf.phi, mf.psi, f):
+        raise ValueError("the pair is not a matrix factorization of f")
     return json.dumps(
         {"f": str(f), "q": basis.q, "k": cfg.k, "size": mf.size, "verified": True}
     )

@@ -59,9 +59,6 @@ class FrobBasis:
             self._tuples = [self.tuple_of(i) for i in range(self.size)]
         return self._tuples
 
-    def zero_poly(self) -> SparsePoly:
-        return SparsePoly.zero(self.p, self.n, self.names)
-
     def monomial(self, exps, coeff=1) -> SparsePoly:
         return SparsePoly.monomial(exps, self.p, self.n, coeff, self.names)
 
@@ -88,10 +85,6 @@ class PolyMatrix:
         self.data = data if data is not None else [dict() for _ in range(cols)]
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows, cols, p, n, names=None) -> "PolyMatrix":
-        return cls(rows, cols, p, n, names)
 
     @classmethod
     def identity(cls, size, p, n, names=None) -> "PolyMatrix":

@@ -17,10 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 
-import sympy
-
 from .frobenius import FrobBasis
-from .hypersurface import free_rank_uv, free_rank_z2
+from .hypersurface import check_nonunit, free_rank_uv, free_rank_z2
 from .monomial import MonomialData
 from .ring import SparsePoly
 
@@ -147,6 +145,28 @@ def sum_powers(delta: int, s: int) -> Fraction:
     return total / (s + 1)
 
 
+def expansion_coefficients(dvec, u_values) -> dict[tuple[int, int], Fraction]:
+    """Exact expansion of prod_j (d_j*r + q*(d-d_j)/d + u_j) in (r, q).
+
+    Returns {(i, j): coefficient of r^i q^j}, nonzero coefficients only.
+    """
+    dvec = tuple(dvec)
+    u_values = tuple(Fraction(u) for u in u_values)
+    if len(u_values) != len(dvec):
+        raise ValueError("one u value per variable required")
+    d = max(dvec)
+    product = {(0, 0): Fraction(1)}
+    for dj, u in zip(dvec, u_values):
+        factor = {(1, 0): Fraction(dj), (0, 1): Fraction(d - dj, d), (0, 0): u}
+        out: dict[tuple[int, int], Fraction] = {}
+        for (i, j), a in product.items():
+            for (fi, fj), b in factor.items():
+                key = (i + fi, j + fj)
+                out[key] = out.get(key, 0) + a * b
+        product = {key: c for key, c in out.items() if c}
+    return product
+
+
 def expansion_check(dvec, u_values, r_degree_bound: int | None = None) -> bool:
     """Verify the two-variable expansion underlying the signature formula.
 
@@ -154,28 +174,16 @@ def expansion_check(dvec, u_values, r_degree_bound: int | None = None) -> bool:
     coefficient of r^{n-j} q^j is W_j/d^j, and every remaining coefficient
     of r^c is a polynomial in q of degree at most n-1-c.
     """
-    dvec = tuple(dvec)
     table = w_values(dvec)
     n, d = table.n, table.d
-    u_values = tuple(Fraction(u) for u in u_values)
-    if len(u_values) != n:
-        raise ValueError("one u value per variable required")
-    r, q = sympy.symbols("r q")
-    product = sympy.prod(
-        dj * r + sympy.Rational(d - dj, d) * q + sympy.Rational(u)
-        for dj, u in zip(dvec, u_values)
-    )
-    expanded = sympy.Poly(sympy.expand(product), r)
+    expanded = expansion_coefficients(table.dvec, u_values)
     bound = n if r_degree_bound is None else min(r_degree_bound, n)
     for c in range(bound + 1):
-        coeff = sympy.expand(expanded.coeff_monomial(r ** c))
         j = n - c
-        lead = coeff.coeff(q, j)
-        want = table.values[j] / d ** j
-        if sympy.Rational(lead) != sympy.Rational(want.numerator, want.denominator):
+        if expanded.get((c, j), 0) != table.values[j] / d ** j:
             return False
-        residual = sympy.expand(coeff - lead * q ** j)
-        if sympy.degree(residual, q) > n - 1 - c:
+        residual = [qj for (i, qj) in expanded if i == c and qj != j]
+        if residual and max(residual) > n - 1 - c:
             return False
     return True
 
@@ -237,8 +245,7 @@ def empirical_sequence(
     """
     if target not in ("uv", "z2"):
         raise ValueError(f"unknown target {target!r}")
-    if f.is_zero() or f.is_constant():
-        raise ValueError("f must be a nonzero nonunit")
+    check_nonunit(f)
     if target == "z2" and p == 2:
         raise ValueError("the f+z^2 target requires p odd")
     md = _as_monomial_data(f)

@@ -3,8 +3,8 @@
 For a hypersurface f in S = F_p[x_1..x_n] this module presents F_*^e of
 S/f^k as the cokernel of the pair (M(f^k,e), M(f^{q-k},e)), decomposes
 F_*^e of S[[u,v]]/(f+uv) into a free part plus q-1 explicit blocks, builds
-the single-block presentation for S[[z]]/(f+z^2), and sums the trivial
-summand counts into exact free ranks.
+the single-block presentation for S[[z]]/(f+z^2), and computes exact free
+ranks from ranks at the origin alone.
 """
 
 from __future__ import annotations
@@ -13,26 +13,50 @@ import json
 from dataclasses import dataclass
 
 from .frobenius import FrobBasis, matrix_power
-from .matfac import MatFac, SummandCount, maltese, sharp, trivial_summand_counts
+from .matfac import (
+    MatFac,
+    SummandCount,
+    maltese,
+    rank_mod_p,
+    sharp,
+    trivial_summand_counts,
+)
 from .ring import SparsePoly
 
 
-def _check_hypersurface(f: SparsePoly, basis: FrobBasis) -> None:
+def check_nonunit(f: SparsePoly) -> None:
+    """Refuse f = 0 and any f with f(0) != 0, a unit of the local ring."""
+    if f.is_zero():
+        raise ValueError("f must be nonzero")
+    if f.constant_term():
+        raise ValueError("f must vanish at the origin (f(0) != 0 makes f a unit)")
+
+
+def _check_ring(f: SparsePoly, basis: FrobBasis) -> None:
     if f.p != basis.p or f.n != basis.n:
         raise ValueError("polynomial not in the ambient ring of the basis")
-    if f.is_zero() or f.is_constant():
-        raise ValueError("f must be a nonzero nonunit")
+
+
+def _check_local(f: SparsePoly, basis: FrobBasis) -> None:
+    _check_ring(f, basis)
+    check_nonunit(f)
+
+
+def _rank_at_origin(f: SparsePoly, j: int, basis: FrobBasis) -> int:
+    return rank_mod_p(matrix_power(f, j, basis).at_origin(), basis.p)
 
 
 def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
-    """The verified pair (M(f^k,e), M(f^{q-k},e)) factoring f.
+    """The pair (M(f^k,e), M(f^{q-k},e)); its product M(f^q,e) is f*I.
 
-    Its cokernel presents F_*^e(S/f^k S).
+    Its cokernel presents F_*^e(S/f^k S).  Units of the local ring pass.
     """
     q = basis.q
     if not 1 <= k <= q - 1:
         raise ValueError(f"k must satisfy 1 <= k <= q-1 = {q - 1}")
-    _check_hypersurface(f, basis)
+    _check_ring(f, basis)
+    if f.is_zero() or f.is_constant():
+        raise ValueError("f must be nonzero and nonconstant")
     phi = matrix_power(f, k, basis)
     psi = matrix_power(f, q - k, basis)
     return MatFac(phi, psi, f)
@@ -85,7 +109,7 @@ def uv_decomposition(f: SparsePoly, basis: FrobBasis) -> UVDecomposition:
     Block k is the factorization ([A^k, -vI; uI, A^{q-k}], companion) of
     f+uv, where A = M(f,e); its trivial-summand counts are attached.
     """
-    _check_hypersurface(f, basis)
+    _check_local(f, basis)
     blocks = []
     for k in range(1, basis.q):
         mf = maltese(presentation_fk(f, k, basis))
@@ -96,13 +120,13 @@ def uv_decomposition(f: SparsePoly, basis: FrobBasis) -> UVDecomposition:
 def free_rank_uv(f: SparsePoly, basis: FrobBasis) -> int:
     """Free rank of F_*^e(S[[u,v]]/(f+uv)): r_e + 2 * sum_k t_k.
 
-    t_k is the count of trivial (f,1) summands of (M(f^k,e), M(f^{q-k},e)).
+    t_k, the count of trivial (f,1) summands of (M(f^k,e), M(f^{q-k},e)),
+    is the rank of M(f^{q-k},e) at the origin; each M(f^j,e) is built once.
     """
-    _check_hypersurface(f, basis)
-    total = basis.size
-    for k in range(1, basis.q):
-        total += 2 * trivial_summand_counts(presentation_fk(f, k, basis)).t
-    return total
+    _check_local(f, basis)
+    return basis.size + 2 * sum(
+        _rank_at_origin(f, j, basis) for j in range(1, basis.q)
+    )
 
 
 @dataclass
@@ -143,7 +167,7 @@ def z2_presentation(f: SparsePoly, basis: FrobBasis) -> Z2Presentation:
     """The pair ([A^{(q-1)/2}, -zI; zI, A^{(q+1)/2}], companion) for f+z^2."""
     if basis.p == 2:
         raise ValueError("the f+z^2 presentation requires p odd")
-    _check_hypersurface(f, basis)
+    _check_local(f, basis)
     mf = sharp(presentation_fk(f, (basis.q - 1) // 2, basis))
     return Z2Presentation(
         q=basis.q,
@@ -156,11 +180,11 @@ def z2_presentation(f: SparsePoly, basis: FrobBasis) -> Z2Presentation:
 def free_rank_z2(f: SparsePoly, basis: FrobBasis) -> int:
     """Free rank of F_*^e(S[[z]]/(f+z^2)).
 
-    Equals the sum of the trivial-summand counts of M(f^{(q-1)/2},e) and
-    M(f^{(q+1)/2},e), computed as ranks at the origin.
+    Equals t + r for the pair (M(f^{(q-1)/2},e), M(f^{(q+1)/2},e)): the
+    sum of their ranks at the origin.
     """
     if basis.p == 2:
         raise ValueError("the f+z^2 free rank requires p odd")
-    _check_hypersurface(f, basis)
-    counts = trivial_summand_counts(presentation_fk(f, (basis.q - 1) // 2, basis))
-    return counts.t + counts.r
+    _check_local(f, basis)
+    half = (basis.q - 1) // 2
+    return _rank_at_origin(f, half, basis) + _rank_at_origin(f, half + 1, basis)

@@ -1,10 +1,13 @@
 """Matrix-factorization calculus.
 
 A matrix factorization of f is a pair (phi, psi) of square matrices with
-phi*psi = psi*phi = f*I.  This module verifies pairs, forms direct sums, the
-block constructions producing factorizations of f+uv and f+z^2, counts the
-trivial summands (f,1) and (1,f) by rank at the origin, and performs the
+phi*psi = psi*phi = f*I.  This module holds such pairs, forms direct sums,
+the block constructions producing factorizations of f+uv and f+z^2, counts
+the trivial summands (f,1) and (1,f) by rank at the origin, and performs the
 constructive companion-block reductions with explicit elementary matrices.
+Building a pair checks nothing: every pair the package builds factors f by
+algebra, and :func:`verify_matfac` is the one check, run where it is asked
+for.
 """
 
 from __future__ import annotations
@@ -15,54 +18,31 @@ from .frobenius import PolyMatrix
 from .ring import SparsePoly
 
 
-def _f_scalar(f: SparsePoly, size: int) -> PolyMatrix:
-    return PolyMatrix.scalar(size, f)
-
-
 def verify_matfac(phi: PolyMatrix, psi: PolyMatrix, f: SparsePoly) -> bool:
     """True iff phi*psi == psi*phi == f*I exactly."""
     if phi.rows != phi.cols or psi.rows != psi.cols:
         raise ValueError("matrix factorization requires square matrices")
     if phi.rows != psi.rows:
         raise ValueError("matrix factorization requires equal sizes")
-    target = _f_scalar(f, phi.rows)
+    target = PolyMatrix.scalar(phi.rows, f)
     return phi * psi == target and psi * phi == target
 
 
+@dataclass(repr=False, slots=True)
 class MatFac:
-    """A verified matrix factorization (phi, psi) of f."""
+    """A pair (phi, psi) meant to factor f; building one verifies nothing.
 
-    __slots__ = ("phi", "psi", "f")
+    Check a pair with ``verify_matfac(mf.phi, mf.psi, mf.f)`` or with the
+    ``frobsig verify`` command.
+    """
 
-    def __init__(self, phi: PolyMatrix, psi: PolyMatrix, f: SparsePoly):
-        if not verify_matfac(phi, psi, f):
-            raise ValueError("pair is not a matrix factorization of f")
-        self.phi = phi
-        self.psi = psi
-        self.f = f
+    phi: PolyMatrix
+    psi: PolyMatrix
+    f: SparsePoly
 
     @property
     def size(self) -> int:
         return self.phi.rows
-
-    def swapped(self) -> "MatFac":
-        return MatFac(self.psi, self.phi, self.f)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatFac)
-            and self.phi == other.phi
-            and self.psi == other.psi
-            and self.f == other.f
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "f": str(self.f),
-            "size": self.size,
-            "phi": self.phi.to_json_dict(),
-            "psi": self.psi.to_json_dict(),
-        }
 
     def __repr__(self) -> str:
         return f"MatFac(size={self.size}, f={self.f!s})"
@@ -85,11 +65,16 @@ def direct_sum(a: MatFac, b: MatFac) -> MatFac:
     """Block-diagonal sum; both factorizations must factor the same f."""
     if a.f != b.f:
         raise ValueError("direct sum requires the same factored element")
-    zero_tl = PolyMatrix.zeros(a.size, b.size, a.f.p, a.f.n, a.f.names)
-    zero_bl = PolyMatrix.zeros(b.size, a.size, a.f.p, a.f.n, a.f.names)
-    phi = PolyMatrix.block([[a.phi, zero_tl], [zero_bl, b.phi]])
-    psi = PolyMatrix.block([[a.psi, zero_tl], [zero_bl, b.psi]])
-    return MatFac(phi, psi, a.f)
+    f = a.f
+    size = a.size + b.size
+
+    def diagonal(top: PolyMatrix, bottom: PolyMatrix) -> PolyMatrix:
+        m = PolyMatrix(size, size, f.p, f.n, f.names)
+        m.add_block(0, 0, top)
+        m.add_block(a.size, a.size, bottom)
+        return m
+
+    return MatFac(diagonal(a.phi, b.phi), diagonal(a.psi, b.psi), f)
 
 
 def _extend_pair(mf: MatFac, extra: tuple[str, ...]):
@@ -291,22 +276,13 @@ class _Work:
                     ops.append(("swap", k, pos))
 
     def left_right(self, size):
-        ring = (self.p, self.n, self.names)
         left = PolyMatrix.identity(size, self.p, self.n, self.names)
         for op in self.row_ops:
-            left = _apply_op_left(op, left)
+            left = _op_matrix_for(op, left) * left
         right = PolyMatrix.identity(size, self.p, self.n, self.names)
         for op in self.col_ops:
-            right = _apply_op_right(op, right)
+            right = right * _op_matrix_for(op, right)
         return left, right
-
-
-def _apply_op_left(op, m: PolyMatrix) -> PolyMatrix:
-    return _op_matrix_for(op, m) * m
-
-
-def _apply_op_right(op, m: PolyMatrix) -> PolyMatrix:
-    return m * _op_matrix_for(op, m)
 
 
 def _op_matrix_for(op, m: PolyMatrix) -> PolyMatrix:
@@ -346,7 +322,7 @@ def companion_matrix(
         raise ValueError("companion shapes need size >= 2")
     ring = (b.p, b.n, b.names)
     one = SparsePoly.one(*ring)
-    m = PolyMatrix.zeros(size, size, *ring)
+    m = PolyMatrix(size, size, *ring)
     if shape in (CHAIN, UV, SPLIT):
         for i in range(size):
             m.set_entry(i, i, b)

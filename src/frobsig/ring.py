@@ -377,12 +377,3 @@ def parse_poly(text: str, p: int, n: int, names=None) -> SparsePoly:
                 raise ValueError(f"expected '+' between terms, found {val!r}")
     return result
 
-
-def poly_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
-    """Exact product in sparse normal form."""
-    return a * b
-
-
-def poly_pow(a: SparsePoly, m: int) -> SparsePoly:
-    """a**m by repeated squaring; a**0 == 1."""
-    return a ** m

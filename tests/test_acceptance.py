@@ -36,6 +36,7 @@ from frobsig.matfac import (
     UV,
     companion_reduce,
     rank_mod_p,
+    verify_matfac,
 )
 from frobsig.monomial import MonomialData, diagonalize_monomial_matrix, eta
 from frobsig.oracle import fedder_membership
@@ -103,7 +104,7 @@ def test_criterion_02_block_assembly():
         a0 = matrix_of_relations(g0, b).extend(names)
         a1 = matrix_of_relations(g1, b).extend(names)
         y = parse_poly("x2", 3, 2)
-        zero = PolyMatrix.zeros(3, 3, 3, 2)
+        zero = PolyMatrix(3, 3, 3, 2)
         displayed = PolyMatrix.block(
             [[a0, zero, a1.scale(y)], [a1, a0, zero], [zero, a1, a0]]
         )
@@ -127,10 +128,11 @@ def test_criterion_03_factorization_law_200_random():
             n = rng.randint(1, max_n)
             b = FrobBasis(p, e, n)
             f = rand_poly(rng, p, n, max_deg, max_terms)
-            target = PolyMatrix.scalar(b.size, f)
             powers = {k: matrix_power(f, k, b) for k in range(1, b.q)}
-            for k in range(1, b.q):
-                assert powers[k] * powers[b.q - k] == target
+            # verify_matfac multiplies in both orders, so k <= q-k covers
+            # every product powers[k] * powers[q-k]
+            for k in range(1, b.q // 2 + 1):
+                assert verify_matfac(powers[k], powers[b.q - k], f)
 
 
 def _eta_grid():

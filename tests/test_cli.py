@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +143,34 @@ def test_bad_dvec(capsys):
     assert code == 2
     code, _, _ = run(capsys, "decompose", "--dvec", "0", "--p", "3", "--e", "1")
     assert code == 2
+
+
+def test_unit_f_refused_on_free_rank_paths(capsys):
+    # f = 1 + x1 is a unit of the local ring: no free rank to report
+    reason = "f must vanish at the origin (f(0) != 0 makes f a unit)"
+    for argv in (
+        ("freerank", "--type", "uv", "--f", "1+x1", "--p", "3", "--e", "1"),
+        ("freerank", "--type", "z2", "--f", "1+x1", "--p", "3", "--e", "1"),
+        ("fsignature", "--type", "uv", "--f", "1+x1", "--p", "3", "--emax", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: {reason}"
+    # the pair (M(f), M(f^2)) still factors f, so verify accepts it
+    code, out, _ = run(capsys, "verify", "--f", "1+x1", "--p", "3", "--e", "1")
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+
+def test_cli_import_loads_no_sympy():
+    # start-up cost: importing the CLI must not pull in sympy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, frobsig.cli; print('sympy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -157,7 +157,7 @@ def test_block_assemble_worked_example():
     a0 = matrix_of_relations(parse_poly("x1^2", 3, 1), b).extend(("x1", "x2"))
     a1 = matrix_of_relations(parse_poly("x1", 3, 1), b).extend(("x1", "x2"))
     y = parse_poly("x2", 3, 2)
-    zero = PolyMatrix.zeros(3, 3, 3, 2)
+    zero = PolyMatrix(3, 3, 3, 2)
     expected = PolyMatrix.block(
         [[a0, zero, a1.scale(y)], [a1, a0, zero], [zero, a1, a0]]
     )
@@ -172,7 +172,7 @@ def test_block_assemble_constant_coefficient():
     g0 = parse_poly("x1^2 + 1", 3, 1)
     big = block_assemble([g0], b, var_name="x2")
     a0 = matrix_of_relations(g0, b).extend(("x1", "x2"))
-    zero = PolyMatrix.zeros(3, 3, 3, 2)
+    zero = PolyMatrix(3, 3, 3, 2)
     assert big == PolyMatrix.block(
         [[a0, zero, zero], [zero, a0, zero], [zero, zero, a0]]
     )

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from frobsig import fsig
 from frobsig.fsig import (
     bernoulli,
     empirical_sequence,
     expansion_check,
+    expansion_coefficients,
     fsignature_uv_closed,
     fsignature_z2_closed,
     sum_powers,
@@ -86,6 +88,34 @@ def test_expansion_check():
     assert expansion_check((2, 1), (0, 0))
     assert expansion_check((4,), (Fraction(1, 2),))
     assert expansion_check((3, 2, 2), (Fraction(1, 2), Fraction(1, 3), 0))
+
+
+def test_expansion_coefficients_match_the_product():
+    # the expanded polynomial and the product agree at rational (r, q)
+    points = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)),
+              (Fraction(-3, 2), Fraction(5, 7)), (Fraction(2, 3), Fraction(-4))]
+    cases = [((2, 1), (0, 0)), ((4,), (Fraction(1, 2),)),
+             ((3, 2, 2), (Fraction(1, 2), Fraction(1, 3), 0)),
+             ((1, 3, 4), (Fraction(-1, 3), 2, Fraction(5, 4)))]
+    for dvec, us in cases:
+        coeffs = expansion_coefficients(dvec, us)
+        assert all(c != 0 for c in coeffs.values())
+        assert max(i + j for i, j in coeffs) == len(dvec)
+        d = max(dvec)
+        for r, q in points:
+            product = Fraction(1)
+            for dj, u in zip(dvec, us):
+                product *= dj * r + q * Fraction(d - dj, d) + u
+            assert sum(c * r ** i * q ** j for (i, j), c in coeffs.items()) == product
+
+
+def test_expansion_check_rejects_wrong_leading_coefficient(monkeypatch):
+    # for (2,1) the r^2 coefficient is d_1*d_2 = W_0 = 2; a tampered W table
+    # must fail the check
+    table = w_values((2, 1))
+    tampered = fsig.WTable(dvec=table.dvec, values=(3,) + table.values[1:])
+    monkeypatch.setattr(fsig, "w_values", lambda dvec: tampered)
+    assert not expansion_check((2, 1), (0, 0))
 
 
 def test_expansion_check_validation():

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from frobsig import hypersurface, matfac
 from frobsig.frobenius import FrobBasis, matrix_power
 from frobsig.hypersurface import (
     free_rank_uv,
@@ -70,6 +72,7 @@ def test_uv_blocks_are_maltese_of_power_pairs():
     dec = uv_decomposition(f, b)
     for blk in dec.blocks:
         assert blk.matfac == maltese(presentation_fk(f, blk.k, b))
+        assert verify_matfac(blk.matfac.phi, blk.matfac.psi, blk.matfac.f)
 
 
 def test_free_rank_uv_values():
@@ -121,3 +124,59 @@ def test_z2_rejects_p2():
         z2_presentation(f, b)
     with pytest.raises(ValueError):
         free_rank_z2(f, b)
+
+
+def rand_local(rng, p, n, max_deg, max_terms):
+    """Random nonzero f with f(0) = 0."""
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, max_terms)):
+            exps = tuple(rng.randint(0, max_deg) for _ in range(n))
+            if any(exps):
+                terms[exps] = rng.randint(1, p - 1)
+    return SparsePoly(p, n, terms)
+
+
+def test_free_ranks_match_summand_counts_random():
+    # rank-only free ranks against the trivial-summand counts of the pairs;
+    # at (5, 2, 2) binomials keep every f^k sparse, so no matrix squaring
+    rng = random.Random(2025)
+    plan = (
+        [(3, 1, 1, 3)] * 4 + [(5, 1, 1, 3)] * 4 + [(3, 1, 2, 3)] * 8
+        + [(5, 1, 2, 3)] * 6 + [(3, 2, 1, 3)] * 4 + [(5, 2, 1, 3)] * 3
+        + [(3, 2, 2, 3)] * 4 + [(5, 2, 2, 2)] * 2
+    )
+    for p, e, n, max_terms in plan:
+        b = FrobBasis(p, e, n)
+        f = rand_local(rng, p, n, 3, max_terms)
+        uv = b.size + 2 * sum(
+            trivial_summand_counts(presentation_fk(f, k, b)).t
+            for k in range(1, b.q)
+        )
+        z2 = trivial_summand_counts(presentation_fk(f, (b.q - 1) // 2, b))
+        assert free_rank_uv(f, b) == uv
+        assert free_rank_z2(f, b) == z2.t + z2.r
+
+
+def test_free_ranks_build_no_pairs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("free ranks must not build or verify pairs")
+
+    monkeypatch.setattr(hypersurface, "presentation_fk", refuse)
+    monkeypatch.setattr(hypersurface, "MatFac", refuse)
+    monkeypatch.setattr(matfac, "verify_matfac", refuse)
+    b = FrobBasis(3, 1, 2)
+    assert free_rank_uv(parse_poly("x1*x2", 3, 2), b) == 19
+    # ranks at the origin of M(x1*x2) and M((x1*x2)^2): 2^2 and 1^2
+    assert free_rank_z2(parse_poly("x1*x2", 3, 2), b) == 4 + 1
+
+
+def test_units_refused_on_free_rank_paths():
+    b = FrobBasis(3, 1, 1)
+    for f in (parse_poly("1 + x1", 3, 1), SparsePoly.one(3, 1)):
+        for fn in (free_rank_uv, free_rank_z2, uv_decomposition, z2_presentation):
+            with pytest.raises(ValueError, match="vanish at the origin"):
+                fn(f, b)
+    # the power pair of a unit still factors it
+    mf = presentation_fk(parse_poly("1 + x1", 3, 1), 1, b)
+    assert verify_matfac(mf.phi, mf.psi, mf.f)

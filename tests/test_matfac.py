@@ -47,8 +47,9 @@ def test_verify_rejects_wrong_pair():
     x = parse_poly("x1", 3, 2)
     y = parse_poly("x2", 3, 2)
     assert not verify_matfac(one_by_one(x), one_by_one(y), x * x)
-    with pytest.raises(ValueError):
-        MatFac(one_by_one(x), one_by_one(y), x * x)
+    # building a pair checks nothing; verify_matfac is the check
+    mf = MatFac(one_by_one(x), one_by_one(y), x * x)
+    assert verify_matfac(mf.phi, mf.psi, mf.f) is False
 
 
 def test_maltese_small():
@@ -59,6 +60,7 @@ def test_maltese_small():
     assert str(mf.phi.entry(0, 1)) == "2*v"
     assert str(mf.phi.entry(1, 0)) == "u"
     assert str(mf.psi.entry(0, 1)) == "v"
+    assert verify_matfac(mf.phi, mf.psi, mf.f)
 
 
 def test_maltese_rejects_existing_names():
@@ -110,6 +112,14 @@ def test_direct_sum():
     x = parse_poly("x1", 3, 1)
     with pytest.raises(ValueError):
         direct_sum(a, MatFac(one_by_one(x), one_by_one(x * x), x ** 3))
+    # unequal sizes: (x, 1) of size 1 plus (M(x), M(x^2)) of size 3 over F_3
+    small = MatFac(one_by_one(x), one_by_one(SparsePoly.one(3, 1)), x)
+    big = power_pair(x, 1, FrobBasis(3, 1, 1))
+    mixed = direct_sum(small, big)
+    assert mixed.size == 4
+    assert verify_matfac(mixed.phi, mixed.psi, x)
+    cs, cb, cm = (trivial_summand_counts(m) for m in (small, big, mixed))
+    assert (cm.t, cm.r) == (cs.t + cb.t, cs.r + cb.r)
 
 
 def test_counts_power_pairs():
@@ -151,6 +161,7 @@ def test_counts_invariant_under_unit_triangular_conjugation():
         l_inv = _unit_triangular_inverse(l)
         phi2 = u * mf.phi * l
         psi2 = l_inv * mf.psi * u_inv
+        assert verify_matfac(phi2, psi2, f)
         mf2 = MatFac(phi2, psi2, f)
         c1, c2 = trivial_summand_counts(mf), trivial_summand_counts(mf2)
         assert (c1.t, c1.r) == (c2.t, c2.r)

@@ -127,5 +127,5 @@ def test_invariant_factors_divisibility_chain():
 
 
 def test_invariant_factors_zero_matrix():
-    z = PolyMatrix.zeros(2, 2, 3, 1)
+    z = PolyMatrix(2, 2, 3, 1)
     assert all(u.is_zero() for u in invariant_factors_univariate(z))
