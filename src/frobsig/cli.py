@@ -24,7 +24,7 @@ from .fsig import (
 from .hypersurface import free_rank_uv, free_rank_z2, presentation_fk
 from .matfac import verify_matfac
 from .monomial import MonomialData, decomposition_report
-from .ring import SparsePoly, parse_poly
+from .ring import SparsePoly, check_prime, parse_poly
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -140,6 +140,8 @@ def cmd_fsignature(cfg: RunConfig) -> str:
 
 def cmd_decompose(cfg: RunConfig) -> str:
     _require(cfg, "dvec", "p", "e")
+    # the closed-form eta path builds no polynomial, so nothing else checks p
+    check_prime(cfg.p)
     md = MonomialData(cfg.dvec)
     _check_size(cfg, (cfg.p ** cfg.e) ** (md.n + 2))
     return decomposition_report(md, cfg.p, cfg.e).to_json()

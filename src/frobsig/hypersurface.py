@@ -2,22 +2,28 @@
 
 For a hypersurface f in S = F_p[x_1..x_n] this module presents F_*^e of
 S/f^k as the cokernel of the pair (M(f^k,e), M(f^{q-k},e)), decomposes
-F_*^e of S[[u,v]]/(f+uv) into a free part plus q-1 explicit blocks, builds
-the single-block presentation for S[[z]]/(f+z^2), and computes exact free
-ranks from ranks at the origin alone.
+F_*^e of S[[u,v]]/(f+uv) into a free part plus q-1 explicit blocks, and
+builds the single-block presentation for S[[z]]/(f+z^2).
+
+Free ranks need only the matrices at the origin, and M(g,e) at the origin is
+the matrix of multiplication by g on the Artinian ring
+A = F_p[x]/(x_1^q, ..., x_n^q).  So the free ranks are dimensions of the
+ideals f^j A, found by linear algebra over F_p on A with no polynomial
+matrix formed.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 from .frobenius import FrobBasis, matrix_power
 from .matfac import (
     MatFac,
     SummandCount,
+    echelon,
     maltese,
-    rank_mod_p,
     sharp,
     trivial_summand_counts,
 )
@@ -42,8 +48,63 @@ def _check_local(f: SparsePoly, basis: FrobBasis) -> None:
     check_nonunit(f)
 
 
-def _rank_at_origin(f: SparsePoly, j: int, basis: FrobBasis) -> int:
-    return rank_mod_p(matrix_power(f, j, basis).at_origin(), basis.p)
+class _Artinian:
+    """A = F_p[x]/(x_1^q, ..., x_n^q) on the monomial basis of ``basis``.
+
+    An element is a sparse dict {basis index: coefficient in [1, p)}.  The
+    product x^i * x^j is x^(i+j) unless some exponent reaches q, that is
+    unless adding i and j in base q carries; each carry lowers the base-q
+    digit sum of i + j by q - 1, so a table of digit sums decides it.
+    """
+
+    def __init__(self, basis: FrobBasis):
+        self.basis = basis
+        self.p = basis.p
+        q = basis.q
+        digit_sums = [0] * (2 * basis.size - 1)
+        for m in range(1, len(digit_sums)):
+            digit_sums[m] = digit_sums[m // q] + m % q
+        self.digit_sums = digit_sums
+
+    def element(self, f: SparsePoly) -> dict[int, int]:
+        q = self.basis.q
+        return {
+            self.basis.index_of(exps): c
+            for exps, c in f.terms.items()
+            if max(exps) < q
+        }
+
+    def times(self, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+        ds = self.digit_sums
+        v_terms = [(j, c, ds[j]) for j, c in v.items()]
+        out: dict[int, int] = {}
+        for i, c_u in u.items():
+            d_i = ds[i]
+            for j, c_v, d_j in v_terms:
+                m = i + j
+                if d_i + d_j == ds[m]:
+                    out[m] = out.get(m, 0) + c_u * c_v
+        p = self.p
+        return {m: c % p for m, c in out.items() if c % p}
+
+    def power(self, g: dict[int, int], m: int) -> dict[int, int]:
+        """g^m in A by square-and-multiply, truncated at every step."""
+        result = {0: 1}
+        while m:
+            if m & 1:
+                result = self.times(result, g)
+            m >>= 1
+            if m:
+                g = self.times(g, g)
+        return result
+
+    def image(self, rows, g: dict[int, int]) -> dict[int, dict[int, int]]:
+        """Echelon basis of g * V, where the elements ``rows`` span V."""
+        return echelon((self.times(row, g) for row in rows), self.p)
+
+    def monomials(self) -> Iterator[dict[int, int]]:
+        """The monomial basis of A, which spans A."""
+        return ({i: 1} for i in range(self.basis.size))
 
 
 def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
@@ -118,15 +179,22 @@ def uv_decomposition(f: SparsePoly, basis: FrobBasis) -> UVDecomposition:
 
 
 def free_rank_uv(f: SparsePoly, basis: FrobBasis) -> int:
-    """Free rank of F_*^e(S[[u,v]]/(f+uv)): r_e + 2 * sum_k t_k.
+    """Free rank of F_*^e(S[[u,v]]/(f+uv)): q^n + 2 * sum_{j=1}^{q-1} dim f^j A.
 
-    t_k, the count of trivial (f,1) summands of (M(f^k,e), M(f^{q-k},e)),
-    is the rank of M(f^{q-k},e) at the origin; each M(f^j,e) is built once.
+    The count of trivial (f,1) summands of (M(f^k,e), M(f^{q-k},e)) is the
+    rank of M(f^{q-k},e) at the origin, which is dim f^{q-k} A.  The chain
+    A > fA > f^2A > ... is walked by multiplying an echelon basis of
+    f^{j-1} A by f; it reaches 0 by j = q, since f^q = f(x^q) = 0 in A.
     """
     _check_local(f, basis)
-    return basis.size + 2 * sum(
-        _rank_at_origin(f, j, basis) for j in range(1, basis.q)
-    )
+    ring = _Artinian(basis)
+    f_a = ring.element(f)
+    total = basis.size
+    span = ring.image(ring.monomials(), f_a)
+    while span:
+        total += 2 * len(span)
+        span = ring.image(span.values(), f_a)
+    return total
 
 
 @dataclass
@@ -178,13 +246,18 @@ def z2_presentation(f: SparsePoly, basis: FrobBasis) -> Z2Presentation:
 
 
 def free_rank_z2(f: SparsePoly, basis: FrobBasis) -> int:
-    """Free rank of F_*^e(S[[z]]/(f+z^2)).
+    """Free rank of F_*^e(S[[z]]/(f+z^2)): dim f^{(q-1)/2} A + dim f^{(q+1)/2} A.
 
     Equals t + r for the pair (M(f^{(q-1)/2},e), M(f^{(q+1)/2},e)): the
-    sum of their ranks at the origin.
+    sum of their ranks at the origin.  g = f^{(q-1)/2} is formed in A, so
+    f^j is never expanded in S; one more chain step gives f^{(q+1)/2} A.
+    Forming g by squaring is cheaper than walking (q+1)/2 chain steps, each
+    an elimination over all of f^{j-1} A.
     """
     if basis.p == 2:
         raise ValueError("the f+z^2 free rank requires p odd")
     _check_local(f, basis)
-    half = (basis.q - 1) // 2
-    return _rank_at_origin(f, half, basis) + _rank_at_origin(f, half + 1, basis)
+    ring = _Artinian(basis)
+    f_a = ring.element(f)
+    g_span = ring.image(ring.monomials(), ring.power(f_a, (basis.q - 1) // 2))
+    return len(g_span) + len(ring.image(g_span.values(), f_a))

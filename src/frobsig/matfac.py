@@ -19,13 +19,22 @@ from .ring import SparsePoly
 
 
 def verify_matfac(phi: PolyMatrix, psi: PolyMatrix, f: SparsePoly) -> bool:
-    """True iff phi*psi == psi*phi == f*I exactly."""
+    """True iff phi*psi == psi*phi == f*I exactly.
+
+    For f != 0 only phi*psi is formed: the polynomial ring is a domain, so
+    phi*psi = f*I gives det(phi) * det(psi) = f^size != 0, phi is invertible
+    over its fraction field, psi = f * phi^-1, and psi*phi = f*I follows.
+    For f = 0 that argument fails (phi = E_12, psi = E_11 has phi*psi = 0
+    but psi*phi != 0), so both products are checked.
+    """
     if phi.rows != phi.cols or psi.rows != psi.cols:
         raise ValueError("matrix factorization requires square matrices")
     if phi.rows != psi.rows:
         raise ValueError("matrix factorization requires equal sizes")
     target = PolyMatrix.scalar(phi.rows, f)
-    return phi * psi == target and psi * phi == target
+    if phi * psi != target:
+        return False
+    return not f.is_zero() or psi * phi == target
 
 
 @dataclass(repr=False, slots=True)
@@ -117,9 +126,13 @@ def sharp(mf: MatFac, z_name: str = "z") -> MatFac:
     return MatFac(big_phi, big_psi, f + z * z)
 
 
-def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
-    """Rank over F_p of a matrix given as sparse rows {col: value}."""
-    rank = 0
+def echelon(rows, p: int) -> dict[int, dict[int, int]]:
+    """Row echelon form over F_p of a matrix given as sparse rows {col: value}.
+
+    Returns {pivot column: row}: each row is monic at its pivot, the smallest
+    column it holds, and no two rows share a pivot.  The rows span the same
+    space as the input, so their number is its rank.
+    """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = dict(row)
@@ -129,7 +142,6 @@ def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
             if piv is None:
                 inv = pow(row[col], -1, p)
                 pivots[col] = {c: (v * inv) % p for c, v in row.items()}
-                rank += 1
                 break
             factor = row[col]
             for c, v in piv.items():
@@ -138,7 +150,12 @@ def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
                     row[c] = nv
                 else:
                     row.pop(c, None)
-    return rank
+    return pivots
+
+
+def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p of a matrix given as sparse rows {col: value}."""
+    return len(echelon(rows, p))
 
 
 def trivial_summand_counts(mf: MatFac) -> SummandCount:

@@ -16,18 +16,41 @@ from typing import Iterator
 RESERVED_NAMES = ("u", "v", "z")
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(m: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin.
+
+    Raises ValueError for m at or above 3.3 * 10^24 with no prime factor
+    up to 41, where these bases no longer certify the answer.
+    """
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    if m >= _MR_LIMIT:
+        raise ValueError(
+            f"modulus {m} is too large to certify as prime (limit {_MR_LIMIT})"
+        )
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -117,6 +117,29 @@ def test_validation_exit_code(capsys):
     assert code == 2
 
 
+def test_decompose_refuses_non_prime_p(capsys):
+    for p in ("4", "9"):
+        code, out, err = run(capsys, "decompose", "--dvec", "2", "--p", p, "--e", "1")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: modulus {p} is not a prime number"
+
+
+def test_huge_prime_refused_quickly():
+    # primality of an 18-digit p is settled by Miller-Rabin, then the size
+    # gate refuses; above 3.3 * 10^24 p is refused as uncertifiable
+    cases = (("1000000000000000003", 3), ("10000000000000000000000000", 2))
+    for p, want in cases:
+        result = subprocess.run(
+            [sys.executable, "-m", "frobsig.cli", "matrix", "--f", "x1",
+             "--p", p, "--e", "1"],
+            env=_env_with_src(), capture_output=True, text=True, timeout=2,
+        )
+        assert result.returncode == want
+        assert result.stdout == ""
+        assert len(result.stderr.strip().splitlines()) == 1
+
+
 def test_resource_exit_code(capsys):
     code, _, err = run(capsys, "matrix", "--f", "x1", "--p", "3", "--e", "9")
     assert code == 3
@@ -163,14 +186,17 @@ def test_unit_f_refused_on_free_rank_paths(capsys):
     assert json.loads(out)["verified"] is True
 
 
-def test_cli_import_loads_no_sympy():
-    # start-up cost: importing the CLI must not pull in sympy
+def _env_with_src():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_import_loads_no_sympy():
+    # start-up cost: importing the CLI must not pull in sympy
     code = "import sys, frobsig.cli; print('sympy' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True,
+        text=True, check=True,
     )
     assert result.stdout.strip() == "False"

@@ -12,7 +12,13 @@ from frobsig.hypersurface import (
     uv_decomposition,
     z2_presentation,
 )
-from frobsig.matfac import maltese, trivial_summand_counts, verify_matfac
+from frobsig.matfac import (
+    maltese,
+    rank_mod_p,
+    trivial_summand_counts,
+    verify_matfac,
+)
+from frobsig.monomial import MonomialData, free_rank_formula
 from frobsig.ring import SparsePoly, parse_poly
 
 
@@ -138,24 +144,33 @@ def rand_local(rng, p, n, max_deg, max_terms):
 
 
 def test_free_ranks_match_summand_counts_random():
-    # rank-only free ranks against the trivial-summand counts of the pairs;
+    # free ranks from the chain f^j A against the trivial-summand counts of
+    # the pairs and against ranks at the origin of the matrices M(f^j, e);
     # at (5, 2, 2) binomials keep every f^k sparse, so no matrix squaring
-    rng = random.Random(2025)
     plan = (
         [(3, 1, 1, 3)] * 4 + [(5, 1, 1, 3)] * 4 + [(3, 1, 2, 3)] * 8
         + [(5, 1, 2, 3)] * 6 + [(3, 2, 1, 3)] * 4 + [(5, 2, 1, 3)] * 3
         + [(3, 2, 2, 3)] * 4 + [(5, 2, 2, 2)] * 2
     )
-    for p, e, n, max_terms in plan:
-        b = FrobBasis(p, e, n)
-        f = rand_local(rng, p, n, 3, max_terms)
-        uv = b.size + 2 * sum(
-            trivial_summand_counts(presentation_fk(f, k, b)).t
-            for k in range(1, b.q)
-        )
-        z2 = trivial_summand_counts(presentation_fk(f, (b.q - 1) // 2, b))
-        assert free_rank_uv(f, b) == uv
-        assert free_rank_z2(f, b) == z2.t + z2.r
+    for seed in (2025, 2026):
+        rng = random.Random(seed)
+        for p, e, n, max_terms in plan:
+            b = FrobBasis(p, e, n)
+            f = rand_local(rng, p, n, 3, max_terms)
+            half = (b.q - 1) // 2
+            ranks = [
+                rank_mod_p(matrix_power(f, j, b).at_origin(), p)
+                for j in range(1, b.q)
+            ]
+            uv = b.size + 2 * sum(
+                trivial_summand_counts(presentation_fk(f, k, b)).t
+                for k in range(1, b.q)
+            )
+            z2 = trivial_summand_counts(presentation_fk(f, half, b))
+            assert uv == b.size + 2 * sum(ranks)
+            assert z2.t + z2.r == ranks[half - 1] + ranks[half]
+            assert free_rank_uv(f, b) == uv
+            assert free_rank_z2(f, b) == z2.t + z2.r
 
 
 def test_free_ranks_build_no_pairs(monkeypatch):
@@ -180,3 +195,12 @@ def test_units_refused_on_free_rank_paths():
     # the power pair of a unit still factors it
     mf = presentation_fk(parse_poly("1 + x1", 3, 1), 1, b)
     assert verify_matfac(mf.phi, mf.psi, mf.f)
+
+
+def test_free_rank_uv_reaches_e4():
+    # q^n = 6561: far past the matrix path, against the monomial closed form
+    md = MonomialData((2, 1))
+    b = FrobBasis(3, 4, 2)
+    q = b.q
+    want = q ** 2 + 2 * sum(free_rank_formula(md, q, k) for k in range(1, q))
+    assert free_rank_uv(md.poly(3, b.names), b) == want

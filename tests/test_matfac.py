@@ -52,6 +52,19 @@ def test_verify_rejects_wrong_pair():
     assert verify_matfac(mf.phi, mf.psi, mf.f) is False
 
 
+def test_verify_zero_f_checks_both_orders():
+    # phi = E_12, psi = E_11: phi*psi = 0 = f*I but psi*phi = E_12, so with
+    # f = 0 the second product must still be checked
+    def unit_matrix(i, j):
+        return PolyMatrix.from_entries(
+            2, 2, [(i, j, SparsePoly.one(3, 1))], 3, 1
+        )
+
+    zero = SparsePoly.zero(3, 1)
+    assert not verify_matfac(unit_matrix(0, 1), unit_matrix(0, 0), zero)
+    assert verify_matfac(unit_matrix(0, 1), unit_matrix(0, 1), zero)
+
+
 def test_maltese_small():
     x = parse_poly("x1", 3, 1)
     mf = maltese(MatFac(one_by_one(x), one_by_one(x), x * x))

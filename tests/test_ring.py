@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from frobsig.ring import PrimeField, SparsePoly, parse_poly
+from frobsig.ring import PrimeField, SparsePoly, is_prime, parse_poly
 
 
 def rand_poly(rng, p, n, max_deg=4, max_terms=4):
@@ -37,6 +37,26 @@ def test_parse_signs_and_repeats():
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         parse_poly(text, 3, 2)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(m):
+        return m >= 2 and all(m % f for f in range(2, int(m ** 0.5) + 1))
+
+    assert all(is_prime(m) == by_trial_division(m) for m in range(10 ** 5))
+
+
+def test_is_prime_large_moduli():
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    assert is_prime(1000000000000000003)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
+    # past the certified bound a small factor still decides the answer
+    assert not is_prime(10 ** 25)
+    assert not is_prime(41 * (2 ** 89 - 1))
+    with pytest.raises(ValueError, match="too large to certify"):
+        is_prime(2 ** 89 - 1)
 
 
 def test_parse_requires_prime():
