@@ -53,7 +53,7 @@ from .monomial import (
     ffrt_witness,
     free_rank_formula,
 )
-from .ring import PrimeField, SparsePoly, parse_poly
+from .ring import SparsePoly, parse_poly
 
 __all__ = [
     "FrobBasis",
@@ -93,7 +93,6 @@ __all__ = [
     "eta",
     "ffrt_witness",
     "free_rank_formula",
-    "PrimeField",
     "SparsePoly",
     "parse_poly",
 ]

@@ -97,9 +97,20 @@ def _check_size(cfg: RunConfig, work: int) -> None:
         )
 
 
+def _check_e(cfg: RunConfig) -> None:
+    # every size gate counts at least q = p^e >= 2^e cells, so this refuses
+    # nothing a gate accepts, and it runs before p^e is formed
+    if cfg.e > cfg.max_size.bit_length():
+        raise ResourceWarning(
+            f"requested computation needs at least 2^{cfg.e} matrix cells, "
+            f"over the bound {cfg.max_size}"
+        )
+
+
 def cmd_matrix(cfg: RunConfig) -> str:
     _require(cfg, "p", "e", "f_text")
     f = _parse_f(cfg)
+    _check_e(cfg)
     basis = FrobBasis(cfg.p, cfg.e, f.n, f.names)
     _check_size(cfg, basis.size ** 2)
     m = matrix_power(f, cfg.power, basis)
@@ -117,16 +128,18 @@ def cmd_fsignature(cfg: RunConfig) -> str:
     else:
         _require(cfg, "p")
         f = _parse_f(cfg)
-        requested = list(range(1, (cfg.emax or cfg.e or 1) + 1))
-        # keep only the e values whose matrix work fits the size bound
-        feasible = [
-            e for e in requested if (cfg.p ** e) ** (f.n + 2) <= cfg.max_size
-        ]
+        emax = cfg.emax or cfg.e or 1
+        # the matrix work grows with e: keep e = 1, 2, ... while it fits
+        feasible = []
+        for e in range(1, emax + 1):
+            if (cfg.p ** e) ** (f.n + 2) > cfg.max_size:
+                break
+            feasible.append(e)
         if not feasible:
             raise ResourceWarning(
                 f"no requested e fits the size bound {cfg.max_size}"
             )
-        if feasible != requested:
+        if len(feasible) < emax:
             print(
                 f"note: truncating sweep to e <= {feasible[-1]} "
                 f"(size bound {cfg.max_size})",
@@ -140,8 +153,9 @@ def cmd_fsignature(cfg: RunConfig) -> str:
 
 def cmd_decompose(cfg: RunConfig) -> str:
     _require(cfg, "dvec", "p", "e")
-    # the closed-form eta path builds no polynomial, so nothing else checks p
+    # p and e are checked before the size gate forms p^e
     check_prime(cfg.p)
+    _check_e(cfg)
     md = MonomialData(cfg.dvec)
     _check_size(cfg, (cfg.p ** cfg.e) ** (md.n + 2))
     return decomposition_report(md, cfg.p, cfg.e).to_json()
@@ -150,6 +164,7 @@ def cmd_decompose(cfg: RunConfig) -> str:
 def cmd_freerank(cfg: RunConfig) -> str:
     _require(cfg, "target", "p", "e")
     f = _parse_f(cfg)
+    _check_e(cfg)
     basis = FrobBasis(cfg.p, cfg.e, f.n, f.names)
     _check_size(cfg, basis.size ** 2 * basis.q ** 2)
     if cfg.target == "uv":
@@ -164,6 +179,7 @@ def cmd_freerank(cfg: RunConfig) -> str:
 def cmd_verify(cfg: RunConfig) -> str:
     _require(cfg, "p", "e")
     f = _parse_f(cfg)
+    _check_e(cfg)
     basis = FrobBasis(cfg.p, cfg.e, f.n, f.names)
     _check_size(cfg, basis.size ** 2)
     mf = presentation_fk(f, cfg.k, basis)
@@ -219,6 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    for name in ("e", "emax"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1")
     return RunConfig(
         command=args.command,
         p=args.p,

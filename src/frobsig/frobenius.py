@@ -408,19 +408,16 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
 
 
 def matrix_power(f: SparsePoly, k: int, basis: FrobBasis) -> PolyMatrix:
-    """M(f^k, e), by direct construction or by powering M(f, e).
+    """M(f^k, e), built directly as the matrix of relations of f^k.
 
-    Direct construction is preferred while f^k stays sparse (always the case
-    for monomials); otherwise the matrix is powered by repeated squaring.
-    Both routes agree because multiplication by f^k is the k-fold composite
-    of multiplication by f.
+    Powering M(f, e) by repeated squaring (``PolyMatrix.matrix_pow``) gives
+    the same matrix, since multiplication by f^k is the k-fold composite of
+    multiplication by f; it is slower even where f^k has more terms than
+    the basis has elements, so only the tests use it, as the reference.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    fk = f ** k
-    if len(fk.terms) <= basis.size:
-        return matrix_of_relations(fk, basis)
-    return matrix_of_relations(f, basis).matrix_pow(k)
+    return matrix_of_relations(f ** k, basis)
 
 
 def block_assemble(

@@ -10,12 +10,11 @@ arithmetic is exact rational; no floating point.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 
 from .frobenius import FrobBasis
 from .hypersurface import check_nonunit, free_rank_uv, free_rank_z2
@@ -43,51 +42,26 @@ class WTable:
         return max(self.dvec)
 
 
-def _w_direct(dvec: tuple[int, ...]) -> list[Fraction]:
-    n = len(dvec)
-    d = max(dvec)
-    out = []
-    for s in range(n + 1):
-        total = Fraction(0)
-        for subset in itertools.combinations(range(n), s):
-            inside = set(subset)
-            term = prod(d - dvec[j] for j in inside) * prod(
-                dvec[j] for j in range(n) if j not in inside
-            )
-            total += term
-        out.append(total)
-    return out
-
-
-def _w_recurrence(dvec: tuple[int, ...]) -> list[Fraction]:
-    # W over the first m variables, extending one variable at a time:
-    # W_j gains (d - d_m) W_{j-1} + d_m W_j
-    d = max(dvec)
-    values = [Fraction(1)]
-    for dm in dvec:
-        prev = values
-        values = []
-        for j in range(len(prev) + 1):
-            acc = Fraction(0)
-            if j - 1 >= 0:
-                acc += (d - dm) * prev[j - 1]
-            if j < len(prev):
-                acc += dm * prev[j]
-            values.append(acc)
-    return values
-
-
 def w_values(dvec) -> WTable:
-    """W_0..W_n, computed by direct summation and checked by the recurrence."""
+    """W_0..W_n, by adding one variable at a time in O(n^2) steps.
+
+    Taken over the variables so far, W_j becomes (d - d_m) W_{j-1} + d_m W_j
+    when variable m joins.  ``oracle.w_values_by_subsets`` sums the 2^n subsets
+    directly and is the tests' reference.
+    """
     dvec = tuple(dvec)
     if not dvec:
         raise ValueError("dvec must be non-empty")
     if any(d < 1 for d in dvec):
         raise ValueError("all exponents must be >= 1")
-    direct = _w_direct(dvec)
-    if direct != _w_recurrence(dvec):
-        raise AssertionError("W-value computation paths disagree")
-    return WTable(dvec=dvec, values=tuple(direct))
+    d = max(dvec)
+    values = [Fraction(1)]
+    for dm in dvec:
+        padded = [0, *values, 0]
+        values = [
+            (d - dm) * padded[j] + dm * padded[j + 1] for j in range(len(values) + 1)
+        ]
+    return WTable(dvec=dvec, values=tuple(values))
 
 
 def fsignature_uv_closed(dvec) -> Fraction:

@@ -4,8 +4,9 @@ For monomial f every matrix M(f^k,e) is a generalized permutation matrix
 with monomial entries, so it diagonalizes by row/column permutations alone.
 The diagonal entries x^c with c in the box Gamma = prod [0, d_j] occur with
 multiplicity eta_k(c), a product of per-variable counts in closed form.
-This module computes eta, performs the permutation diagonalization, gives
-the free-rank product formula, and assembles the full decomposition report.
+This module computes eta, performs the permutation diagonalization (the
+tests' independent check of eta), gives the free-rank product formula, and
+assembles the full decomposition report from eta alone.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .frobenius import FrobBasis, PolyMatrix, matrix_power
-from .ring import SparsePoly
+from .frobenius import PolyMatrix
+from .ring import SparsePoly, check_prime
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,8 @@ def eta(k: int, c, md: MonomialData, q: int) -> int:
     """Multiplicity of the diagonal entry x^c in diagonalized M(f^k,e).
 
     Per variable: eta_k(c_j) = q - |c_j*q - k*d_j| when that is positive,
-    else 0; the total is the product over variables.
+    else 0, which counts the b in [0, q) with floor((b + k*d_j)/q) = c_j
+    for every q; the total is the product over variables.
     """
     if not 1 <= k <= q - 1:
         raise ValueError(f"k must satisfy 1 <= k <= q-1 = {q - 1}")
@@ -114,8 +116,8 @@ class DecompositionReport:
     ``summands`` maps interior labels c (0 < c < dvec somewhere) to their
     total multiplicity over k = 1..q-1; labels 0 and dvec fold into the
     free part.  ``threshold_ok`` records whether q > max d_j + 1, the
-    hypothesis under which the closed form applies; below it the report is
-    computed by permutation diagonalization instead.
+    paper's hypothesis; it is reported only, since the eta counts hold for
+    every q and the report is computed from them alone.
     """
 
     q: int
@@ -141,46 +143,42 @@ class DecompositionReport:
         return json.dumps(self.to_json_dict())
 
 
-def _label_multiplicities(md: MonomialData, p: int, e: int) -> Counter:
-    """Summand multiplicities over all k by direct diagonalization."""
-    basis = FrobBasis(p, e, md.n)
-    f = md.poly(p, basis.names)
-    q = basis.q
-    out = Counter()
-    for k in range(1, q):
-        diag = diagonalize_monomial_matrix(matrix_power(f, k, basis))
-        for exps, mult in diag.items():
-            out[exps] += mult
-    return out
+def _window(k: int, md: MonomialData, q: int):
+    """The labels c with eta_k(c) > 0, at most 2^n of them.
+
+    eta_k(c_j) = q - |c_j*q - k*d_j| is positive exactly when c_j is
+    floor(k*d_j/q) or ceil(k*d_j/q).
+    """
+    choices = []
+    for dj in md.dvec:
+        lo, rem = divmod(k * dj, q)
+        choices.append((lo, lo + 1) if rem else (lo,))
+    return itertools.product(*choices)
 
 
 def decomposition_report(md: MonomialData, p: int, e: int) -> DecompositionReport:
     """Full decomposition of F_*^e over the uv-hypersurface of x^dvec.
 
-    Above the threshold q > max d_j + 1 the eta closed form is used; below
-    it the multiplicities come from diagonalizing each M(f^k,e) directly.
+    Sums eta_k(c) over the window of labels where it is positive, for every
+    q = p^e on either side of the threshold q > max d_j + 1.  Diagonalizing
+    each M(f^k,e) gives the same counts and is the tests' independent check.
     """
+    check_prime(p)
+    if e < 1:
+        raise ValueError("e must be >= 1")
     q = p ** e
-    threshold_ok = q > md.d + 1
-    zero = (0,) * md.n
-    top = md.dvec
-    if threshold_ok:
-        labels = Counter()
-        for k in range(1, q):
-            for c in md.gamma():
-                m = eta(k, c, md, q)
-                if m:
-                    labels[tuple(c)] += m
-    else:
-        labels = _label_multiplicities(md, p, e)
-    free_rank = q ** md.n + labels.pop(zero, 0) + labels.pop(top, 0)
+    labels = Counter()
+    for k in range(1, q):
+        for c in _window(k, md, q):
+            labels[c] += eta(k, c, md, q)
+    free_rank = q ** md.n + labels.pop((0,) * md.n, 0) + labels.pop(md.dvec, 0)
     return DecompositionReport(
         q=q,
         e=e,
         dvec=md.dvec,
         free_rank=free_rank,
         summands=dict(labels),
-        threshold_ok=threshold_ok,
+        threshold_ok=q > md.d + 1,
     )
 
 
@@ -196,7 +194,5 @@ def ffrt_witness(md: MonomialData, p: int, e_max: int) -> set:
     for e in range(1, e_max + 1):
         q = p ** e
         for k in range(1, q):
-            for c in md.gamma():
-                if c not in out and eta(k, c, md, q) > 0:
-                    out.add(c)
+            out.update(_window(k, md, q))
     return out

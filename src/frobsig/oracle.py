@@ -1,15 +1,17 @@
 """Independent brute-force cross-checks for the main computation paths.
 
 Each function here re-derives a result that the main modules compute by a
-different route: the pushforward coordinates term by term, a Fedder-style
-ideal-membership test by binomial expansion, and a univariate Smith normal
-form by dense polynomial row reduction.  Logic is deliberately duplicated
-rather than shared so agreement between paths is meaningful.
+different route: the pushforward coordinates term by term, the W_j by
+summing over subsets, a Fedder-style ideal-membership test by binomial
+expansion, and a univariate Smith normal form by dense polynomial row
+reduction.  Logic is deliberately duplicated rather than shared so
+agreement between paths is meaningful.
 """
 
 from __future__ import annotations
 
-from math import comb
+import itertools
+from math import comb, prod
 
 from .frobenius import FrobBasis, PolyMatrix
 from .ring import SparsePoly
@@ -35,6 +37,24 @@ def decompose_by_exponents(g: SparsePoly, basis: FrobBasis) -> dict[int, SparseP
         else:
             coords[idx] = piece
     return {i: poly for i, poly in coords.items() if not poly.is_zero()}
+
+
+def w_values_by_subsets(dvec) -> list[int]:
+    """W_0..W_n summed over subsets, 2^n terms in all.
+
+    W_s sums, over s-element subsets J of the variables, the product of
+    (d - d_j) for j in J times d_j for j outside J, with d = max d_j.
+    """
+    dvec = tuple(dvec)
+    n = len(dvec)
+    d = max(dvec)
+    return [
+        sum(
+            prod(d - dvec[j] if j in subset else dvec[j] for j in range(n))
+            for subset in itertools.combinations(range(n), s)
+        )
+        for s in range(n + 1)
+    ]
 
 
 def fedder_membership(dvec, p: int, e: int) -> bool:

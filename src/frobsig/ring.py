@@ -63,36 +63,6 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
-class PrimeField:
-    """The prime field F_p with elements represented as ints in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        check_prime(p)
-        self.p = p
-
-    def reduce(self, c: int) -> int:
-        return c % self.p
-
-    def neg(self, c: int) -> int:
-        return -c % self.p
-
-    def inv(self, c: int) -> int:
-        if c % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return pow(c, -1, self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
-
-
 class SparsePoly:
     """Element of F_p[x_1, ..., x_n] in sparse normal form."""
 

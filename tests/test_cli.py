@@ -140,6 +140,50 @@ def test_huge_prime_refused_quickly():
         assert len(result.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        ("matrix --f x1 --p 3 --e 30000000", 3),
+        ("decompose --dvec 2,1 --p 3 --e 30000000", 3),
+        ("freerank --type uv --f x1^2 --p 3 --e 30000000", 3),
+        ("verify --f x1^2 --p 3 --e 30000000", 3),
+        ("fsignature --type uv --f x1^2 --p 3 --emax 0", 2),
+        ("fsignature --type uv --f x1^2 --p 3 --emax -5", 2),
+        ("fsignature --type uv --f x1^2 --p 3 --e 0", 2),
+        ("decompose --dvec 2,1 --p 3 --e 0", 2),
+        ("decompose --dvec 2,1 --p 3 --e -1", 2),
+        ("matrix --f x1 --p 3 --e 0", 2),
+        ("freerank --type uv --f x1^2 --p 3 --e -1", 2),
+        # the sweep stops at the first e over the size bound, with one note
+        ("fsignature --type uv --f x1^2 --p 3 --emax 300000000", 0),
+    ],
+)
+def test_e_and_emax_bounded(argv, want):
+    result = subprocess.run(
+        [sys.executable, "-m", "frobsig.cli", *argv.split()],
+        env=_env_with_src(), capture_output=True, text=True, timeout=2,
+    )
+    assert result.returncode == want
+    assert len(result.stderr.strip().splitlines()) == 1
+    if want:
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+    else:
+        assert result.stderr.startswith("note: truncating sweep to e <= 4")
+        assert [r["e"] for r in json.loads(result.stdout)["empirical"]] == [1, 2, 3, 4]
+
+
+def test_fsignature_closed_form_many_variables():
+    # W_j by recurrence: 30 variables take well under the time limit
+    result = subprocess.run(
+        [sys.executable, "-m", "frobsig.cli", "fsignature", "--type", "uv",
+         "--dvec", ",".join(["1"] * 30)],
+        env=_env_with_src(), capture_output=True, text=True, timeout=2,
+    )
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["closed_form"] == "2/31"
+
+
 def test_resource_exit_code(capsys):
     code, _, err = run(capsys, "matrix", "--f", "x1", "--p", "3", "--e", "9")
     assert code == 3

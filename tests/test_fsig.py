@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from frobsig import fsig
+from frobsig.oracle import w_values_by_subsets
 from frobsig.fsig import (
     bernoulli,
     empirical_sequence,
@@ -31,6 +32,12 @@ def test_w_values_invariants():
             dvec[0] * dvec[1] * dvec[2]
         )
         assert table.values[-1] == 0  # W_n vanishes since d is attained
+
+
+def test_w_values_match_subset_sums():
+    for n in range(1, 5):
+        for dvec in itertools.product(range(1, 5), repeat=n):
+            assert list(w_values(dvec).values) == w_values_by_subsets(dvec)
 
 
 def test_w_values_validation():

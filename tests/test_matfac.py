@@ -235,6 +235,7 @@ def test_chain_target_form():
     x = SparsePoly.variable(1, 3, 1)
     for size in (2, 3, 4, 5):
         red = companion_reduce(CHAIN, size, x)
+        assert red.verify()
         corner = red.reduced.entry(0, size - 1)
         assert corner == (x ** size).scale((-1) ** (size + 1))
         for i in range(1, size):
@@ -248,6 +249,7 @@ def test_even_target_form():
     for size in (4, 6):
         m = size // 2
         red = companion_reduce(EVEN, size, x, corner=y)
+        assert red.verify()
         signed = (x ** m).scale((-1) ** (m - 1))
         assert red.reduced.entry(0, size - 2) == signed
         assert red.reduced.entry(1, size - 1) == signed
@@ -260,6 +262,7 @@ def test_odd_target_form():
     for size in (5, 7):
         m = (size - 1) // 2
         red = companion_reduce(ODD, size, x, corner=y, corner2=y)
+        assert red.verify()
         assert red.reduced.entry(0, size - 1) == (x ** (m + 1)).scale((-1) ** m)
         assert red.reduced.entry(1, size - 2) == (x ** m).scale((-1) ** (m - 1))
         assert red.reduced.entry(0, size - 2) == y
@@ -274,6 +277,7 @@ def test_split_target_form():
     for size, k in ((2, 1), (4, 1), (5, 2), (6, 3)):
         m = size - k
         red = companion_reduce(SPLIT, size, x, corner=v, corner2=u, k=k)
+        assert red.verify()
         top = size - 2
         assert red.reduced.entry(top, top) == (x ** k).scale((-1) ** (k + 1))
         assert red.reduced.entry(top, top + 1) == v
@@ -289,6 +293,7 @@ def test_uv_target_form():
     w = x ** 4  # stands for the product uv
     for size in (2, 3, 5):
         red = companion_reduce(UV, size, x, corner=w)
+        assert red.verify()
         top = size - 2
         assert red.reduced.entry(top, top) == (x ** (size - 1)).scale((-1) ** size)
         assert red.reduced.entry(top, top + 1) == w

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -80,7 +81,11 @@ def test_diagonalize_rejects_non_permutation():
 
 
 def test_eta_matches_diagonalization():
-    for dvec, p, e in (((2,), 3, 1), ((1, 1), 3, 1), ((2, 1), 3, 1), ((3,), 5, 1)):
+    # the last four points lie below the threshold q > d+1, three with p = 2
+    for dvec, p, e in (
+        ((2,), 3, 1), ((1, 1), 3, 1), ((2, 1), 3, 1), ((3,), 5, 1),
+        ((3, 2), 3, 1), ((4,), 2, 2), ((2, 3), 2, 1), ((2, 1, 1), 2, 1),
+    ):
         md = MonomialData(dvec)
         b = FrobBasis(p, e, md.n)
         f = md.poly(p, b.names)
@@ -118,21 +123,33 @@ def test_decomposition_report_x_squared():
     assert data["summands"] == [{"c": [1], "multiplicity": 4}]
 
 
-def test_decomposition_report_above_threshold():
-    rep = decomposition_report(MonomialData((2,)), 5, 1)
-    assert rep.threshold_ok is True
-    # cross-check against straight diagonalization
-    md = MonomialData((2,))
-    b = FrobBasis(5, 1, 1)
-    f = md.poly(5, b.names)
-    from collections import Counter
+def test_decomposition_report_both_sides_of_threshold():
+    # eta counts the labels for every q; summed diagonalization is the check
+    sides = set()
+    for dvec in ((1,), (2,), (3,), (5,), (1, 1), (2, 1), (3, 2), (2, 1, 1)):
+        md = MonomialData(dvec)
+        for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1)):
+            b = FrobBasis(p, e, md.n)
+            if b.size > 400:
+                continue
+            rep = decomposition_report(md, p, e)
+            f = md.poly(p, b.names)
+            labels = Counter()
+            for k in range(1, b.q):
+                labels.update(diagonalize_monomial_matrix(matrix_power(f, k, b)))
+            free = b.size + labels.pop((0,) * md.n, 0) + labels.pop(md.dvec, 0)
+            assert rep.free_rank == free
+            assert rep.summands == dict(labels)
+            assert rep.threshold_ok == (b.q > md.d + 1)
+            sides.add(rep.threshold_ok)
+    assert sides == {True, False}
 
-    labels = Counter()
-    for k in range(1, 5):
-        labels.update(diagonalize_monomial_matrix(matrix_power(f, k, b)))
-    free = 5 + labels.pop((0,), 0) + labels.pop((2,), 0)
-    assert rep.free_rank == free
-    assert rep.summands == dict(labels)
+
+def test_decomposition_report_refuses_bad_p_and_e():
+    md = MonomialData((2, 1))
+    for p, e in ((4, 1), (9, 1), (3, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            decomposition_report(md, p, e)
 
 
 def test_decomposition_report_regular():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from frobsig.ring import PrimeField, SparsePoly, is_prime, parse_poly
+from frobsig.ring import SparsePoly, is_prime, parse_poly
 
 
 def rand_poly(rng, p, n, max_deg=4, max_terms=4):
@@ -110,15 +110,6 @@ def test_mismatched_rings_rejected():
         parse_poly("x1", 3, 1) * parse_poly("x1", 3, 2)
     with pytest.raises(ValueError):
         parse_poly("x1", 3, 1) + parse_poly("x1", 5, 1)
-
-
-def test_prime_field_ops():
-    k = PrimeField(7)
-    assert k.reduce(10) == 3
-    assert k.neg(3) == 4
-    assert (k.inv(3) * 3) % 7 == 1
-    with pytest.raises(ZeroDivisionError):
-        k.inv(7)
 
 
 def test_str_roundtrip():
