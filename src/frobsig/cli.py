@@ -1,9 +1,11 @@
 """Command-line front end emitting machine-readable reports.
 
-Subcommands: matrix, fsignature, decompose, freerank, verify.  Data goes
-to standard output (JSON, or CSV for matrices), diagnostics to standard
-error.  Exit codes: 0 success, 2 validation error, 3 resource bound
-exceeded.  Output is deterministic for a fixed configuration.
+Subcommands: matrix, fsignature, decompose, freerank, verify.  Each declares
+only the flags it reads (``frobsig <cmd> -h``); argparse refuses the rest.
+Data goes to standard output (JSON, or CSV for matrices), diagnostics to
+standard error.  Exit codes: 0 success, 2 validation error (usage errors
+included), 3 resource bound exceeded; every refusal is one stderr line.
+Output is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .frobenius import FrobBasis, matrix_power
 from .fsig import (
@@ -33,20 +34,42 @@ EXIT_RESOURCE = 3
 DEFAULT_MAX_SIZE = 10 ** 6
 
 
-@dataclass
-class RunConfig:
-    command: str
-    p: int | None = None
-    e: int | None = None
-    emax: int | None = None
-    f_text: str | None = None
-    dvec: tuple[int, ...] | None = None
-    n: int | None = None
-    k: int = 1
-    power: int = 1
-    target: str | None = None
-    fmt: str = "json"
-    max_size: int = DEFAULT_MAX_SIZE
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _parse_dvec(text: str) -> tuple[int, ...]:
+    try:
+        dvec = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad exponent vector {text!r}; expected e.g. 2,1"
+        )
+    if not dvec or any(d < 1 for d in dvec):
+        raise argparse.ArgumentTypeError("exponent vector entries must be >= 1")
+    return dvec
+
+
+FLAGS = {
+    "f": dict(help="polynomial in x1..xn"),
+    "dvec": dict(type=_parse_dvec, help="monomial exponents, e.g. 2,1"),
+    "p": dict(type=int, help="prime characteristic"),
+    "e": dict(type=_positive, help="Frobenius iterate"),
+    "emax": dict(type=_positive, help="largest e for sweeps"),
+    "n": dict(type=_positive, help="variable count override"),
+    "k": dict(type=int, default=1, help="power index k"),
+    "power": dict(type=_positive, default=1, help="power of f"),
+    "type": dict(choices=("uv", "z2"), dest="target", help="f+uv or f+z^2"),
+    "format": dict(choices=("json", "csv"), default="json", help="output format"),
+    "max-size": dict(type=int, default=DEFAULT_MAX_SIZE,
+                     help="refuse computations needing more matrix cells than this"),
+}
 
 
 def _infer_n(f_text: str, n_flag: int | None) -> int:
@@ -63,205 +86,156 @@ def _infer_n(f_text: str, n_flag: int | None) -> int:
     return inferred
 
 
-def _parse_dvec(text: str) -> tuple[int, ...]:
-    try:
-        dvec = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad exponent vector {text!r}; expected e.g. 2,1")
-    if not dvec or any(d < 1 for d in dvec):
-        raise ValueError("exponent vector entries must be >= 1")
-    return dvec
+def _check_cells(args, bits: int) -> None:
+    # every size gate counts at least q^n = p^(e*n) >= 2^(e*n) cells, so this
+    # refuses nothing a gate accepts; it runs before any ring or p^e is built
+    if bits > args.max_size.bit_length():
+        raise ResourceWarning(
+            f"requested computation needs at least 2^{bits} matrix cells, "
+            f"over the bound {args.max_size}"
+        )
 
 
-def _require(cfg: RunConfig, *fields: str) -> None:
-    for name in fields:
-        if getattr(cfg, name) is None:
-            raise ValueError(f"--{name.replace('_text', '')} is required")
-
-
-def _parse_f(cfg: RunConfig) -> SparsePoly:
-    if cfg.f_text is not None:
-        n = _infer_n(cfg.f_text, cfg.n)
-        return parse_poly(cfg.f_text, cfg.p, n)
-    if cfg.dvec is not None:
-        md = MonomialData(cfg.dvec)
-        return md.poly(cfg.p)
-    raise ValueError("either --f or --dvec is required")
-
-
-def _check_size(cfg: RunConfig, work: int) -> None:
-    if work > cfg.max_size:
+def _check_size(args, work: int) -> None:
+    if work > args.max_size:
         raise ResourceWarning(
             f"requested computation needs {work} matrix cells, "
-            f"over the bound {cfg.max_size}"
+            f"over the bound {args.max_size}"
         )
 
 
-def _check_e(cfg: RunConfig) -> None:
-    # every size gate counts at least q = p^e >= 2^e cells, so this refuses
-    # nothing a gate accepts, and it runs before p^e is formed
-    if cfg.e > cfg.max_size.bit_length():
-        raise ResourceWarning(
-            f"requested computation needs at least 2^{cfg.e} matrix cells, "
-            f"over the bound {cfg.max_size}"
-        )
+def _parse_f(args, e: int) -> SparsePoly:
+    """f from --f, or else from --dvec, once 2^(e*n) cells fit --max-size."""
+    if args.f is None:
+        _check_cells(args, e * len(args.dvec))
+        return MonomialData(args.dvec).poly(args.p)
+    n = _infer_n(args.f, args.n)
+    _check_cells(args, e * n)
+    return parse_poly(args.f, args.p, n)
 
 
-def cmd_matrix(cfg: RunConfig) -> str:
-    _require(cfg, "p", "e", "f_text")
-    f = _parse_f(cfg)
-    _check_e(cfg)
-    basis = FrobBasis(cfg.p, cfg.e, f.n, f.names)
-    _check_size(cfg, basis.size ** 2)
-    m = matrix_power(f, cfg.power, basis)
-    return m.to_csv() if cfg.fmt == "csv" else m.to_json()
+def cmd_matrix(args) -> str:
+    f = _parse_f(args, args.e)
+    basis = FrobBasis(args.p, args.e, f.n, f.names)
+    _check_size(args, basis.size ** 2)
+    m = matrix_power(f, args.power, basis)
+    return m.to_csv() if args.format == "csv" else m.to_json()
 
 
-def cmd_fsignature(cfg: RunConfig) -> str:
-    _require(cfg, "target")
-    closed_fn = fsignature_uv_closed if cfg.target == "uv" else fsignature_z2_closed
-    if cfg.f_text is None:
-        _require(cfg, "dvec")
+def cmd_fsignature(args) -> str:
+    if args.f is None:
+        closed = fsignature_uv_closed if args.target == "uv" else fsignature_z2_closed
         report = SignatureReport(
-            target=cfg.target, dvec=cfg.dvec, closed_form=closed_fn(cfg.dvec)
+            target=args.target, dvec=args.dvec, closed_form=closed(args.dvec)
         )
-    else:
-        _require(cfg, "p")
-        f = _parse_f(cfg)
-        emax = cfg.emax or cfg.e or 1
-        # the matrix work grows with e: keep e = 1, 2, ... while it fits
-        feasible = []
-        for e in range(1, emax + 1):
-            if (cfg.p ** e) ** (f.n + 2) > cfg.max_size:
-                break
-            feasible.append(e)
-        if not feasible:
-            raise ResourceWarning(
-                f"no requested e fits the size bound {cfg.max_size}"
-            )
-        if len(feasible) < emax:
-            print(
-                f"note: truncating sweep to e <= {feasible[-1]} "
-                f"(size bound {cfg.max_size})",
-                file=sys.stderr,
-            )
-        report = empirical_sequence(
-            f, cfg.p, feasible, cfg.target, max_size=cfg.max_size
+        return report.to_json()
+    if args.p is None:
+        raise ValueError("--p is required")
+    f = _parse_f(args, 1)
+    emax = args.emax or args.e or 1
+    # the matrix work grows with e: keep e = 1, 2, ... while it fits
+    feasible = []
+    for e in range(1, emax + 1):
+        if (args.p ** e) ** (f.n + 2) > args.max_size:
+            break
+        feasible.append(e)
+    if not feasible:
+        raise ResourceWarning(f"no requested e fits the size bound {args.max_size}")
+    if len(feasible) < emax:
+        print(
+            f"note: truncating sweep to e <= {feasible[-1]} "
+            f"(size bound {args.max_size})",
+            file=sys.stderr,
         )
+    report = empirical_sequence(
+        f, args.p, feasible, args.target, max_size=args.max_size
+    )
     return report.to_json()
 
 
-def cmd_decompose(cfg: RunConfig) -> str:
-    _require(cfg, "dvec", "p", "e")
-    # p and e are checked before the size gate forms p^e
-    check_prime(cfg.p)
-    _check_e(cfg)
-    md = MonomialData(cfg.dvec)
-    _check_size(cfg, (cfg.p ** cfg.e) ** (md.n + 2))
-    return decomposition_report(md, cfg.p, cfg.e).to_json()
+def cmd_decompose(args) -> str:
+    # p and the variable count are checked before the size gate forms p^e
+    check_prime(args.p)
+    _check_cells(args, args.e * len(args.dvec))
+    md = MonomialData(args.dvec)
+    _check_size(args, (args.p ** args.e) ** (md.n + 2))
+    return decomposition_report(md, args.p, args.e).to_json()
 
 
-def cmd_freerank(cfg: RunConfig) -> str:
-    _require(cfg, "target", "p", "e")
-    f = _parse_f(cfg)
-    _check_e(cfg)
-    basis = FrobBasis(cfg.p, cfg.e, f.n, f.names)
-    _check_size(cfg, basis.size ** 2 * basis.q ** 2)
-    if cfg.target == "uv":
+def cmd_freerank(args) -> str:
+    f = _parse_f(args, args.e)
+    basis = FrobBasis(args.p, args.e, f.n, f.names)
+    _check_size(args, basis.size ** 2 * basis.q ** 2)
+    if args.target == "uv":
         rank = free_rank_uv(f, basis)
     else:
         rank = free_rank_z2(f, basis)
     return json.dumps(
-        {"target": cfg.target, "f": str(f), "q": basis.q, "free_rank": rank}
+        {"target": args.target, "f": str(f), "q": basis.q, "free_rank": rank}
     )
 
 
-def cmd_verify(cfg: RunConfig) -> str:
-    _require(cfg, "p", "e")
-    f = _parse_f(cfg)
-    _check_e(cfg)
-    basis = FrobBasis(cfg.p, cfg.e, f.n, f.names)
-    _check_size(cfg, basis.size ** 2)
-    mf = presentation_fk(f, cfg.k, basis)
+def cmd_verify(args) -> str:
+    f = _parse_f(args, args.e)
+    basis = FrobBasis(args.p, args.e, f.n, f.names)
+    _check_size(args, basis.size ** 2)
+    mf = presentation_fk(f, args.k, basis)
     if not verify_matfac(mf.phi, mf.psi, f):
         raise ValueError("the pair is not a matrix factorization of f")
     return json.dumps(
-        {"f": str(f), "q": basis.q, "k": cfg.k, "size": mf.size, "verified": True}
+        {"f": str(f), "q": basis.q, "k": args.k, "size": mf.size, "verified": True}
     )
 
 
-COMMANDS = {
-    "matrix": cmd_matrix,
-    "fsignature": cmd_fsignature,
-    "decompose": cmd_decompose,
-    "freerank": cmd_freerank,
-    "verify": cmd_verify,
+# flags per subcommand: "name!" is required, "a|b" takes exactly one of a and b
+SUBCOMMANDS = {
+    "matrix": (cmd_matrix, "build the matrix of multiplication by f^power",
+               "f! p! e! n power format max-size"),
+    "fsignature": (cmd_fsignature, "closed-form and/or empirical F-signature",
+                   "type! f|dvec p e emax n max-size"),
+    "decompose": (cmd_decompose, "summand decomposition report for a monomial",
+                  "dvec! p! e! max-size"),
+    "freerank": (cmd_freerank, "free rank of the pushforward over f+uv or f+z^2",
+                 "type! f|dvec p! e! n max-size"),
+    "verify": (cmd_verify, "check the (k, q-k) power pair is a matrix factorization",
+               "f|dvec p! e! n k max-size"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so they exit 2 with one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frobsig",
         description="Exact Frobenius-pushforward matrices, summand "
         "decompositions, and F-signatures for hypersurfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subcommands = {
-        "matrix": "build the matrix of multiplication by f^power",
-        "fsignature": "closed-form and/or empirical F-signature",
-        "decompose": "summand decomposition report for a monomial",
-        "freerank": "free rank of the pushforward over f+uv or f+z^2",
-        "verify": "check the (k, q-k) power pair is a matrix factorization",
-    }
-    for name, help_text in subcommands.items():
+    for name, (run, help_text, flags) in SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--f", help="polynomial in x1..xn")
-        cmd.add_argument("--dvec", help="monomial exponents, e.g. 2,1")
-        cmd.add_argument("--p", type=int, help="prime characteristic")
-        cmd.add_argument("--e", type=int, help="Frobenius iterate")
-        cmd.add_argument("--emax", type=int, help="largest e for sweeps")
-        cmd.add_argument("--n", type=int, help="variable count override")
-        cmd.add_argument("--k", type=int, default=1, help="power index k")
-        cmd.add_argument("--power", type=int, default=1, help="power of f")
-        cmd.add_argument("--type", choices=("uv", "z2"), dest="target")
-        cmd.add_argument("--format", choices=("json", "csv"), default="json")
-        cmd.add_argument(
-            "--max-size",
-            type=int,
-            default=DEFAULT_MAX_SIZE,
-            help="refuse computations needing more matrix cells than this",
-        )
+        cmd.set_defaults(run=run)
+        for flag in flags.split():
+            if "|" in flag:
+                group = cmd.add_mutually_exclusive_group(required=True)
+                for alt in flag.split("|"):
+                    group.add_argument(f"--{alt}", **FLAGS[alt])
+            else:
+                key = flag.rstrip("!")
+                cmd.add_argument(f"--{key}", required=flag != key, **FLAGS[key])
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    for name in ("e", "emax"):
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be >= 1")
-    return RunConfig(
-        command=args.command,
-        p=args.p,
-        e=args.e,
-        emax=args.emax,
-        f_text=args.f,
-        dvec=_parse_dvec(args.dvec) if args.dvec else None,
-        n=args.n,
-        k=args.k,
-        power=args.power,
-        target=args.target,
-        fmt=args.format,
-        max_size=args.max_size,
-    )
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.p is not None and cfg.p == 2 and cfg.target == "z2":
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "target", None) == "z2" and getattr(args, "p", None) == 2:
             raise ValueError("the f+z^2 target requires p odd")
-        output = COMMANDS[cfg.command](cfg)
+        output = args.run(args)
     except ResourceWarning as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

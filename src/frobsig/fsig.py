@@ -31,7 +31,7 @@ class WTable:
     """
 
     dvec: tuple[int, ...]
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -55,7 +55,7 @@ def w_values(dvec) -> WTable:
     if any(d < 1 for d in dvec):
         raise ValueError("all exponents must be >= 1")
     d = max(dvec)
-    values = [Fraction(1)]
+    values = [1]
     for dm in dvec:
         padded = [0, *values, 0]
         values = [
@@ -74,7 +74,7 @@ def fsignature_uv_closed(dvec) -> Fraction:
     table = w_values(dvec)
     n, d = table.n, table.d
     total = sum(
-        (table.values[j] / (n - j + 1) for j in range(n + 1)), Fraction(0)
+        (Fraction(table.values[j], n - j + 1) for j in range(n + 1)), Fraction(0)
     )
     value = Fraction(2, d ** (n + 1)) * total
     if not 0 < value <= 1:
@@ -154,7 +154,7 @@ def expansion_check(dvec, u_values, r_degree_bound: int | None = None) -> bool:
     bound = n if r_degree_bound is None else min(r_degree_bound, n)
     for c in range(bound + 1):
         j = n - c
-        if expanded.get((c, j), 0) != table.values[j] / d ** j:
+        if expanded.get((c, j), 0) != Fraction(table.values[j], d ** j):
             return False
         residual = [qj for (i, qj) in expanded if i == c and qj != j]
         if residual and max(residual) > n - 1 - c:

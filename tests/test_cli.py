@@ -1,7 +1,10 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -244,3 +247,73 @@ def test_cli_import_loads_no_sympy():
         text=True, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def _cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "frobsig.cli", *argv],
+        env=_env_with_src(), capture_output=True, text=True, timeout=2,
+    )
+
+
+def _assert_one_line_refusal(result, want):
+    assert result.returncode == want
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a flag the subcommand does not declare
+        "freerank --type uv --f x1^2 --p 3 --e 1 --power 9",
+        "decompose --f x1^7 --dvec 2 --p 3 --e 1",
+        # --f together with --dvec
+        "freerank --type uv --f x1^2 --dvec 2 --p 3 --e 1",
+        # usage errors: bad type, missing flags, unknown subcommand
+        "matrix --f x1 --p abc --e 1",
+        "fsignature --dvec 2,1",
+        "verify --p 3 --e 1",
+        "frobnicate --p 3 --e 1",
+        "matrix --f x1 --p 3 --e 1 --power -2",
+        "matrix --f 1 --p 3 --e 1 --n -5",
+    ],
+)
+def test_usage_errors_exit_2_in_one_line(argv):
+    _assert_one_line_refusal(_cli(*argv.split()), 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "freerank --type uv --f x1^2 --p 3 --e 1 --n 10000",
+        "freerank --type uv --f x1^2 --p 3 --e 1 --n 30000",
+        f"decompose --dvec {','.join(['1'] * 20000)} --p 3 --e 1",
+    ],
+    ids=["n-10000", "n-30000", "decompose-20000-ones"],
+)
+def test_oversized_variable_count_refused_before_any_ring(argv):
+    # 2^(e*n) cells already exceed --max-size: refused before parsing f
+    _assert_one_line_refusal(_cli(*argv.split()), 3)
+
+
+def test_fsignature_closed_form_thousand_entries():
+    # dvec (1,2)*500: d = 2, and W_s = 2^500 * C(500, s), since a 2 in J
+    # contributes d - 2 = 0 and every 1 contributes 1 in or out of J
+    result = _cli("fsignature", "--type", "uv", "--dvec", ",".join(["1,2"] * 500))
+    assert result.returncode == 0
+    total = sum(Fraction(2 ** 500 * comb(500, s), 1001 - s) for s in range(501))
+    want = Fraction(2, 2 ** 1001) * total
+    assert json.loads(result.stdout)["closed_form"] == str(want)
+
+
+def test_readme_command_line_examples_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```")[0]
+    calls = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("frobsig ")]
+    assert len(calls) >= 7
+    for call in calls:
+        result = _cli(*call[1:])
+        assert result.returncode == 0, (call, result.stderr)
