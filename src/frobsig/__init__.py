@@ -4,97 +4,81 @@ Builds matrices of relations of f on the pushforward basis, manipulates
 the resulting matrix factorizations, decomposes pushforwards over the
 f+uv and f+z^2 hypersurfaces, and evaluates F-signatures as exact
 rationals.
+
+Importing the package loads none of its modules: each public name is
+imported from its module on first access, so a caller pays only for the
+modules it uses.
 """
 
-from .frobenius import (
-    FrobBasis,
-    PolyMatrix,
-    block_assemble,
-    frobenius_decompose,
-    matrix_of_relations,
-    matrix_power,
-)
-from .fsig import (
-    SignatureReport,
-    WTable,
-    empirical_sequence,
-    expansion_check,
-    fsignature_uv_closed,
-    fsignature_z2_closed,
-    sum_powers,
-    w_values,
-)
-from .hypersurface import (
-    UVDecomposition,
-    Z2Presentation,
-    free_rank_uv,
-    free_rank_z2,
-    presentation_fk,
-    uv_decomposition,
-    z2_presentation,
-)
-from .matfac import (
-    MatFac,
-    SummandCount,
-    companion_matrix,
-    companion_reduce,
-    direct_sum,
-    maltese,
-    sharp,
-    trivial_summand_counts,
-    verify_matfac,
-)
-from .monomial import (
-    DecompositionReport,
-    MonomialData,
-    decomposition_report,
-    diagonalize_monomial_matrix,
-    eta,
-    ffrt_witness,
-    free_rank_formula,
-)
-from .ring import SparsePoly, parse_poly
+import importlib
 
-__all__ = [
-    "FrobBasis",
-    "PolyMatrix",
-    "block_assemble",
-    "frobenius_decompose",
-    "matrix_of_relations",
-    "matrix_power",
-    "SignatureReport",
-    "WTable",
-    "empirical_sequence",
-    "expansion_check",
-    "fsignature_uv_closed",
-    "fsignature_z2_closed",
-    "sum_powers",
-    "w_values",
-    "UVDecomposition",
-    "Z2Presentation",
-    "free_rank_uv",
-    "free_rank_z2",
-    "presentation_fk",
-    "uv_decomposition",
-    "z2_presentation",
-    "MatFac",
-    "SummandCount",
-    "companion_matrix",
-    "companion_reduce",
-    "direct_sum",
-    "maltese",
-    "sharp",
-    "trivial_summand_counts",
-    "verify_matfac",
-    "DecompositionReport",
-    "MonomialData",
-    "decomposition_report",
-    "diagonalize_monomial_matrix",
-    "eta",
-    "ffrt_witness",
-    "free_rank_formula",
-    "SparsePoly",
-    "parse_poly",
-]
+_EXPORTS = {
+    "frobenius": (
+        "FrobBasis",
+        "PolyMatrix",
+        "block_assemble",
+        "frobenius_decompose",
+        "matrix_of_relations",
+        "matrix_power",
+    ),
+    "fsig": (
+        "SignatureReport",
+        "WTable",
+        "empirical_sequence",
+        "expansion_check",
+        "fsignature_uv_closed",
+        "fsignature_z2_closed",
+        "sum_powers",
+        "w_values",
+    ),
+    "hypersurface": (
+        "UVDecomposition",
+        "Z2Presentation",
+        "free_rank_uv",
+        "free_rank_z2",
+        "presentation_fk",
+        "uv_decomposition",
+        "z2_presentation",
+    ),
+    "matfac": (
+        "MatFac",
+        "SummandCount",
+        "companion_matrix",
+        "companion_reduce",
+        "direct_sum",
+        "maltese",
+        "sharp",
+        "trivial_summand_counts",
+        "verify_matfac",
+    ),
+    "monomial": (
+        "DecompositionReport",
+        "MonomialData",
+        "decomposition_report",
+        "diagonalize_monomial_matrix",
+        "eta",
+        "ffrt_witness",
+        "free_rank_formula",
+    ),
+    "ring": ("SparsePoly", "parse_poly"),
+}
+
+# public name -> the module that defines it
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,7 +5,9 @@ only the flags it reads (``frobsig <cmd> -h``); argparse refuses the rest.
 Data goes to standard output (JSON, or CSV for matrices), diagnostics to
 standard error.  Exit codes: 0 success, 2 validation error (usage errors
 included), 3 resource bound exceeded; every refusal is one stderr line.
-Output is deterministic for a fixed configuration.
+Output is deterministic for a fixed configuration.  Each subcommand
+imports its own route when it runs, so a call loads only the modules it
+uses.
 """
 
 from __future__ import annotations
@@ -15,16 +17,9 @@ import json
 import re
 import sys
 
-from .frobenius import FrobBasis, matrix_power
-from .fsig import (
-    SignatureReport,
-    empirical_sequence,
-    fsignature_uv_closed,
-    fsignature_z2_closed,
-)
-from .hypersurface import free_rank_uv, free_rank_z2, presentation_fk
-from .matfac import verify_matfac
-from .monomial import MonomialData, decomposition_report
+# ring and hypersurface load with the CLI; every other module is imported
+# by the subcommand that uses it
+from .hypersurface import free_rank_uv, free_rank_z2
 from .ring import SparsePoly, check_prime, parse_poly
 
 EXIT_OK = 0
@@ -67,39 +62,44 @@ FLAGS = {
     "power": dict(type=_positive, default=1, help="power of f"),
     "type": dict(choices=("uv", "z2"), dest="target", help="f+uv or f+z^2"),
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
-    "max-size": dict(type=int, default=DEFAULT_MAX_SIZE,
-                     help="refuse computations needing more matrix cells than this"),
+    "max-size": dict(type=_positive, default=DEFAULT_MAX_SIZE,
+                     help="refuse computations needing more matrix cells "
+                     "(eta terms for decompose) than this"),
 }
 
 
 def _infer_n(f_text: str, n_flag: int | None) -> int:
-    indices = [int(m) for m in re.findall(r"\bx(\d+)", f_text)]
-    inferred = max(indices) if indices else 0
+    # the names the parser's tokenizer sees: "2x1" is the number 2, then x1
+    names = re.findall(r"[A-Za-z_]\w*", f_text)
+    indices = [int(name[1:]) for name in names if re.fullmatch(r"x\d+", name)]
+    inferred = max(indices, default=0)
     if n_flag is not None:
         if inferred > n_flag:
             raise ValueError(
                 f"--n {n_flag} is smaller than highest variable index {inferred}"
             )
         return n_flag
-    if not inferred:
+    if not names:
         raise ValueError("cannot infer variable count; pass --n")
-    return inferred
+    # a name other than x1, x2, ... makes the parser refuse f in its own words
+    return inferred or 1
 
 
-def _check_cells(args, bits: int) -> None:
-    # every size gate counts at least q^n = p^(e*n) >= 2^(e*n) cells, so this
+def _check_cells(args, bits: int, unit: str = "matrix cells") -> None:
+    # bits is a lower bound on log2 of the size gate's count (q^n = p^(e*n)
+    # >= 2^(e*n) cells, or q*2^n >= 2^(e+n) terms for decompose), so this
     # refuses nothing a gate accepts; it runs before any ring or p^e is built
     if bits > args.max_size.bit_length():
         raise ResourceWarning(
-            f"requested computation needs at least 2^{bits} matrix cells, "
+            f"requested computation needs at least 2^{bits} {unit}, "
             f"over the bound {args.max_size}"
         )
 
 
-def _check_size(args, work: int) -> None:
+def _check_size(args, work: int, unit: str = "matrix cells") -> None:
     if work > args.max_size:
         raise ResourceWarning(
-            f"requested computation needs {work} matrix cells, "
+            f"requested computation needs {work} {unit}, "
             f"over the bound {args.max_size}"
         )
 
@@ -108,6 +108,8 @@ def _parse_f(args, e: int) -> SparsePoly:
     """f from --f, or else from --dvec, once 2^(e*n) cells fit --max-size."""
     if args.f is None:
         _check_cells(args, e * len(args.dvec))
+        from .monomial import MonomialData
+
         return MonomialData(args.dvec).poly(args.p)
     n = _infer_n(args.f, args.n)
     _check_cells(args, e * n)
@@ -115,6 +117,8 @@ def _parse_f(args, e: int) -> SparsePoly:
 
 
 def cmd_matrix(args) -> str:
+    from .frobenius import FrobBasis, matrix_power
+
     f = _parse_f(args, args.e)
     basis = FrobBasis(args.p, args.e, f.n, f.names)
     _check_size(args, basis.size ** 2)
@@ -123,6 +127,13 @@ def cmd_matrix(args) -> str:
 
 
 def cmd_fsignature(args) -> str:
+    from .fsig import (
+        SignatureReport,
+        empirical_sequence,
+        fsignature_uv_closed,
+        fsignature_z2_closed,
+    )
+
     if args.f is None:
         closed = fsignature_uv_closed if args.target == "uv" else fsignature_z2_closed
         report = SignatureReport(
@@ -154,15 +165,20 @@ def cmd_fsignature(args) -> str:
 
 
 def cmd_decompose(args) -> str:
-    # p and the variable count are checked before the size gate forms p^e
+    from .monomial import MonomialData, decomposition_report
+
+    # p and the variable count are checked before the size gate forms p^e;
+    # the report sums eta over at most 2^n labels for each k < q
     check_prime(args.p)
-    _check_cells(args, args.e * len(args.dvec))
-    md = MonomialData(args.dvec)
-    _check_size(args, (args.p ** args.e) ** (md.n + 2))
-    return decomposition_report(md, args.p, args.e).to_json()
+    n = len(args.dvec)
+    _check_cells(args, args.e + n, "eta terms")
+    _check_size(args, args.p ** args.e * 2 ** n, "eta terms")
+    return decomposition_report(MonomialData(args.dvec), args.p, args.e).to_json()
 
 
 def cmd_freerank(args) -> str:
+    from .frobenius import FrobBasis
+
     f = _parse_f(args, args.e)
     basis = FrobBasis(args.p, args.e, f.n, f.names)
     _check_size(args, basis.size ** 2 * basis.q ** 2)
@@ -176,6 +192,10 @@ def cmd_freerank(args) -> str:
 
 
 def cmd_verify(args) -> str:
+    from .frobenius import FrobBasis
+    from .hypersurface import presentation_fk
+    from .matfac import verify_matfac
+
     f = _parse_f(args, args.e)
     basis = FrobBasis(args.p, args.e, f.n, f.names)
     _check_size(args, basis.size ** 2)

@@ -9,7 +9,6 @@ and the block assembly of the matrix over a ring with one added variable.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 
@@ -194,19 +193,6 @@ class PolyMatrix:
             data.append({r: v for r, v in acc.items() if not v.is_zero()})
         return PolyMatrix(self.rows, other.cols, self.p, self.n, self.names, data)
 
-    def scale(self, poly: SparsePoly) -> "PolyMatrix":
-        if poly.is_zero():
-            return PolyMatrix(self.rows, self.cols, self.p, self.n, self.names)
-        data = []
-        for col in self.data:
-            new = {}
-            for i, entry in col.items():
-                prod = entry * poly
-                if not prod.is_zero():
-                    new[i] = prod
-            data.append(new)
-        return PolyMatrix(self.rows, self.cols, self.p, self.n, self.names, data)
-
     def matrix_pow(self, k: int) -> "PolyMatrix":
         if self.rows != self.cols:
             raise ValueError("matrix power of non-square matrix")
@@ -305,6 +291,8 @@ class PolyMatrix:
         return json.dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
+        import csv  # only the CSV format loads it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["row", "col", "entry"])

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import TYPE_CHECKING
 
-from .frobenius import FrobBasis
-from .hypersurface import check_nonunit, free_rank_uv, free_rank_z2
-from .monomial import MonomialData
 from .ring import SparsePoly
+
+if TYPE_CHECKING:
+    from .monomial import MonomialData
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,8 @@ def _as_monomial_data(f: SparsePoly) -> MonomialData | None:
     ((exps, coeff),) = f.terms.items()
     if any(a < 1 for a in exps):
         return None
+    from .monomial import MonomialData
+
     return MonomialData(exps)
 
 
@@ -217,6 +220,9 @@ def empirical_sequence(
     dimension n+1); z2 target: s_e = free_rank_z2 / p^{e*n}.  Raises when
     the largest block size q^n * q^2 would exceed max_size.
     """
+    from .frobenius import FrobBasis
+    from .hypersurface import check_nonunit, free_rank_uv, free_rank_z2
+
     if target not in ("uv", "z2"):
         raise ValueError(f"unknown target {target!r}")
     check_nonunit(f)

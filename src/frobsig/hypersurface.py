@@ -9,25 +9,22 @@ Free ranks need only the matrices at the origin, and M(g,e) at the origin is
 the matrix of multiplication by g on the Artinian ring
 A = F_p[x]/(x_1^q, ..., x_n^q).  So the free ranks are dimensions of the
 ideals f^j A, found by linear algebra over F_p on A with no polynomial
-matrix formed.
+matrix formed.  Only ``ring`` is imported with this module; the matrix
+constructions import ``frobenius`` and ``matfac`` when they run, so the
+free ranks load neither.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterator
 
-from .frobenius import FrobBasis, matrix_power
-from .matfac import (
-    MatFac,
-    SummandCount,
-    echelon,
-    maltese,
-    sharp,
-    trivial_summand_counts,
-)
-from .ring import SparsePoly
+from .ring import SparsePoly, echelon
+
+if TYPE_CHECKING:
+    from .frobenius import FrobBasis
+    from .matfac import MatFac
 
 
 def check_nonunit(f: SparsePoly) -> None:
@@ -112,6 +109,9 @@ def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
 
     Its cokernel presents F_*^e(S/f^k S).  Units of the local ring pass.
     """
+    from .frobenius import matrix_power
+    from .matfac import MatFac
+
     q = basis.q
     if not 1 <= k <= q - 1:
         raise ValueError(f"k must satisfy 1 <= k <= q-1 = {q - 1}")
@@ -123,20 +123,20 @@ def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
     return MatFac(phi, psi, f)
 
 
-@dataclass
-class UVBlock:
-    k: int
-    matfac: MatFac
-    counts: SummandCount
+# Named tuples, not dataclasses: this module loads on every CLI call, and
+# importing dataclasses (with inspect) would add to the start-up of each.
 
 
-@dataclass
-class UVDecomposition:
+class UVBlock(namedtuple("UVBlock", "k matfac counts")):
+    """Block k of the f+uv decomposition: its pair and trivial-summand counts."""
+
+    __slots__ = ()
+
+
+class UVDecomposition(namedtuple("UVDecomposition", "q r_e blocks")):
     """F_*^e(S[[u,v]]/(f+uv)) = free part of rank r_e plus q-1 blocks."""
 
-    q: int
-    r_e: int
-    blocks: list[UVBlock]
+    __slots__ = ()
 
     @property
     def free_rank_total(self) -> int:
@@ -170,6 +170,8 @@ def uv_decomposition(f: SparsePoly, basis: FrobBasis) -> UVDecomposition:
     Block k is the factorization ([A^k, -vI; uI, A^{q-k}], companion) of
     f+uv, where A = M(f,e); its trivial-summand counts are attached.
     """
+    from .matfac import maltese, trivial_summand_counts
+
     _check_local(f, basis)
     blocks = []
     for k in range(1, basis.q):
@@ -197,14 +199,10 @@ def free_rank_uv(f: SparsePoly, basis: FrobBasis) -> int:
     return total
 
 
-@dataclass
-class Z2Presentation:
+class Z2Presentation(namedtuple("Z2Presentation", "q r_e matfac counts")):
     """F_*^e(S[[z]]/(f+z^2)) as the cokernel of a single 2r_e x 2r_e pair."""
 
-    q: int
-    r_e: int
-    matfac: MatFac
-    counts: SummandCount
+    __slots__ = ()
 
     @property
     def free_rank_total(self) -> int:
@@ -233,6 +231,8 @@ class Z2Presentation:
 
 def z2_presentation(f: SparsePoly, basis: FrobBasis) -> Z2Presentation:
     """The pair ([A^{(q-1)/2}, -zI; zI, A^{(q+1)/2}], companion) for f+z^2."""
+    from .matfac import sharp, trivial_summand_counts
+
     if basis.p == 2:
         raise ValueError("the f+z^2 presentation requires p odd")
     _check_local(f, basis)

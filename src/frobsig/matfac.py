@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frobenius import PolyMatrix
-from .ring import SparsePoly
+from .ring import SparsePoly, echelon
 
 
 def verify_matfac(phi: PolyMatrix, psi: PolyMatrix, f: SparsePoly) -> bool:
@@ -124,33 +124,6 @@ def sharp(mf: MatFac, z_name: str = "z") -> MatFac:
     big_phi = PolyMatrix.block([[phi, -zI], [zI, psi]])
     big_psi = PolyMatrix.block([[psi, zI], [-zI, phi]])
     return MatFac(big_phi, big_psi, f + z * z)
-
-
-def echelon(rows, p: int) -> dict[int, dict[int, int]]:
-    """Row echelon form over F_p of a matrix given as sparse rows {col: value}.
-
-    Returns {pivot column: row}: each row is monic at its pivot, the smallest
-    column it holds, and no two rows share a pivot.  The rows span the same
-    space as the input, so their number is its rank.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            col = min(row)
-            piv = pivots.get(col)
-            if piv is None:
-                inv = pow(row[col], -1, p)
-                pivots[col] = {c: (v * inv) % p for c, v in row.items()}
-                break
-            factor = row[col]
-            for c, v in piv.items():
-                nv = (row.get(c, 0) - factor * v) % p
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-    return pivots
 
 
 def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:

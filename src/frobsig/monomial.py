@@ -15,9 +15,12 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .frobenius import PolyMatrix
 from .ring import SparsePoly, check_prime
+
+if TYPE_CHECKING:
+    from .frobenius import PolyMatrix
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ after construction and every operation returns a new polynomial in sparse
 normal form: no zero coefficients stored, exponent tuples pairwise distinct.
 The names ``u``, ``v`` and ``z`` are reserved for the auxiliary variables of
 the f+uv and f+z^2 constructions and are rejected by the parser.
+:func:`echelon` reduces sparse rows over F_p; the free ranks and the rank
+at the origin both rest on it.
 """
 
 from __future__ import annotations
@@ -277,6 +279,35 @@ class SparsePoly:
 
     def __repr__(self) -> str:
         return f"SparsePoly({self!s} over F_{self.p}, n={self.n})"
+
+
+# -- linear algebra over F_p ------------------------------------------------
+
+def echelon(rows, p: int) -> dict[int, dict[int, int]]:
+    """Row echelon form over F_p of a matrix given as sparse rows {col: value}.
+
+    Returns {pivot column: row}: each row is monic at its pivot, the smallest
+    column it holds, and no two rows share a pivot.  The rows span the same
+    space as the input, so their number is its rank.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: (v * inv) % p for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in piv.items():
+                nv = (row.get(c, 0) - factor * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    return pivots
 
 
 # -- parsing ---------------------------------------------------------------

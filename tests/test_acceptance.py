@@ -107,7 +107,7 @@ def test_criterion_02_block_assembly():
         y = parse_poly("x2", 3, 2)
         zero = PolyMatrix(3, 3, 3, 2)
         displayed = PolyMatrix.block(
-            [[a0, zero, a1.scale(y)], [a1, a0, zero], [zero, a1, a0]]
+            [[a0, zero, PolyMatrix.scalar(a1.rows, y) * a1], [a1, a0, zero], [zero, a1, a0]]
         )
         assert big == displayed
         assert big == worked_matrix()  # direct construction in the larger ring

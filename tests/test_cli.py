@@ -278,6 +278,11 @@ def _assert_one_line_refusal(result, want):
         "frobnicate --p 3 --e 1",
         "matrix --f x1 --p 3 --e 1 --power -2",
         "matrix --f 1 --p 3 --e 1 --n -5",
+        # --max-size is an integer >= 1 on every subcommand
+        "matrix --f x1 --p 3 --e 1 --max-size -5",
+        "matrix --f x1 --p 3 --e 1 --max-size 0",
+        "fsignature --type uv --dvec 2,1 --max-size -5",
+        "fsignature --type uv --dvec 2,1 --max-size 0",
     ],
 )
 def test_usage_errors_exit_2_in_one_line(argv):
@@ -317,3 +322,66 @@ def test_readme_command_line_examples_run():
     for call in calls:
         result = _cli(*call[1:])
         assert result.returncode == 0, (call, result.stderr)
+
+
+@pytest.mark.parametrize(
+    "f, reason",
+    [
+        # the number 2 followed by x1, with no operator between them
+        ("2x1", "expected '+' between terms, found 'x1'"),
+        ("x0", "variable index 0 out of range 1..1"),
+        ("u", "variable 'u' is reserved for ring extensions"),
+    ],
+)
+@pytest.mark.parametrize("extra", [(), ("--n", "1")], ids=["inferred-n", "n-flag"])
+def test_malformed_f_gets_the_parser_message(capsys, f, reason, extra):
+    code, out, err = run(capsys, "matrix", "--f", f, "--p", "3", "--e", "1", *extra)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: {reason}"
+
+
+def test_decompose_gate_counts_eta_terms(capsys):
+    # the report sums eta over at most 2^n labels for each k < q: q * 2^n = 200
+    argv = ("decompose", "--dvec", "24,24,24", "--p", "5", "--e", "2")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--max-size", str(10 ** 12)) == (0, out, "")
+    # q * 2^n = 3^12 * 4 passes the bit-length check and fails the gate
+    code, out, err = run(capsys, "decompose", "--dvec", "2,1", "--p", "3", "--e", "12")
+    assert (code, out) == (3, "")
+    assert err.strip() == (
+        "error: requested computation needs 2125764 eta terms, over the bound 1000000"
+    )
+
+
+BASE_MODULES = {"frobsig", "frobsig.cli", "frobsig.hypersurface", "frobsig.ring"}
+
+
+@pytest.mark.parametrize(
+    "argv, added, dataclasses_loaded",
+    [
+        (None, set(), False),  # import frobsig.cli alone
+        ("freerank --type z2 --f x1^2 --p 2 --e 1", set(), False),  # refused
+        ("freerank --type uv --f x1*x2 --p 3 --e 1", {"frobsig.frobenius"}, False),
+        ("matrix --f x1^2+x1*x2 --p 3 --e 1", {"frobsig.frobenius"}, False),
+        ("fsignature --type uv --dvec 2,1", {"frobsig.fsig"}, True),
+        ("decompose --dvec 2 --p 3 --e 1", {"frobsig.monomial"}, True),
+    ],
+    ids=["import", "p2-refusal", "freerank", "matrix", "fsignature-closed",
+         "decompose"],
+)
+def test_each_call_loads_only_its_route(argv, added, dataclasses_loaded):
+    # start-up cost: a fresh interpreter runs one call, then lists its modules
+    code = (
+        "import sys, frobsig.cli\n"
+        f"if {argv!r}: frobsig.cli.main({argv!r}.split())\n"
+        "print(*(m for m in sys.modules"
+        " if m.startswith('frobsig') or m == 'dataclasses'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True,
+        text=True, timeout=10,
+    )
+    loaded = set(result.stdout.splitlines()[-1].split())
+    assert {m for m in loaded if m.startswith("frobsig")} == BASE_MODULES | added
+    assert ("dataclasses" in loaded) == dataclasses_loaded

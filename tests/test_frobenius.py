@@ -159,7 +159,7 @@ def test_block_assemble_worked_example():
     y = parse_poly("x2", 3, 2)
     zero = PolyMatrix(3, 3, 3, 2)
     expected = PolyMatrix.block(
-        [[a0, zero, a1.scale(y)], [a1, a0, zero], [zero, a1, a0]]
+        [[a0, zero, PolyMatrix.scalar(a1.rows, y) * a1], [a1, a0, zero], [zero, a1, a0]]
     )
     assert big == expected
     # and equals direct construction in the larger ring

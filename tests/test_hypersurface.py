@@ -178,7 +178,7 @@ def test_free_ranks_build_no_pairs(monkeypatch):
         raise AssertionError("free ranks must not build or verify pairs")
 
     monkeypatch.setattr(hypersurface, "presentation_fk", refuse)
-    monkeypatch.setattr(hypersurface, "MatFac", refuse)
+    monkeypatch.setattr(matfac, "MatFac", refuse)
     monkeypatch.setattr(matfac, "verify_matfac", refuse)
     b = FrobBasis(3, 1, 2)
     assert free_rank_uv(parse_poly("x1*x2", 3, 2), b) == 19
