@@ -19,14 +19,12 @@ import sys
 
 # ring and hypersurface load with the CLI; every other module is imported
 # by the subcommand that uses it
-from .hypersurface import free_rank_uv, free_rank_z2
-from .ring import SparsePoly, check_prime, parse_poly
+from .hypersurface import DEFAULT_MAX_SIZE, check_work, free_rank_uv, free_rank_z2
+from .ring import SparsePoly, parse_poly
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
-
-DEFAULT_MAX_SIZE = 10 ** 6
 
 
 def _positive(text: str) -> int:
@@ -56,15 +54,16 @@ FLAGS = {
     "dvec": dict(type=_parse_dvec, help="monomial exponents, e.g. 2,1"),
     "p": dict(type=int, help="prime characteristic"),
     "e": dict(type=_positive, help="Frobenius iterate"),
-    "emax": dict(type=_positive, help="largest e for sweeps"),
+    "emax": dict(type=_positive, default=1, help="largest e for sweeps"),
     "n": dict(type=_positive, help="variable count override"),
     "k": dict(type=int, default=1, help="power index k"),
     "power": dict(type=_positive, default=1, help="power of f"),
     "type": dict(choices=("uv", "z2"), dest="target", help="f+uv or f+z^2"),
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
     "max-size": dict(type=_positive, default=DEFAULT_MAX_SIZE,
-                     help="refuse computations needing more matrix cells "
-                     "(eta terms for decompose) than this"),
+                     help="refuse calls whose work exceeds this: matrix cells for "
+                     "matrix and verify, units of chain work for freerank and "
+                     "fsignature --f, eta terms for decompose"),
 }
 
 
@@ -85,43 +84,25 @@ def _infer_n(f_text: str, n_flag: int | None) -> int:
     return inferred or 1
 
 
-def _check_cells(args, bits: int, unit: str = "matrix cells") -> None:
-    # bits is a lower bound on log2 of the size gate's count (q^n = p^(e*n)
-    # >= 2^(e*n) cells, or q*2^n >= 2^(e+n) terms for decompose), so this
-    # refuses nothing a gate accepts; it runs before any ring or p^e is built
-    if bits > args.max_size.bit_length():
-        raise ResourceWarning(
-            f"requested computation needs at least 2^{bits} {unit}, "
-            f"over the bound {args.max_size}"
-        )
+def _parse_f(args, route: str, e: int) -> SparsePoly:
+    """f from --f or --dvec, once p is prime and the route's work fits."""
+    n = _infer_n(args.f, args.n) if args.f is not None else len(args.dvec)
+    check_work(route, args.max_size, e, n, args.p)
+    if args.f is not None:
+        return parse_poly(args.f, args.p, n)
+    from .monomial import MonomialData
 
-
-def _check_size(args, work: int, unit: str = "matrix cells") -> None:
-    if work > args.max_size:
-        raise ResourceWarning(
-            f"requested computation needs {work} {unit}, "
-            f"over the bound {args.max_size}"
-        )
-
-
-def _parse_f(args, e: int) -> SparsePoly:
-    """f from --f, or else from --dvec, once 2^(e*n) cells fit --max-size."""
-    if args.f is None:
-        _check_cells(args, e * len(args.dvec))
-        from .monomial import MonomialData
-
-        return MonomialData(args.dvec).poly(args.p)
-    n = _infer_n(args.f, args.n)
-    _check_cells(args, e * n)
-    return parse_poly(args.f, args.p, n)
+    return MonomialData(args.dvec).poly(args.p)
 
 
 def cmd_matrix(args) -> str:
     from .frobenius import FrobBasis, matrix_power
 
-    f = _parse_f(args, args.e)
+    f = _parse_f(args, "matrix", args.e)
+    # each column of M(f^power, e) holds as many terms as f^power
+    terms = f.power_terms_bound(args.power)
+    check_work("matrix", args.max_size, args.e, f.n, args.p, terms)
     basis = FrobBasis(args.p, args.e, f.n, f.names)
-    _check_size(args, basis.size ** 2)
     m = matrix_power(f, args.power, basis)
     return m.to_csv() if args.format == "csv" else m.to_json()
 
@@ -142,24 +123,22 @@ def cmd_fsignature(args) -> str:
         return report.to_json()
     if args.p is None:
         raise ValueError("--p is required")
-    f = _parse_f(args, 1)
-    emax = args.emax or args.e or 1
-    # the matrix work grows with e: keep e = 1, 2, ... while it fits
-    feasible = []
-    for e in range(1, emax + 1):
-        if (args.p ** e) ** (f.n + 2) > args.max_size:
+    f = _parse_f(args, "free-rank", 1)
+    # the work grows with e: the sweep stops before the first e over the bound
+    sweep = [1]
+    for e in range(2, args.emax + 1):
+        try:
+            check_work("free-rank", args.max_size, e, f.n, args.p)
+        except ResourceWarning:
+            print(
+                f"note: truncating sweep to e <= {e - 1} "
+                f"(size bound {args.max_size})",
+                file=sys.stderr,
+            )
             break
-        feasible.append(e)
-    if not feasible:
-        raise ResourceWarning(f"no requested e fits the size bound {args.max_size}")
-    if len(feasible) < emax:
-        print(
-            f"note: truncating sweep to e <= {feasible[-1]} "
-            f"(size bound {args.max_size})",
-            file=sys.stderr,
-        )
+        sweep.append(e)
     report = empirical_sequence(
-        f, args.p, feasible, args.target, max_size=args.max_size
+        f, args.p, sweep, args.target, max_size=args.max_size
     )
     return report.to_json()
 
@@ -167,21 +146,15 @@ def cmd_fsignature(args) -> str:
 def cmd_decompose(args) -> str:
     from .monomial import MonomialData, decomposition_report
 
-    # p and the variable count are checked before the size gate forms p^e;
-    # the report sums eta over at most 2^n labels for each k < q
-    check_prime(args.p)
-    n = len(args.dvec)
-    _check_cells(args, args.e + n, "eta terms")
-    _check_size(args, args.p ** args.e * 2 ** n, "eta terms")
+    check_work("decompose", args.max_size, args.e, len(args.dvec), args.p)
     return decomposition_report(MonomialData(args.dvec), args.p, args.e).to_json()
 
 
 def cmd_freerank(args) -> str:
     from .frobenius import FrobBasis
 
-    f = _parse_f(args, args.e)
+    f = _parse_f(args, "free-rank", args.e)
     basis = FrobBasis(args.p, args.e, f.n, f.names)
-    _check_size(args, basis.size ** 2 * basis.q ** 2)
     if args.target == "uv":
         rank = free_rank_uv(f, basis)
     else:
@@ -196,9 +169,8 @@ def cmd_verify(args) -> str:
     from .hypersurface import presentation_fk
     from .matfac import verify_matfac
 
-    f = _parse_f(args, args.e)
+    f = _parse_f(args, "matrix", args.e)
     basis = FrobBasis(args.p, args.e, f.n, f.names)
-    _check_size(args, basis.size ** 2)
     mf = presentation_fk(f, args.k, basis)
     if not verify_matfac(mf.phi, mf.psi, f):
         raise ValueError("the pair is not a matrix factorization of f")
@@ -212,7 +184,7 @@ SUBCOMMANDS = {
     "matrix": (cmd_matrix, "build the matrix of multiplication by f^power",
                "f! p! e! n power format max-size"),
     "fsignature": (cmd_fsignature, "closed-form and/or empirical F-signature",
-                   "type! f|dvec p e emax n max-size"),
+                   "type! f|dvec p emax n max-size"),
     "decompose": (cmd_decompose, "summand decomposition report for a monomial",
                   "dvec! p! e! max-size"),
     "freerank": (cmd_freerank, "free rank of the pushforward over f+uv or f+z^2",
@@ -237,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (run, help_text, flags) in SUBCOMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
+        # no abbreviated flags: fsignature would read --e as --emax
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
         cmd.set_defaults(run=run)
         for flag in flags.split():
             if "|" in flag:
@@ -255,6 +228,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if getattr(args, "target", None) == "z2" and getattr(args, "p", None) == 2:
             raise ValueError("the f+z^2 target requires p odd")
+        if getattr(args, "dvec", None) and getattr(args, "n", None):
+            raise ValueError("--n applies only with --f, not with --dvec")
         output = args.run(args)
     except ResourceWarning as exc:
         print(f"error: {exc}", file=sys.stderr)

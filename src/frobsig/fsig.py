@@ -17,6 +17,9 @@ from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING
 
+from .hypersurface import (
+    DEFAULT_MAX_SIZE, check_nonunit, check_work, free_rank_uv, free_rank_z2
+)
 from .ring import SparsePoly
 
 if TYPE_CHECKING:
@@ -212,16 +215,15 @@ def empirical_sequence(
     p: int,
     e_range,
     target: str,
-    max_size: int = 10 ** 6,
+    max_size: int = DEFAULT_MAX_SIZE,
 ) -> SignatureReport:
     """Exact signature approximants s_e for e in e_range.
 
     uv target: s_e = free_rank_uv / p^{e(n+1)} (the uv-hypersurface has
-    dimension n+1); z2 target: s_e = free_rank_z2 / p^{e*n}.  Raises when
-    the largest block size q^n * q^2 would exceed max_size.
+    dimension n+1); z2 target: s_e = free_rank_z2 / p^{e*n}.  Raises
+    ResourceWarning when the free-rank work at some e exceeds max_size.
     """
     from .frobenius import FrobBasis
-    from .hypersurface import check_nonunit, free_rank_uv, free_rank_z2
 
     if target not in ("uv", "z2"):
         raise ValueError(f"unknown target {target!r}")
@@ -243,11 +245,7 @@ def empirical_sequence(
         closed_form=closed,
     )
     for e in e_range:
-        q = p ** e
-        if q ** n * q ** 2 > max_size:
-            raise ResourceWarning(
-                f"matrix work at e={e} exceeds the size bound {max_size}"
-            )
+        check_work("free-rank", max_size, e, n, p)
         basis = FrobBasis(p, e, n, f.names)
         if target == "uv":
             s = Fraction(free_rank_uv(f, basis), p ** (e * (n + 1)))

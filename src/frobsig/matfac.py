@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frobenius import PolyMatrix
-from .ring import SparsePoly, echelon
+from .ring import RESERVED_NAMES, SparsePoly, echelon
 
 
 def verify_matfac(phi: PolyMatrix, psi: PolyMatrix, f: SparsePoly) -> bool:
@@ -86,6 +86,10 @@ def direct_sum(a: MatFac, b: MatFac) -> MatFac:
     return MatFac(diagonal(a.phi, b.phi), diagonal(a.psi, b.psi), f)
 
 
+# the variables the constructions append: u, v for f+uv and z for f+z^2
+_U, _V, _Z = RESERVED_NAMES
+
+
 def _extend_pair(mf: MatFac, extra: tuple[str, ...]):
     for name in extra:
         if name in mf.f.names:
@@ -94,13 +98,13 @@ def _extend_pair(mf: MatFac, extra: tuple[str, ...]):
     return mf.phi.extend(names), mf.psi.extend(names), mf.f.extend(names), names
 
 
-def maltese(mf: MatFac, u_name: str = "u", v_name: str = "v") -> MatFac:
+def maltese(mf: MatFac) -> MatFac:
     """Factorization of f + uv built from one of f.
 
     Returns ([phi, -vI; uI, psi], [psi, vI; -uI, phi]) over the ring with
     fresh variables u, v appended.
     """
-    phi, psi, f, names = _extend_pair(mf, (u_name, v_name))
+    phi, psi, f, names = _extend_pair(mf, (_U, _V))
     n = len(names)
     size = mf.size
     u = SparsePoly.monomial((0,) * (n - 2) + (1, 0), f.p, n, 1, names)
@@ -112,11 +116,11 @@ def maltese(mf: MatFac, u_name: str = "u", v_name: str = "v") -> MatFac:
     return MatFac(big_phi, big_psi, f + u * v)
 
 
-def sharp(mf: MatFac, z_name: str = "z") -> MatFac:
+def sharp(mf: MatFac) -> MatFac:
     """Factorization of f + z^2 built from one of f; requires p odd."""
     if mf.f.p == 2:
         raise ValueError("the f+z^2 construction requires p != 2")
-    phi, psi, f, names = _extend_pair(mf, (z_name,))
+    phi, psi, f, names = _extend_pair(mf, (_Z,))
     n = len(names)
     size = mf.size
     z = SparsePoly.monomial((0,) * (n - 1) + (1,), f.p, n, 1, names)

@@ -13,6 +13,7 @@ at the origin both rest on it.
 from __future__ import annotations
 
 import re
+from math import comb
 from typing import Iterator
 
 RESERVED_NAMES = ("u", "v", "z")
@@ -188,18 +189,46 @@ class SparsePoly:
         )
 
     def __pow__(self, m: int) -> "SparsePoly":
+        """self^m, the product of self(x^(p^i))^(m_i) over the base-p digits m_i.
+
+        Over F_p, g^p = g(x^p): each exponent is multiplied by p and each
+        coefficient kept.  Squaring runs only inside one digit m_i < p, so no
+        power formed has more terms than ``power_terms_bound(m)``; squaring
+        through all of m would form powers g^(2^j) far larger than g^m.
+        """
         if m < 0:
             raise ValueError("negative exponent")
-        result = SparsePoly.one(self.p, self.n, self.names)
-        base = self
+        p = self.p
+        result = SparsePoly.one(p, self.n, self.names)
+        frobenius = self
         while m:
-            if m & 1:
-                result = result * base
-            base_needed = m >> 1
-            if base_needed:
-                base = base * base
-            m = base_needed
+            m, digit = divmod(m, p)
+            base = frobenius
+            while digit:
+                if digit & 1:
+                    result = result * base
+                digit >>= 1
+                if digit:
+                    base = base * base
+            if m:
+                frobenius = SparsePoly._raw(p, self.n, self.names, {
+                    tuple(a * p for a in e): c for e, c in frobenius.terms.items()
+                })
         return result
+
+    def power_terms_bound(self, m: int) -> int:
+        """A bound on the terms of self^m: prod_i C(m_i + t - 1, t - 1).
+
+        The m_i are the base-p digits of m and t is the number of terms of
+        self; g^(m_i) has at most C(m_i + t - 1, t - 1) terms, the monomials
+        of degree m_i in t unknowns.
+        """
+        t = max(len(self.terms), 1)
+        bound = 1
+        while m:
+            m, digit = divmod(m, self.p)
+            bound *= comb(digit + t - 1, t - 1)
+        return bound
 
     # -- predicates and views -------------------------------------------
 

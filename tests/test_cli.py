@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -385,3 +386,80 @@ def test_each_call_loads_only_its_route(argv, added, dataclasses_loaded):
     loaded = set(result.stdout.splitlines()[-1].split())
     assert {m for m in loaded if m.startswith("frobsig")} == BASE_MODULES | added
     assert ("dataclasses" in loaded) == dataclasses_loaded
+
+
+def test_freerank_prices_the_chain_like_fsignature(capsys):
+    # both walk the chain f^j A: at the default bound freerank reaches the
+    # e = 3 that the fsignature sweep reaches, s_3 = 5/9 = 10935 / 3^9
+    code, out, err = run(capsys, "freerank", "--type", "uv", "--f", "x1^2+x2^3",
+                         "--p", "3", "--e", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["free_rank"] == 10935
+    code, out, _ = run(capsys, "fsignature", "--type", "uv", "--f", "x1^2+x2^3",
+                       "--p", "3", "--emax", "3")
+    assert code == 0
+    assert json.loads(out)["empirical"][2] == {"e": 3, "s": "5/9"}
+    # the refusal names the route's unit, not matrix cells
+    code, _, err = run(capsys, "freerank", "--type", "uv", "--f", "x1^2+x2^3",
+                       "--p", "3", "--e", "4")
+    assert code == 3
+    assert err.strip() == (
+        "error: requested computation needs 43046721 units of chain work, "
+        "over the bound 1000000"
+    )
+
+
+def test_large_power_runs_in_bounded_time():
+    # f^k is built from the base-p digits of k, never from f^(2^j)
+    result = _cli("matrix", "--f", "x1^2+x1*x2", "--p", "3", "--e", "1",
+                  "--power", "200000")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["rows"] == 9
+
+
+def test_power_gate_counts_the_terms_of_f_to_the_k(capsys):
+    # (x1 + x2)^k over F_3 has at most 3 terms per base-3 digit of k; each of
+    # the 9 columns of M(f^k, 1) holds that many once it exceeds q^n = 9
+    argv = ("matrix", "--f", "x1+x2", "--p", "3", "--e", "1", "--max-size", "100")
+    assert run(capsys, *argv, "--power", "8")[0] == 0
+    code, out, err = run(capsys, *argv, "--power", "26")
+    assert (code, out) == (3, "")
+    assert err.strip() == (
+        "error: requested computation needs 243 matrix cells, over the bound 100"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "freerank --type uv --dvec 2,1 --p 3 --e 1 --n 1",
+        "verify --dvec 2,1 --p 3 --e 1 --n 7",
+        "fsignature --type uv --dvec 2,1 --n 2",
+    ],
+)
+def test_n_with_dvec_refused(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: --n applies only with --f, not with --dvec"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --e is not a spelling of --emax, whole or abbreviated
+        "fsignature --type uv --f x1^2 --p 3 --e 2 --emax 3",
+        "fsignature --type uv --f x1^2 --p 3 --e 2",
+        "matrix --f x1 --p 3 --e 1 --max 5",
+    ],
+)
+def test_flags_are_spelled_out(argv):
+    _assert_one_line_refusal(_cli(*argv.split()), 2)
+
+
+def test_readme_flag_lists_match_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    from frobsig.cli import SUBCOMMANDS
+
+    listed = dict(re.findall(r"^- `(\w+)`: `([^`]*)`$", section, re.MULTILINE))
+    assert listed == {name: flags for name, (_, _, flags) in SUBCOMMANDS.items()}

@@ -204,3 +204,35 @@ def test_free_rank_uv_reaches_e4():
     q = b.q
     want = q ** 2 + 2 * sum(free_rank_formula(md, q, k) for k in range(1, q))
     assert free_rank_uv(md.poly(3, b.names), b) == want
+
+
+def _refusal(*args):
+    try:
+        hypersurface.check_work(*args)
+    except ResourceWarning as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("route", ["matrix", "free-rank", "decompose"])
+def test_early_refusal_implies_exact_refusal(route):
+    # a call is refused, early or exactly, iff its work exceeds the bound;
+    # the early refusal, made before p^e is formed, says "at least 2^bits".
+    # The work of each route, written out independently of ROUTE_WORK:
+    def work(p, e, n, terms):
+        q = p ** e
+        if route == "matrix":
+            return q ** n * max(q ** n, terms)
+        return q ** (n + 2) if route == "free-rank" else q * 2 ** n
+
+    early_count = 0
+    for bound in (1, 10, 1000, 10 ** 6, 10 ** 12):
+        for e in range(1, 13):
+            for n in range(1, 7):
+                for p in (2, 3, 5, 97):
+                    for terms in (1, 50, 10 ** 4):
+                        refusal = _refusal(route, bound, e, n, p, terms)
+                        exact = work(p, e, n, terms) > bound
+                        assert (refusal is not None) == exact
+                        early_count += exact and "at least 2^" in refusal
+    assert early_count > 0

@@ -115,3 +115,27 @@ def test_mismatched_rings_rejected():
 def test_str_roundtrip():
     f = parse_poly("2*x1^2*x2 + x2 + 1", 3, 2)
     assert parse_poly(str(f), 3, 2) == f
+
+
+def test_power_by_base_p_digits_equals_repeated_product():
+    # f^k is formed digit by digit in base p; the product of k copies of f
+    # is the reference, and the Lucas bound holds on every power
+    rng = random.Random(20261018)
+    for p in (2, 3, 5, 7):
+        for _ in range(6):
+            n = rng.randint(1, 3)
+            f = rand_poly(rng, p, n, max_deg=3, max_terms=3)
+            product = SparsePoly.one(p, n)
+            for k in range(41):
+                assert f ** k == product, (p, f, k)
+                assert len(product.terms) <= f.power_terms_bound(k)
+                product = product * f
+
+
+def test_power_terms_bound_is_lucas():
+    # (x1 + x2)^k over F_3 has prod_i (k_i + 1) terms, k_i the base-3 digits
+    f = parse_poly("x1 + x2", 3, 2)
+    for k, want in ((1, 2), (2, 3), (8, 9), (26, 27), (9, 2), (10, 4)):
+        assert f.power_terms_bound(k) == want
+        assert len((f ** k).terms) == want
+    assert SparsePoly.zero(3, 2).power_terms_bound(5) == 1
