@@ -34,8 +34,10 @@ _EXPORTS = {
     "hypersurface": (
         "UVDecomposition",
         "Z2Presentation",
+        "chain_dims",
         "free_rank_uv",
         "free_rank_z2",
+        "jordan_type",
         "presentation_fk",
         "uv_decomposition",
         "z2_presentation",

@@ -230,6 +230,9 @@ def main(argv=None) -> int:
             raise ValueError("the f+z^2 target requires p odd")
         if getattr(args, "dvec", None) and getattr(args, "n", None):
             raise ValueError("--n applies only with --f, not with --dvec")
+        # --dvec makes fsignature a closed form, which reads no p
+        if args.command == "fsignature" and args.dvec and args.p is not None:
+            raise ValueError("--p applies only with --f, not with --dvec")
         output = args.run(args)
     except ResourceWarning as exc:
         print(f"error: {exc}", file=sys.stderr)

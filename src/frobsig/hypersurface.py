@@ -8,16 +8,23 @@ builds the single-block presentation for S[[z]]/(f+z^2).
 Free ranks need only the matrices at the origin, and M(g,e) at the origin is
 the matrix of multiplication by g on the Artinian ring
 A = F_p[x]/(x_1^q, ..., x_n^q).  So the free ranks are dimensions of the
-ideals f^j A, found by linear algebra over F_p on A with no polynomial
-matrix formed.  Only ``ring`` is imported with this module; the matrix
-constructions import ``frobenius`` and ``matfac`` when they run, so the
-free ranks load neither.
+ideals f^j A, which the Jordan type of multiplication by f on A gives.  f
+splits into components on disjoint sets of variables, A into the tensor
+product of their rings, and the Jordan type into a sum over pairs of
+blocks; a component is a closed form when it is a monomial or has one
+variable, and otherwise the chain f^j A is walked on its own variables.
+Only ``ring`` is imported with this module; the matrix constructions import
+``frobenius`` and ``matfac`` when they run.  The free ranks never load
+``matfac``, and take from ``frobenius`` only ``FrobBasis``, which their
+caller has loaded already.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
+from functools import lru_cache
+from math import comb
 from typing import TYPE_CHECKING, Iterator
 
 from .ring import SparsePoly, check_prime, echelon
@@ -136,6 +143,195 @@ class _Artinian:
         return ({i: 1} for i in range(self.basis.size))
 
 
+def monomial_dim(gamma, q: int, j: int) -> int:
+    """dim (x^gamma)^j A = prod_i max(q - j*gamma_i, 0).
+
+    (x^gamma)^j A is spanned by the x^a with j*gamma_i <= a_i < q for all i.
+    """
+    total = 1
+    for g in gamma:
+        factor = q - j * g
+        if factor <= 0:
+            return 0
+        total *= factor
+    return total
+
+
+def chain_dims(f: SparsePoly, basis: FrobBasis) -> list[int]:
+    """[dim f^j A for j = 0, 1, ...], up to the last nonzero one.
+
+    The chain A > fA > f^2A > ... is walked by multiplying an echelon basis
+    of f^{j-1} A by f; it reaches 0 by j = q, since f^q = f(x^q) = 0 in A.
+    """
+    _check_local(f, basis)
+    ring = _Artinian(basis)
+    f_a = ring.element(f)
+    dims = [basis.size]
+    span = ring.image(ring.monomials(), f_a)
+    while span:
+        dims.append(len(span))
+        span = ring.image(span.values(), f_a)
+    return dims
+
+
+def _components(f: SparsePoly, basis: FrobBasis):
+    """f's terms in A grouped by connected sets of variables, and the rest.
+
+    Two variables are joined when some term holds both; a term with an
+    exponent of at least q is 0 in A and is dropped.  Returns each component
+    as a polynomial in its own variables, with its basis, and the count of
+    variables that no component uses.
+    """
+    from .frobenius import FrobBasis
+
+    groups: list[tuple[set[int], dict]] = []
+    for exps, c in f.terms.items():
+        if max(exps) >= basis.q:
+            continue
+        used = {i for i, a in enumerate(exps) if a}
+        terms = {exps: c}
+        apart = []
+        for group in groups:
+            if group[0] & used:
+                used |= group[0]
+                terms.update(group[1])
+            else:
+                apart.append(group)
+        groups = apart + [(used, terms)]
+    parts = []
+    for used, terms in groups:
+        idx = sorted(used)
+        sub = {tuple(exps[i] for i in idx): c for exps, c in terms.items()}
+        parts.append(
+            (SparsePoly(f.p, len(idx), sub), FrobBasis(basis.p, basis.e, len(idx)))
+        )
+    return parts, basis.n - sum(len(used) for used, _ in groups)
+
+
+def _closed_form_exponents(g: SparsePoly):
+    """gamma with dim g^j A = prod_i max(q - j*gamma_i, 0), or None.
+
+    A monomial c*x^gamma is one; so is g of one variable, x^m times a unit
+    with m the order of g, as gamma = (m,).  Other g need the chain.
+    """
+    if g.n == 1:
+        return (min(exps[0] for exps in g.terms),)
+    if g.is_monomial():
+        (gamma,) = g.terms
+        return gamma
+    return None
+
+
+def _blocks(dims) -> dict[int, int]:
+    """Jordan type from d_j = dim T^j: d_{s-1} - 2d_s + d_{s+1} blocks of size s."""
+    d = [*dims, 0, 0]
+    lam = {}
+    for s in range(1, len(dims) + 1):
+        count = d[s - 1] - 2 * d[s] + d[s + 1]
+        if count:
+            lam[s] = count
+    return lam
+
+
+def _smith_pair(a: int, b: int, p: int) -> dict[int, int]:
+    """Jordan type of x+y on F_p[x,y]/(x^a, y^b) by a Smith form over F_p[t].
+
+    With t = x+y the ring is F_p[t][y]/(y^b) modulo (t-y)^a, the cokernel
+    of the b x b matrix with entry (i, j) = C(a, i-j) (-1)^(i-j) t^(a-i+j).
+    Every entry has degree a-i+j, so pivoting on a nonzero entry with the
+    largest i-j needs only constant multipliers of powers of t: eliminate
+    on the constants, and each pivot's degree is an invariant factor.
+    """
+    # dense rows; lead[i] is the first nonzero column of row i, and a row's
+    # entries in the columns of earlier pivots are 0
+    rows = {
+        i: [comb(a, i - j) * (-1) ** (i - j) % p if j <= i else 0 for j in range(b)]
+        for i in range(b)
+    }
+    lead = {i: next(j for j, c in enumerate(row) if c) for i, row in rows.items()}
+    out: dict[int, int] = {}
+    while rows:
+        i = max(rows, key=lambda i: i - lead[i])
+        pivot, j = rows.pop(i), lead.pop(i)
+        size = a - i + j
+        if size > 0:
+            out[size] = out.get(size, 0) + 1
+        inv = pow(pivot[j], -1, p)
+        tail = pivot[j:]
+        for k, row in rows.items():
+            if row[j]:
+                c = row[j] * inv % p
+                row[j:] = [(x - c * y) % p for x, y in zip(row[j:], tail)]
+                if lead[k] == j:
+                    lead[k] = next(col for col in range(j + 1, b) if row[col])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pair(r: int, s: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Jordan type of x+y on F_p[x,y]/(x^r, y^s), as sorted (size, count).
+
+    The modular Clebsch-Gordan problem (Renaud, J. Algebra 1979; Glasby,
+    Praeger and Xia, "Jordan partitions", 2015), by rules on base-p digits
+    with P = ``big`` the least power of p >= r: past P, (x+y)^P = x^P + y^P
+    shifts the blocks of a smaller pair by multiples of P; below P,
+    r+s-P blocks have size P and the rest reflect to the pair (P-s, P-r);
+    the Smith form takes what is left.
+    """
+    if r > s:
+        return _pair(s, r, p)
+    if r == 0:
+        return ()
+    if r == 1:
+        return ((s, 1),)
+    big = p
+    while big < r:
+        big *= p
+    out: dict[int, int] = {}
+    if s >= big:
+        c, s1 = divmod(s, big)
+        for size, count in _pair(r, s1, p):
+            out[size + c * big] = count
+        if r > s1:
+            out[c * big] = out.get(c * big, 0) + r - s1
+    elif r + s > big:
+        out = dict(_pair(big - s, big - r, p))
+        out[big] = out.get(big, 0) + r + s - big
+    else:
+        out = _smith_pair(s, r, p)
+    return tuple(sorted(out.items()))
+
+
+def jordan_type(f: SparsePoly, basis: FrobBasis) -> dict[int, int]:
+    """Jordan type of multiplication by f on A, as {block size: count}.
+
+    Each component of f gives its type from d_j = dim g^j A, a closed form
+    or the chain on its own variables; a variable f does not use gives q
+    blocks of size 1.  A = A_I (x) A_J for disjoint I and J, and f = g + h
+    acts as g(x)1 + 1(x)h, so the types combine by summing the type of
+    x+y on F_p[x,y]/(x^a, y^b) over pairs of blocks (a, b).
+    """
+    _check_local(f, basis)
+    parts, unused = _components(f, basis)
+    lam = {1: basis.q ** unused}
+    for g, sub in parts:
+        gamma = _closed_form_exponents(g)
+        if gamma is None:
+            dims = chain_dims(g, sub)
+        else:
+            # d_j > 0 exactly while j * max(gamma) < q
+            last = (sub.q - 1) // max(gamma)
+            dims = [monomial_dim(gamma, sub.q, j) for j in range(last + 1)]
+        mu = _blocks(dims)
+        out: dict[int, int] = {}
+        for a, count_a in lam.items():
+            for b, count_b in mu.items():
+                for size, count in _pair(a, b, basis.p):
+                    out[size] = out.get(size, 0) + count_a * count_b * count
+        lam = out
+    return lam
+
+
 def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
     """The pair (M(f^k,e), M(f^{q-k},e)); its product M(f^q,e) is f*I.
 
@@ -216,19 +412,11 @@ def free_rank_uv(f: SparsePoly, basis: FrobBasis) -> int:
     """Free rank of F_*^e(S[[u,v]]/(f+uv)): q^n + 2 * sum_{j=1}^{q-1} dim f^j A.
 
     The count of trivial (f,1) summands of (M(f^k,e), M(f^{q-k},e)) is the
-    rank of M(f^{q-k},e) at the origin, which is dim f^{q-k} A.  The chain
-    A > fA > f^2A > ... is walked by multiplying an echelon basis of
-    f^{j-1} A by f; it reaches 0 by j = q, since f^q = f(x^q) = 0 in A.
+    rank of M(f^{q-k},e) at the origin, which is dim f^{q-k} A.  A block of
+    size s adds max(s-j, 0) to dim f^j A, so 2 * (s-1)s/2 to the sum.
     """
-    _check_local(f, basis)
-    ring = _Artinian(basis)
-    f_a = ring.element(f)
-    total = basis.size
-    span = ring.image(ring.monomials(), f_a)
-    while span:
-        total += 2 * len(span)
-        span = ring.image(span.values(), f_a)
-    return total
+    lam = jordan_type(f, basis)
+    return basis.size + sum(count * s * (s - 1) for s, count in lam.items())
 
 
 class Z2Presentation(namedtuple("Z2Presentation", "q r_e matfac counts")):
@@ -281,15 +469,25 @@ def free_rank_z2(f: SparsePoly, basis: FrobBasis) -> int:
     """Free rank of F_*^e(S[[z]]/(f+z^2)): dim f^{(q-1)/2} A + dim f^{(q+1)/2} A.
 
     Equals t + r for the pair (M(f^{(q-1)/2},e), M(f^{(q+1)/2},e)): the
-    sum of their ranks at the origin.  g = f^{(q-1)/2} is formed in A, so
-    f^j is never expanded in S; one more chain step gives f^{(q+1)/2} A.
-    Forming g by squaring is cheaper than walking (q+1)/2 chain steps, each
-    an elimination over all of f^{j-1} A.
+    sum of their ranks at the origin, read from the Jordan type of f.  When
+    f is one component that needs the chain, g = f^{(q-1)/2} is instead
+    formed in A by squaring, and one more step gives f^{(q+1)/2} A: that is
+    cheaper than walking (q+1)/2 chain steps, each an elimination over all
+    of f^{j-1} A.
     """
     if basis.p == 2:
         raise ValueError("the f+z^2 free rank requires p odd")
     _check_local(f, basis)
-    ring = _Artinian(basis)
-    f_a = ring.element(f)
-    g_span = ring.image(ring.monomials(), ring.power(f_a, (basis.q - 1) // 2))
-    return len(g_span) + len(ring.image(g_span.values(), f_a))
+    half = (basis.q - 1) // 2
+    parts, unused = _components(f, basis)
+    if len(parts) == 1 and _closed_form_exponents(parts[0][0]) is None:
+        # on the component's own variables; each unused one multiplies by q
+        comp, sub = parts[0]
+        ring = _Artinian(sub)
+        f_a = ring.element(comp)
+        g_span = ring.image(ring.monomials(), ring.power(f_a, half))
+        return (len(g_span) + len(ring.image(g_span.values(), f_a))) * basis.q ** unused
+    lam = jordan_type(f, basis)
+    return sum(
+        count * (max(s - half, 0) + max(s - half - 1, 0)) for s, count in lam.items()
+    )

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .hypersurface import monomial_dim
 from .ring import SparsePoly, check_prime
 
 if TYPE_CHECKING:
@@ -98,18 +99,14 @@ def diagonalize_monomial_matrix(a: PolyMatrix) -> Counter:
 def free_rank_formula(md: MonomialData, q: int, k: int) -> int:
     """Trivial-summand count of M(f^k,e): prod_j max(0, q - d_j(q-k)).
 
+    It is the rank of M(f^{q-k},e) at the origin, dim f^{q-k} A on
+    A = F_p[x]/(x_1^q..x_n^q), read from ``hypersurface.monomial_dim``.
     The clamp at 0 encodes that the count vanishes unless k > q(d_j-1)/d_j
     for every j.
     """
     if not 1 <= k <= q - 1:
         raise ValueError(f"k must satisfy 1 <= k <= q-1 = {q - 1}")
-    total = 1
-    for dj in md.dvec:
-        factor = q - dj * (q - k)
-        if factor <= 0:
-            return 0
-        total *= factor
-    return total
+    return monomial_dim(md.dvec, q, q - k)
 
 
 @dataclass

@@ -463,3 +463,32 @@ def test_readme_flag_lists_match_subcommands():
 
     listed = dict(re.findall(r"^- `(\w+)`: `([^`]*)`$", section, re.MULTILINE))
     assert listed == {name: flags for name, (_, _, flags) in SUBCOMMANDS.items()}
+
+
+def test_variable_disjoint_f_splits_before_the_chain():
+    # {x1, x2} and {x3, x4, x5} share no term, so the chain runs on at most
+    # 7^3 monomials, not on all 7^5; 107601 is the free rank that the chain
+    # on the whole of F_7[x]/(x_1^7..x_5^7) gives
+    f = "x1^2+x2^2+x3^2+x4^2+x5^2+x1*x2+x3*x4+x4*x5"
+    result = subprocess.run(
+        [sys.executable, "-m", "frobsig.cli", "freerank", "--type", "uv",
+         "--f", f, "--p", "7", "--e", "1"],
+        env=_env_with_src(), capture_output=True, text=True, timeout=5,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["free_rank"] == 107601
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "fsignature --type uv --dvec 2,1 --p 4",
+        "fsignature --type uv --dvec 2,1 --p 3",
+        "fsignature --type z2 --dvec 1,1 --p 5 --emax 2",
+    ],
+)
+def test_p_with_dvec_refused_on_fsignature(capsys, argv):
+    # the closed form reads no p, so a p passed with it would be ignored
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: --p applies only with --f, not with --dvec"

@@ -1,13 +1,22 @@
 import json
 import random
+import time
+from collections import Counter
+from math import comb
 
 import pytest
 
 from frobsig import hypersurface, matfac
-from frobsig.frobenius import FrobBasis, matrix_power
+from frobsig.frobenius import FrobBasis, PolyMatrix, matrix_power
 from frobsig.hypersurface import (
+    _blocks,
+    _closed_form_exponents,
+    _pair,
+    _smith_pair,
+    chain_dims,
     free_rank_uv,
     free_rank_z2,
+    jordan_type,
     presentation_fk,
     uv_decomposition,
     z2_presentation,
@@ -19,6 +28,7 @@ from frobsig.matfac import (
     verify_matfac,
 )
 from frobsig.monomial import MonomialData, free_rank_formula
+from frobsig.oracle import invariant_factors_univariate
 from frobsig.ring import SparsePoly, parse_poly
 
 
@@ -236,3 +246,134 @@ def test_early_refusal_implies_exact_refusal(route):
                         assert (refusal is not None) == exact
                         early_count += exact and "at least 2^" in refusal
     assert early_count > 0
+
+
+# -- the Jordan type of f on A ------------------------------------------------
+
+
+def test_pair_rule_matches_the_oracle_smith_form():
+    # x+y on F_p[x,y]/(x^a, y^b) is t on the cokernel of (t-y)^a acting on
+    # F_p[t][y]/(y^b): the b x b matrix C(a, i-j) (-1)^(i-j) t^(a-i+j)
+    for p in (2, 3, 5, 7):
+        for a in range(1, 13):
+            for b in range(1, 13):
+                entries = [
+                    (i, j, SparsePoly.monomial(
+                        (a - i + j,), p, 1, (-1) ** (i - j) * comb(a, i - j), ("t",)))
+                    for i in range(b)
+                    for j in range(i + 1)
+                    if comb(a, i - j) % p
+                ]
+                m = PolyMatrix.from_entries(b, b, entries, p, 1, ("t",))
+                factors = invariant_factors_univariate(m)
+                assert all(f.is_monomial() for f in factors)
+                degrees = Counter(f.total_degree() for f in factors)
+                degrees.pop(0, None)
+                assert dict(_pair(a, b, p)) == _smith_pair(a, b, p) == degrees
+
+
+@pytest.mark.parametrize(
+    "p, e", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+)
+def test_pair_rule_matches_the_chain_of_x1_plus_x2(p, e):
+    b = FrobBasis(p, e, 2)
+    f = parse_poly("x1+x2", p, 2)
+    lam = _blocks(chain_dims(f, b))
+    assert lam == dict(_pair(b.q, b.q, p)) == jordan_type(f, b)
+
+
+def test_digit_rules_match_the_smith_step():
+    # each pair that the rules on base-p digits decide, against the
+    # elimination they replace (the Smith step decides the rest itself);
+    # the Smith step is O(r^3), so the bound is kept small
+    for p in (2, 3, 5, 7):
+        for r in range(1, 33):
+            big = 1
+            while big < r:
+                big *= p
+            for s in range(r, 33):
+                if s < big and r + s <= big:
+                    continue
+                assert dict(_pair(r, s, p)) == _smith_pair(s, r, p), (r, s, p)
+
+
+def _term(n, powers):
+    exps = [0] * n
+    for i, a in powers.items():
+        exps[i] = a
+    return tuple(exps)
+
+
+def rand_split(rng, p, n):
+    """Random f on disjoint sets of variables, some of them left unused.
+
+    Each component is a monomial, a polynomial in one variable or one in
+    two variables that does not split.
+    """
+    free = list(range(n))
+    rng.shuffle(free)
+    terms = {}
+    while free and (not terms or rng.random() < 0.6):
+        kind = rng.choice(("monomial", "one", "two")[: 2 + (len(free) > 1)])
+        if kind == "monomial":
+            used = [free.pop() for _ in range(rng.randint(1, min(2, len(free))))]
+            exps = _term(n, {i: rng.randint(1, 3) for i in used})
+            terms[exps] = rng.randint(1, p - 1)
+        elif kind == "one":
+            i = free.pop()
+            for a in rng.sample(range(1, 5), rng.randint(1, 3)):
+                terms[_term(n, {i: a})] = rng.randint(1, p - 1)
+        else:
+            i, j = free.pop(), free.pop()
+            terms[_term(n, {i: rng.randint(1, 2), j: rng.randint(1, 2)})] = 1
+            terms[_term(n, {i: rng.randint(2, 3)})] = rng.randint(1, p - 1)
+            if rng.random() < 0.5:
+                terms[_term(n, {j: rng.randint(2, 4)})] = rng.randint(1, p - 1)
+    return SparsePoly(p, n, terms)
+
+
+def test_jordan_type_matches_the_chain_random():
+    # the split, the closed forms and the pair rule against the chain on
+    # all of A; both free ranks read the same dims
+    plan = (
+        [(2, 1, 3)] * 6 + [(2, 2, 3)] * 6 + [(3, 1, 3)] * 8 + [(3, 2, 2)] * 6
+        + [(3, 2, 3)] * 4 + [(5, 1, 3)] * 6 + [(5, 2, 2)] * 4
+    )
+    rng = random.Random(2026)
+    routes = Counter()
+    for p, e, n in plan:
+        b = FrobBasis(p, e, n)
+        f = rand_split(rng, p, n)
+        dims = chain_dims(f, b)
+        assert jordan_type(f, b) == _blocks(dims)
+        assert free_rank_uv(f, b) == b.size + 2 * sum(dims[1:])
+        if p > 2:
+            half = (b.q - 1) // 2
+            padded = dims + [0] * b.q
+            assert free_rank_z2(f, b) == padded[half] + padded[half + 1]
+        parts, unused = hypersurface._components(f, b)
+        chains = [g for g, _ in parts if _closed_form_exponents(g) is None]
+        routes["unused variable"] += unused > 0
+        routes["one variable"] += sum(g.n == 1 for g, _ in parts)
+        routes["monomial"] += sum(g.n > 1 and g.is_monomial() for g, _ in parts)
+        routes["chain"] += len(chains)
+        routes["split"] += len(parts) > 1
+        routes["z2 by squaring"] += p > 2 and len(parts) == 1 and len(chains) == 1
+    assert len(routes) == 6 and min(routes.values()) > 0, routes
+
+
+def test_free_rank_uv_reaches_e4_by_the_chain():
+    # the twin of test_free_rank_uv_reaches_e4: the chain on all 6561
+    # monomials of A, where the free rank itself reads a closed form
+    md = MonomialData((2, 1))
+    b = FrobBasis(3, 4, 2)
+    f = md.poly(3, b.names)
+    assert free_rank_uv(f, b) == b.size + 2 * sum(chain_dims(f, b)[1:])
+
+
+def test_diagonal_f_needs_no_chain():
+    # the chain on the 15625 monomials of A takes seconds; its answer
+    b = FrobBasis(5, 3, 2)
+    start = time.monotonic()
+    assert free_rank_uv(parse_poly("x1^2+x2^3", 5, 2), b) == 1120657
+    assert time.monotonic() - start < 1.0
