@@ -54,7 +54,7 @@ FLAGS = {
     "dvec": dict(type=_parse_dvec, help="monomial exponents, e.g. 2,1"),
     "p": dict(type=int, help="prime characteristic"),
     "e": dict(type=_positive, help="Frobenius iterate"),
-    "emax": dict(type=_positive, default=1, help="largest e for sweeps"),
+    "emax": dict(type=_positive, help="largest e for sweeps (default 1)"),
     "n": dict(type=_positive, help="variable count override"),
     "k": dict(type=int, default=1, help="power index k"),
     "power": dict(type=_positive, default=1, help="power of f"),
@@ -125,21 +125,18 @@ def cmd_fsignature(args) -> str:
         raise ValueError("--p is required")
     f = _parse_f(args, "free-rank", 1)
     # the work grows with e: the sweep stops before the first e over the bound
-    sweep = [1]
-    for e in range(2, args.emax + 1):
+    emax, sweep = args.emax or 1, [1]
+    for e in range(2, emax + 1):
         try:
             check_work("free-rank", args.max_size, e, f.n, args.p)
         except ResourceWarning:
-            print(
-                f"note: truncating sweep to e <= {e - 1} "
-                f"(size bound {args.max_size})",
-                file=sys.stderr,
-            )
             break
         sweep.append(e)
-    report = empirical_sequence(
-        f, args.p, sweep, args.target, max_size=args.max_size
-    )
+    report = empirical_sequence(f, args.p, sweep, args.target, max_size=args.max_size)
+    # noted once f is accepted, so that a refusal stays one line
+    if sweep[-1] < emax:
+        print(f"note: truncating sweep to e <= {sweep[-1]} "
+              f"(size bound {args.max_size})", file=sys.stderr)
     return report.to_json()
 
 
@@ -228,11 +225,13 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if getattr(args, "target", None) == "z2" and getattr(args, "p", None) == 2:
             raise ValueError("the f+z^2 target requires p odd")
-        if getattr(args, "dvec", None) and getattr(args, "n", None):
-            raise ValueError("--n applies only with --f, not with --dvec")
-        # --dvec makes fsignature a closed form, which reads no p
-        if args.command == "fsignature" and args.dvec and args.p is not None:
-            raise ValueError("--p applies only with --f, not with --dvec")
+        # --dvec sets the variable count, and makes fsignature a closed form,
+        # which reads no p and sweeps no e
+        if getattr(args, "dvec", None):
+            unread = ("n", "p", "emax") if args.command == "fsignature" else ("n",)
+            for flag in unread:
+                if getattr(args, flag, None) is not None:
+                    raise ValueError(f"--{flag} applies only with --f, not with --dvec")
         output = args.run(args)
     except ResourceWarning as exc:
         print(f"error: {exc}", file=sys.stderr)

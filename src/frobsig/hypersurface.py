@@ -11,8 +11,10 @@ A = F_p[x]/(x_1^q, ..., x_n^q).  So the free ranks are dimensions of the
 ideals f^j A, which the Jordan type of multiplication by f on A gives.  f
 splits into components on disjoint sets of variables, A into the tensor
 product of their rings, and the Jordan type into a sum over pairs of
-blocks; a component is a closed form when it is a monomial or has one
-variable, and otherwise the chain f^j A is walked on its own variables.
+blocks, each read from rules on base-p digits and Han's formula for
+dim F_p[x,y]/(x^a, y^b, (x+y)^c).  A component is a closed form when it is
+a monomial or has one variable, and otherwise the chain f^j A is walked on
+its own variables.
 Only ``ring`` is imported with this module; the matrix constructions import
 ``frobenius`` and ``matfac`` when they run.  The free ranks never load
 ``matfac``, and take from ``frobenius`` only ``FrobBasis``, which their
@@ -24,7 +26,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import lru_cache
-from math import comb
 from typing import TYPE_CHECKING, Iterator
 
 from .ring import SparsePoly, check_prime, echelon
@@ -233,38 +234,30 @@ def _blocks(dims) -> dict[int, int]:
     return lam
 
 
-def _smith_pair(a: int, b: int, p: int) -> dict[int, int]:
-    """Jordan type of x+y on F_p[x,y]/(x^a, y^b) by a Smith form over F_p[t].
+def _han_colength(r: int, s: int, c: int, p: int) -> int:
+    """dim F_p[x,y]/(x^r, y^s, (x+y)^c), by Han's theorem.
 
-    With t = x+y the ring is F_p[t][y]/(y^b) modulo (t-y)^a, the cokernel
-    of the b x b matrix with entry (i, j) = C(a, i-j) (-1)^(i-j) t^(a-i+j).
-    Every entry has degree a-i+j, so pivoting on a nonzero entry with the
-    largest i-j needs only constant multipliers of powers of t: eliminate
-    on the constants, and each pivot's degree is an invariant factor.
+    (Han and Monsky, Math. Z. 214, 1993.)  It is the integer
+    (2(rs + sc + cr) - r^2 - s^2 - c^2 + delta^2)/4.  With t = (r, s, c) and
+    top its largest entry, delta(t) = top - (the other two) when that is
+    >= 0; otherwise it is the largest m - dist_m(t), and at least 0, over the
+    powers m of p below 2*top, where dist_m(t) is m times the taxicab distance
+    from t/m to the integer points with odd coordinate sum.
     """
-    # dense rows; lead[i] is the first nonzero column of row i, and a row's
-    # entries in the columns of earlier pivots are 0
-    rows = {
-        i: [comb(a, i - j) * (-1) ** (i - j) % p if j <= i else 0 for j in range(b)]
-        for i in range(b)
-    }
-    lead = {i: next(j for j, c in enumerate(row) if c) for i, row in rows.items()}
-    out: dict[int, int] = {}
-    while rows:
-        i = max(rows, key=lambda i: i - lead[i])
-        pivot, j = rows.pop(i), lead.pop(i)
-        size = a - i + j
-        if size > 0:
-            out[size] = out.get(size, 0) + 1
-        inv = pow(pivot[j], -1, p)
-        tail = pivot[j:]
-        for k, row in rows.items():
-            if row[j]:
-                c = row[j] * inv % p
-                row[j:] = [(x - c * y) % p for x, y in zip(row[j:], tail)]
-                if lead[k] == j:
-                    lead[k] = next(col for col in range(j + 1, b) if row[col])
-    return out
+    t = (r, s, c)
+    top = max(t)
+    delta = 2 * top - r - s - c
+    if delta < 0:
+        delta, m = 0, 1
+        while m < 2 * top:
+            # the nearest integer point n to t/m, ties rounded up; when its
+            # coordinate sum is even, the cheapest move is one coordinate over
+            n = [(2 * x + m) // (2 * m) for x in t]
+            g = [abs(x - m * k) for x, k in zip(t, n)]
+            dist = sum(g) + (0 if sum(n) % 2 else min(m - 2 * x for x in g))
+            delta = max(delta, m - dist)
+            m *= p
+    return (2 * (r * s + s * c + c * r) - r * r - s * s - c * c + delta * delta) // 4
 
 
 @lru_cache(maxsize=None)
@@ -275,8 +268,8 @@ def _pair(r: int, s: int, p: int) -> tuple[tuple[int, int], ...]:
     Praeger and Xia, "Jordan partitions", 2015), by rules on base-p digits
     with P = ``big`` the least power of p >= r: past P, (x+y)^P = x^P + y^P
     shifts the blocks of a smaller pair by multiples of P; below P,
-    r+s-P blocks have size P and the rest reflect to the pair (P-s, P-r);
-    the Smith form takes what is left.
+    r+s-P blocks have size P and the rest reflect to the pair (P-s, P-r).
+    What is left reads dim (x+y)^c F_p[x,y]/(x^r, y^s) from Han's theorem.
     """
     if r > s:
         return _pair(s, r, p)
@@ -298,7 +291,7 @@ def _pair(r: int, s: int, p: int) -> tuple[tuple[int, int], ...]:
         out = dict(_pair(big - s, big - r, p))
         out[big] = out.get(big, 0) + r + s - big
     else:
-        out = _smith_pair(s, r, p)
+        out = _blocks([r * s - _han_colength(r, s, c, p) for c in range(r + s)])
     return tuple(sorted(out.items()))
 
 

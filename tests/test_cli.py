@@ -1,16 +1,18 @@
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from frobsig.cli import main
+from frobsig.cli import SUBCOMMANDS, main
 
 
 def run(capsys, *argv):
@@ -223,6 +225,8 @@ def test_unit_f_refused_on_free_rank_paths(capsys):
         ("freerank", "--type", "uv", "--f", "1+x1", "--p", "3", "--e", "1"),
         ("freerank", "--type", "z2", "--f", "1+x1", "--p", "3", "--e", "1"),
         ("fsignature", "--type", "uv", "--f", "1+x1", "--p", "3", "--emax", "1"),
+        # past the size bound: no truncation note before the refusal
+        ("fsignature", "--type", "uv", "--f", "1+x1", "--p", "3", "--emax", "30"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -485,10 +489,80 @@ def test_variable_disjoint_f_splits_before_the_chain():
         "fsignature --type uv --dvec 2,1 --p 4",
         "fsignature --type uv --dvec 2,1 --p 3",
         "fsignature --type z2 --dvec 1,1 --p 5 --emax 2",
+        "fsignature --type uv --dvec 2,1 --emax 3",
     ],
 )
 def test_p_with_dvec_refused_on_fsignature(capsys, argv):
-    # the closed form reads no p, so a p passed with it would be ignored
+    # the closed form reads no p and sweeps no e, so either would be ignored
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
-    assert err.strip() == "error: --p applies only with --f, not with --dvec"
+    flag = "--p" if "--p" in argv.split() else "--emax"
+    assert err.strip() == f"error: {flag} applies only with --f, not with --dvec"
+
+
+# well-formed and malformed values for each flag; "--max" abbreviates and
+# "--bogus" names no flag.  The gates still admit slow calls at the default
+# --max-size, which this test does not cover: the free-rank gate connected f
+# in 4 or more variables (tens of seconds), the matrix and verify gates up to
+# 10^6 cells (2-10 s at e = 3 or --power 200000).  So f has at most 3
+# variables, e is at most 2 and --power at most 26.
+FUZZ_VALUES = {
+    "--f": (["x1", "x1^2", "x1^3", "x1*x2", "x1^2+x2^3", "x1^2+x1*x2+x2^3",
+             "x1^3+x2^2+x3^2+x1*x3", "x1^2*x2+x3^4", "-x1^2+x2", "x1^100"],
+            ["1+x1", "1", "0", "2x1", "x1^", "x0", "u+x1", "x1**2", "x1+*x2", ""]),
+    "--dvec": (["2,1", "1,1", "3", "1,2,3", "24,24,24"],
+               ["2,0", "1,,2", "a", "-1", ""]),
+    "--p": (["2", "3", "5", "7", "97"], ["4", "1", "0", "-3", "x", "1" + "0" * 30]),
+    "--e": (["1", "2"], ["0", "-1", "30000000", "x"]),
+    "--emax": (["1", "2", "30"], ["0", "-5", "300000000", "y"]),
+    "--n": (["1", "2", "3"], ["0", "40", "z"]),
+    "--k": (["1", "2", "4"], ["0", "-1", "big"]),
+    "--power": (["1", "2", "7", "26"], ["0", "p"]),
+    "--type": (["uv", "z2"], ["xy", ""]),
+    "--format": (["json", "csv"], ["xml"]),
+    "--max-size": (["100", "1000000"], ["1", "0", "-5", "1e6"]),
+    "--max": ([], ["5"]),
+    "--bogus": ([], ["1"]),
+}
+
+
+def _fuzz_argv(rng):
+    command = rng.choice([*SUBCOMMANDS, *SUBCOMMANDS, "bogus", None])
+    if command in SUBCOMMANDS and rng.random() < 0.7:
+        # mostly well-formed: each required flag, one of --f and --dvec, and
+        # each optional flag at random
+        flags = []
+        for flag in SUBCOMMANDS[command][2].split():
+            alts = flag.rstrip("!").split("|")
+            if flag.endswith("!") or len(alts) > 1 or rng.random() < 0.4:
+                flags.append("--" + rng.choice(alts))
+    else:
+        flags = rng.sample(sorted(FUZZ_VALUES), rng.randint(0, 5))
+    argv = [command] if command else []
+    for flag in flags:
+        argv.append(flag)
+        good, bad = FUZZ_VALUES[flag]
+        if rng.random() < 0.95:
+            argv.append(rng.choice(good if good and rng.random() < 0.9 else bad))
+    return argv
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_argv_exit_cleanly(capsys, seed):
+    # every call answers (0) or refuses with one "error: " line (2 or 3), in
+    # bounded time and with no exception escaping main
+    rng = random.Random(seed)
+    for _ in range(200):
+        argv = _fuzz_argv(rng)
+        start = time.monotonic()
+        code = main(argv)
+        elapsed = time.monotonic() - start
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), argv
+        assert elapsed < 2.0, (argv, elapsed)
+        if code:
+            assert out == "", argv
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+        else:
+            assert out.endswith("\n"), argv
+            assert err == "" or err.startswith("note: truncating sweep"), (argv, err)

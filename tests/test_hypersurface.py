@@ -11,8 +11,8 @@ from frobsig.frobenius import FrobBasis, PolyMatrix, matrix_power
 from frobsig.hypersurface import (
     _blocks,
     _closed_form_exponents,
+    _han_colength,
     _pair,
-    _smith_pair,
     chain_dims,
     free_rank_uv,
     free_rank_z2,
@@ -29,7 +29,7 @@ from frobsig.matfac import (
 )
 from frobsig.monomial import MonomialData, free_rank_formula
 from frobsig.oracle import invariant_factors_univariate
-from frobsig.ring import SparsePoly, parse_poly
+from frobsig.ring import SparsePoly, echelon, parse_poly
 
 
 def test_presentation_fk_basic():
@@ -251,6 +251,31 @@ def test_early_refusal_implies_exact_refusal(route):
 # -- the Jordan type of f on A ------------------------------------------------
 
 
+def _han_pair(a, b, p):
+    """Jordan type of x+y on F_p[x,y]/(x^a, y^b) from Han's formula alone."""
+    return _blocks([a * b - _han_colength(a, b, c, p) for c in range(a + b)])
+
+
+def _chain_pair(a, b, p):
+    """Jordan type of x+y on F_p[x,y]/(x^a, y^b) by walking its chain."""
+
+    def times_x_plus_y(row):
+        # x^i y^j is basis index i*b + j
+        out = {}
+        for m, c in row.items():
+            i, j = divmod(m, b)
+            for ok, step in ((i + 1 < a, b), (j + 1 < b, 1)):
+                if ok:
+                    out[m + step] = (out.get(m + step, 0) + c) % p
+        return {m: c for m, c in out.items() if c}
+
+    span, dims = {m: {m: 1} for m in range(a * b)}, []
+    while span:
+        dims.append(len(span))
+        span = echelon(map(times_x_plus_y, span.values()), p)
+    return _blocks(dims)
+
+
 def test_pair_rule_matches_the_oracle_smith_form():
     # x+y on F_p[x,y]/(x^a, y^b) is t on the cokernel of (t-y)^a acting on
     # F_p[t][y]/(y^b): the b x b matrix C(a, i-j) (-1)^(i-j) t^(a-i+j)
@@ -269,7 +294,7 @@ def test_pair_rule_matches_the_oracle_smith_form():
                 assert all(f.is_monomial() for f in factors)
                 degrees = Counter(f.total_degree() for f in factors)
                 degrees.pop(0, None)
-                assert dict(_pair(a, b, p)) == _smith_pair(a, b, p) == degrees
+                assert dict(_pair(a, b, p)) == _han_pair(a, b, p) == degrees
 
 
 @pytest.mark.parametrize(
@@ -282,19 +307,37 @@ def test_pair_rule_matches_the_chain_of_x1_plus_x2(p, e):
     assert lam == dict(_pair(b.q, b.q, p)) == jordan_type(f, b)
 
 
-def test_digit_rules_match_the_smith_step():
-    # each pair that the rules on base-p digits decide, against the
-    # elimination they replace (the Smith step decides the rest itself);
-    # the Smith step is O(r^3), so the bound is kept small
+def _residual(r, s, p):
+    """Whether no rule on base-p digits decides the pair r <= s."""
+    big = 1
+    while big < r:
+        big *= p
+    return s < big and r + s <= big
+
+
+def test_digit_rules_match_han():
+    # each pair that the rules on base-p digits decide, against Han's
+    # formula on the pair itself, which _pair reads only for the rest
     for p in (2, 3, 5, 7):
         for r in range(1, 33):
-            big = 1
-            while big < r:
-                big *= p
             for s in range(r, 33):
-                if s < big and r + s <= big:
-                    continue
-                assert dict(_pair(r, s, p)) == _smith_pair(s, r, p), (r, s, p)
+                if not _residual(r, s, p):
+                    assert dict(_pair(r, s, p)) == _han_pair(r, s, p), (r, s, p)
+
+
+def test_residual_pairs_match_the_chain():
+    # the pairs that only Han's formula decides, against the chain of x+y
+    # on the r*s monomials of F_p[x,y]/(x^r, y^s)
+    residual = [
+        (r, s, p)
+        for p in (3, 5, 7)
+        for r in range(2, 21)
+        for s in range(r, 21)
+        if _residual(r, s, p)
+    ]
+    assert len(residual) == 177
+    for r, s, p in residual:
+        assert dict(_pair(r, s, p)) == _chain_pair(r, s, p), (r, s, p)
 
 
 def _term(n, powers):
@@ -372,8 +415,26 @@ def test_free_rank_uv_reaches_e4_by_the_chain():
 
 
 def test_diagonal_f_needs_no_chain():
-    # the chain on the 15625 monomials of A takes seconds; its answer
-    b = FrobBasis(5, 3, 2)
+    # the chain on the 15625 monomials of A takes seconds; its answer.  The
+    # e = 4 values are those an elimination over F_p[t] gave for each pair
+    _pair.cache_clear()
     start = time.monotonic()
+    b = FrobBasis(5, 3, 2)
     assert free_rank_uv(parse_poly("x1^2+x2^3", 5, 2), b) == 1120657
+    b = FrobBasis(5, 4, 2)
+    f = parse_poly("x1^2+x2^3", 5, 2)
+    assert (free_rank_uv(f, b), free_rank_z2(f, b)) == (140080721, 130209)
     assert time.monotonic() - start < 1.0
+
+
+def test_diagonal_f_reaches_e5():
+    # it needs a pair (r, s) with r = 1042 that no digit rule decides, read
+    # from r + s dimensions; the blocks of lambda must fill dim A = q^2
+    _pair.cache_clear()
+    start = time.monotonic()
+    b = FrobBasis(5, 5, 2)
+    f = parse_poly("x1^2+x2^3", 5, 2)
+    assert (free_rank_uv(f, b), free_rank_z2(f, b)) == (17510085913, 3255209)
+    assert time.monotonic() - start < 2.0
+    lam = jordan_type(f, b)
+    assert sum(count * size for size, count in lam.items()) == b.q ** 2
