@@ -8,6 +8,10 @@ included), 3 resource bound exceeded; every refusal is one stderr line.
 Output is deterministic for a fixed configuration.  Each subcommand
 imports its own route when it runs, so a call loads only the modules it
 uses.
+
+The size gate is this module's alone: ``check_work`` prices a call's route
+from p, e and n (and, for matrix, the terms of f^power) before the work
+starts, and the library functions compute whatever they are given.
 """
 
 from __future__ import annotations
@@ -19,12 +23,43 @@ import sys
 
 # ring and hypersurface load with the CLI; every other module is imported
 # by the subcommand that uses it
-from .hypersurface import DEFAULT_MAX_SIZE, check_work, free_rank_uv, free_rank_z2
-from .ring import SparsePoly, parse_poly
+from .hypersurface import free_rank_uv, free_rank_z2
+from .ring import SparsePoly, check_prime, parse_poly
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
+
+DEFAULT_MAX_SIZE = 10 ** 6
+
+# Each route's work, in its unit, is the largest q^a * c over its pairs (a, c)
+# for q = p^e and n variables.  Each of the q^n columns of M(f^k, e) holds as
+# many terms as f^k, at most ``terms``; the chain f^j A has up to q steps on
+# the q^n-dimensional A; decompose sums eta over 2^n labels for each k < q.
+ROUTE_WORK = {
+    "matrix": ("matrix cells", lambda n, terms: ((2 * n, 1), (n, terms))),
+    "free-rank": ("units of chain work", lambda n, terms: ((n + 2, 1),)),
+    "decompose": ("eta terms", lambda n, terms: ((1, 2 ** n),)),
+}
+
+
+def check_work(route: str, max_size: int, e: int, n: int, p: int, terms=1) -> None:
+    """Raise ResourceWarning when the work of ``route`` exceeds ``max_size``."""
+    check_prime(p)
+    unit, pairs = ROUTE_WORK[route]
+    pairs = pairs(n, terms)
+    # a prime p is at least 2 and c >= 2^(bitlen(c) - 1), so the work is at
+    # least 2^bits: a huge e or n is refused before p^e is formed
+    bits = max(e * a + c.bit_length() - 1 for a, c in pairs)
+    work = f"at least 2^{bits}"
+    if bits < max_size.bit_length():
+        q = p ** e
+        work = max(q ** a * c for a, c in pairs)
+        if work <= max_size:
+            return
+    raise ResourceWarning(
+        f"requested computation needs {work} {unit}, over the bound {max_size}"
+    )
 
 
 def _positive(text: str) -> int:
@@ -90,9 +125,7 @@ def _parse_f(args, route: str, e: int) -> SparsePoly:
     check_work(route, args.max_size, e, n, args.p)
     if args.f is not None:
         return parse_poly(args.f, args.p, n)
-    from .monomial import MonomialData
-
-    return MonomialData(args.dvec).poly(args.p)
+    return SparsePoly.monomial(args.dvec, args.p, n)
 
 
 def cmd_matrix(args) -> str:
@@ -132,7 +165,7 @@ def cmd_fsignature(args) -> str:
         except ResourceWarning:
             break
         sweep.append(e)
-    report = empirical_sequence(f, args.p, sweep, args.target, max_size=args.max_size)
+    report = empirical_sequence(f, args.p, sweep, args.target)
     # noted once f is accepted, so that a refusal stays one line
     if sweep[-1] < emax:
         print(f"note: truncating sweep to e <= {sweep[-1]} "

@@ -217,9 +217,6 @@ class PolyMatrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return NotImplemented
-
     # -- ring extension and evaluation ----------------------------------------
 
     def extend(self, names) -> "PolyMatrix":
@@ -408,10 +405,8 @@ def matrix_power(f: SparsePoly, k: int, basis: FrobBasis) -> PolyMatrix:
     return matrix_of_relations(f ** k, basis)
 
 
-def block_assemble(
-    coeffs: list[SparsePoly], basis: FrobBasis, var_name: str | None = None
-) -> PolyMatrix:
-    """Matrix of relations of g = sum_s coeffs[s] * t^s over S[t], t a new variable.
+def block_assemble(coeffs: list[SparsePoly], basis: FrobBasis) -> PolyMatrix:
+    """Matrix of relations of g = sum_s coeffs[s] * t^s over S[t], t = x_{n+1}.
 
     The result is the q x q block matrix with A_s = M(coeffs[s], e) on block
     subdiagonal s and t * A_s wrapped into the upper-right corner, equal to
@@ -426,7 +421,7 @@ def block_assemble(
     for g in coeffs:
         if g.p != basis.p or g.n != basis.n:
             raise ValueError("coefficient not in the ambient ring of the basis")
-    name = var_name if var_name is not None else f"x{basis.n + 1}"
+    name = f"x{basis.n + 1}"
     if name in basis.names:
         raise ValueError(f"variable name {name!r} already in the ring")
     names = basis.names + (name,)

@@ -4,8 +4,9 @@ The closed-form signature of S[[u,v]]/(x^dvec + uv) is a rational built
 from the symmetric quantities W_j; the signature of S[[z]]/(x^dvec + z^2)
 is 1/2^{n-1} when all exponents are 1 and 0 otherwise.  Empirical
 sequences s_e divide exact free ranks by the matching power of p so the
-convergence toward the closed form can be checked at small e.  All
-arithmetic is exact rational; no floating point.
+convergence toward the closed form can be checked at small e; every e
+given is computed, and choosing the e that fit a size bound is the CLI's
+gate.  All arithmetic is exact rational; no floating point.
 """
 
 from __future__ import annotations
@@ -15,15 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import TYPE_CHECKING
 
-from .hypersurface import (
-    DEFAULT_MAX_SIZE, check_nonunit, check_work, free_rank_uv, free_rank_z2
-)
+from .hypersurface import check_nonunit, free_rank_uv, free_rank_z2
 from .ring import SparsePoly
-
-if TYPE_CHECKING:
-    from .monomial import MonomialData
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,7 @@ def expansion_coefficients(dvec, u_values) -> dict[tuple[int, int], Fraction]:
     return product
 
 
-def expansion_check(dvec, u_values, r_degree_bound: int | None = None) -> bool:
+def expansion_check(dvec, u_values) -> bool:
     """Verify the two-variable expansion underlying the signature formula.
 
     Expands prod_j (d_j*r + q*(d-d_j)/d + u_j) in (r, q) and asserts: the
@@ -155,8 +150,7 @@ def expansion_check(dvec, u_values, r_degree_bound: int | None = None) -> bool:
     table = w_values(dvec)
     n, d = table.n, table.d
     expanded = expansion_coefficients(table.dvec, u_values)
-    bound = n if r_degree_bound is None else min(r_degree_bound, n)
-    for c in range(bound + 1):
+    for c in range(n + 1):
         j = n - c
         if expanded.get((c, j), 0) != Fraction(table.values[j], d ** j):
             return False
@@ -199,29 +193,20 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _as_monomial_data(f: SparsePoly) -> MonomialData | None:
+def _monomial_exponents(f: SparsePoly) -> tuple[int, ...] | None:
+    """The exponents of f = c*x^dvec with every exponent >= 1, else None."""
     if not f.is_monomial():
         return None
-    ((exps, coeff),) = f.terms.items()
-    if any(a < 1 for a in exps):
-        return None
-    from .monomial import MonomialData
-
-    return MonomialData(exps)
+    (exps,) = f.terms
+    return exps if all(exps) else None
 
 
-def empirical_sequence(
-    f: SparsePoly,
-    p: int,
-    e_range,
-    target: str,
-    max_size: int = DEFAULT_MAX_SIZE,
-) -> SignatureReport:
+def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> SignatureReport:
     """Exact signature approximants s_e for e in e_range.
 
     uv target: s_e = free_rank_uv / p^{e(n+1)} (the uv-hypersurface has
-    dimension n+1); z2 target: s_e = free_rank_z2 / p^{e*n}.  Raises
-    ResourceWarning when the free-rank work at some e exceeds max_size.
+    dimension n+1); z2 target: s_e = free_rank_z2 / p^{e*n}.  Every e given
+    is computed; bounding the work is the caller's choice.
     """
     from .frobenius import FrobBasis
 
@@ -230,22 +215,17 @@ def empirical_sequence(
     check_nonunit(f)
     if target == "z2" and p == 2:
         raise ValueError("the f+z^2 target requires p odd")
-    md = _as_monomial_data(f)
+    dvec = _monomial_exponents(f)
     closed = None
-    if md is not None:
+    if dvec is not None:
         closed = (
-            fsignature_uv_closed(md.dvec)
+            fsignature_uv_closed(dvec)
             if target == "uv"
-            else fsignature_z2_closed(md.dvec)
+            else fsignature_z2_closed(dvec)
         )
     n = f.n
-    report = SignatureReport(
-        target=target,
-        dvec=md.dvec if md is not None else None,
-        closed_form=closed,
-    )
+    report = SignatureReport(target=target, dvec=dvec, closed_form=closed)
     for e in e_range:
-        check_work("free-rank", max_size, e, n, p)
         basis = FrobBasis(p, e, n, f.names)
         if target == "uv":
             s = Fraction(free_rank_uv(f, basis), p ** (e * (n + 1)))

@@ -18,7 +18,8 @@ its own variables.
 Only ``ring`` is imported with this module; the matrix constructions import
 ``frobenius`` and ``matfac`` when they run.  The free ranks never load
 ``matfac``, and take from ``frobenius`` only ``FrobBasis``, which their
-caller has loaded already.
+caller has loaded already.  Nothing here refuses a computation by its
+size: that gate is the CLI's.
 """
 
 from __future__ import annotations
@@ -28,43 +29,11 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
-from .ring import SparsePoly, check_prime, echelon
+from .ring import SparsePoly, echelon
 
 if TYPE_CHECKING:
     from .frobenius import FrobBasis
     from .matfac import MatFac
-
-
-DEFAULT_MAX_SIZE = 10 ** 6
-
-# Each route's work, in its unit, is the largest q^a * c over its pairs (a, c)
-# for q = p^e and n variables.  Each of the q^n columns of M(f^k, e) holds as
-# many terms as f^k, at most ``terms``; the chain f^j A has up to q steps on
-# the q^n-dimensional A; decompose sums eta over 2^n labels for each k < q.
-ROUTE_WORK = {
-    "matrix": ("matrix cells", lambda n, terms: ((2 * n, 1), (n, terms))),
-    "free-rank": ("units of chain work", lambda n, terms: ((n + 2, 1),)),
-    "decompose": ("eta terms", lambda n, terms: ((1, 2 ** n),)),
-}
-
-
-def check_work(route: str, max_size: int, e: int, n: int, p: int, terms=1) -> None:
-    """Raise ResourceWarning when the work of ``route`` exceeds ``max_size``."""
-    check_prime(p)
-    unit, pairs = ROUTE_WORK[route]
-    pairs = pairs(n, terms)
-    # a prime p is at least 2 and c >= 2^(bitlen(c) - 1), so the work is at
-    # least 2^bits: a huge e or n is refused before p^e is formed
-    bits = max(e * a + c.bit_length() - 1 for a, c in pairs)
-    work = f"at least 2^{bits}"
-    if bits < max_size.bit_length():
-        q = p ** e
-        work = max(q ** a * c for a, c in pairs)
-        if work <= max_size:
-            return
-    raise ResourceWarning(
-        f"requested computation needs {work} {unit}, over the bound {max_size}"
-    )
 
 
 def check_nonunit(f: SparsePoly) -> None:

@@ -225,28 +225,35 @@ def _op_matrix(op, size, ring):
 
 
 class _Work:
-    """Dense working matrix with recorded row/column operations."""
+    """Dense working matrix A with recorded row/column operations.
+
+    Each row operation is applied to ``left`` as well and each column
+    operation to ``right``, both starting at I, so left * A * right equals
+    the working matrix after every step.
+    """
 
     def __init__(self, grid, ring):
         self.grid = grid
-        self.p, self.n, self.names = ring
-        self.zero = SparsePoly.zero(self.p, self.n, self.names)
+        identity = PolyMatrix.identity(len(grid), *ring).to_dense
+        self.left, self.right = identity(), identity()
         self.row_ops = []
         self.col_ops = []
 
     def row_add(self, i, j, poly):
         # row_i += poly * row_j
-        gi, gj = self.grid[i], self.grid[j]
-        for c in range(len(gi)):
-            if not gj[c].is_zero():
-                gi[c] = gi[c] + poly * gj[c]
+        for grid in (self.grid, self.left):
+            gi, gj = grid[i], grid[j]
+            for c in range(len(gi)):
+                if not gj[c].is_zero():
+                    gi[c] = gi[c] + poly * gj[c]
         self.row_ops.append(("add", i, j, poly))
 
     def col_add(self, j, i, poly):
         # col_j += col_i * poly; as a right factor this is I + poly*E_ij
-        for row in self.grid:
-            if not row[i].is_zero():
-                row[j] = row[j] + row[i] * poly
+        for grid in (self.grid, self.right):
+            for row in grid:
+                if not row[i].is_zero():
+                    row[j] = row[j] + row[i] * poly
         self.col_ops.append(("add", i, j, poly))
 
     def permute(self, row_order, col_order):
@@ -263,37 +270,13 @@ class _Work:
                 if pos != k:
                     current[k], current[pos] = current[pos], current[k]
                     if axis == "row":
-                        self.grid[k], self.grid[pos] = self.grid[pos], self.grid[k]
+                        for grid in (self.grid, self.left):
+                            grid[k], grid[pos] = grid[pos], grid[k]
                     else:
-                        for row in self.grid:
-                            row[k], row[pos] = row[pos], row[k]
+                        for grid in (self.grid, self.right):
+                            for row in grid:
+                                row[k], row[pos] = row[pos], row[k]
                     ops.append(("swap", k, pos))
-
-    def left_right(self, size):
-        """(left, right) with left * A * right equal to the working matrix.
-
-        Each recorded operation is replayed on an identity matrix, rows for
-        left and columns for right, so no matrix product is formed.
-        """
-        ring = (self.p, self.n, self.names)
-        identity = PolyMatrix.identity(size, *ring).to_dense
-        left, right = _Work(identity(), ring), _Work(identity(), ring)
-        for op in self.row_ops:
-            if op[0] == "swap":
-                _, i, j = op
-                left.grid[i], left.grid[j] = left.grid[j], left.grid[i]
-            else:
-                _, i, j, poly = op
-                left.row_add(i, j, poly)
-        for op in self.col_ops:
-            if op[0] == "swap":
-                _, i, j = op
-                for row in right.grid:
-                    row[i], row[j] = row[j], row[i]
-            else:
-                _, i, j, poly = op
-                right.col_add(j, i, poly)
-        return PolyMatrix.from_dense(left.grid), PolyMatrix.from_dense(right.grid)
 
 
 def companion_matrix(
@@ -421,13 +404,11 @@ def companion_reduce(
             row_order = list(range(1, size - 1)) + [0, size - 1]
             col_order = list(range(size))
             work.permute(row_order, col_order)
-    left, right = work.left_right(size)
-    reduced = PolyMatrix.from_dense(work.grid)
     return CompanionReduction(
         matrix=a,
-        left=left,
-        right=right,
-        reduced=reduced,
+        left=PolyMatrix.from_dense(work.left),
+        right=PolyMatrix.from_dense(work.right),
+        reduced=PolyMatrix.from_dense(work.grid),
         row_ops=work.row_ops,
         col_ops=work.col_ops,
     )

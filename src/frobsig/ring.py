@@ -371,7 +371,8 @@ def parse_poly(text: str, p: int, n: int, names=None) -> SparsePoly:
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty polynomial expression")
-    result = SparsePoly.zero(p, n, names)
+    # coefficients summed per exponent tuple; SparsePoly reduces mod p once
+    terms: dict[tuple[int, ...], int] = {}
     pos = 0
 
     def parse_factor(sign_coeff):
@@ -423,10 +424,11 @@ def parse_poly(text: str, p: int, n: int, names=None) -> SparsePoly:
                     raise ValueError("dangling '*' at end of polynomial")
                 continue
             break
-        result = result + SparsePoly(p, n, {tuple(exps): coeff}, names)
+        exps = tuple(exps)
+        terms[exps] = terms.get(exps, 0) + coeff
         if pos < len(tokens):
             kind, val = tokens[pos]
             if kind != "op" or val not in "+-":
                 raise ValueError(f"expected '+' between terms, found {val!r}")
-    return result
+    return SparsePoly(p, n, terms, names)
 

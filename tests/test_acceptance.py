@@ -99,7 +99,7 @@ def test_criterion_02_block_assembly():
         b = FrobBasis(3, 1, 1)
         g0 = parse_poly("x1^2", 3, 1)
         g1 = parse_poly("x1", 3, 1)
-        big = block_assemble([g0, g1], b, var_name="x2")
+        big = block_assemble([g0, g1], b)
         # the displayed block form [[A0, 0, y*A1], [A1, A0, 0], [0, A1, A0]]
         names = ("x1", "x2")
         a0 = matrix_of_relations(g0, b).extend(names)
@@ -231,7 +231,7 @@ def test_criterion_07_empirical_convergence():
             for p in (3, 5):
                 es = [e for e in (1, 2, 3) if (p ** e) ** (n + 2) <= bound]
                 f = md.poly(p)
-                rep = empirical_sequence(f, p, es, "uv", max_size=bound)
+                rep = empirical_sequence(f, p, es, "uv")
                 gaps = [gap for _, gap in rep.gaps()]
                 assert len(gaps) == len(es) >= 1
                 assert all(b <= a for a, b in zip(gaps, gaps[1:]))

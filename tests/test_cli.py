@@ -371,9 +371,15 @@ BASE_MODULES = {"frobsig", "frobsig.cli", "frobsig.hypersurface", "frobsig.ring"
         ("matrix --f x1^2+x1*x2 --p 3 --e 1", {"frobsig.frobenius"}, False),
         ("fsignature --type uv --dvec 2,1", {"frobsig.fsig"}, True),
         ("decompose --dvec 2 --p 3 --e 1", {"frobsig.monomial"}, True),
+        # a monomial f is built from its exponents, without frobsig.monomial
+        ("freerank --type uv --dvec 2,1 --p 3 --e 1", {"frobsig.frobenius"}, False),
+        ("verify --dvec 2,1 --p 3 --e 1", {"frobsig.frobenius", "frobsig.matfac"},
+         True),
+        ("fsignature --type uv --f x1^2*x2 --p 5 --emax 2",
+         {"frobsig.fsig", "frobsig.frobenius"}, True),
     ],
     ids=["import", "p2-refusal", "freerank", "matrix", "fsignature-closed",
-         "decompose"],
+         "decompose", "freerank-dvec", "verify-dvec", "fsignature-monomial"],
 )
 def test_each_call_loads_only_its_route(argv, added, dataclasses_loaded):
     # start-up cost: a fresh interpreter runs one call, then lists its modules

@@ -151,9 +151,7 @@ def test_matrix_power_routes_agree():
 def test_block_assemble_worked_example():
     # x^2 + x*y over F_3 assembled from g_0 = x^2, g_1 = x in one variable
     b = FrobBasis(3, 1, 1)
-    big = block_assemble(
-        [parse_poly("x1^2", 3, 1), parse_poly("x1", 3, 1)], b, var_name="x2"
-    )
+    big = block_assemble([parse_poly("x1^2", 3, 1), parse_poly("x1", 3, 1)], b)
     a0 = matrix_of_relations(parse_poly("x1^2", 3, 1), b).extend(("x1", "x2"))
     a1 = matrix_of_relations(parse_poly("x1", 3, 1), b).extend(("x1", "x2"))
     y = parse_poly("x2", 3, 2)
@@ -170,7 +168,7 @@ def test_block_assemble_worked_example():
 def test_block_assemble_constant_coefficient():
     b = FrobBasis(3, 1, 1)
     g0 = parse_poly("x1^2 + 1", 3, 1)
-    big = block_assemble([g0], b, var_name="x2")
+    big = block_assemble([g0], b)
     a0 = matrix_of_relations(g0, b).extend(("x1", "x2"))
     zero = PolyMatrix(3, 3, 3, 2)
     assert big == PolyMatrix.block(
@@ -184,7 +182,7 @@ def test_block_assemble_random_agrees_with_direct():
     b2 = FrobBasis(3, 1, 2)
     for _ in range(10):
         coeffs = [rand_poly(rng, 3, 1, max_deg=3, max_terms=3) for _ in range(3)]
-        big = block_assemble(coeffs, b, var_name="x2")
+        big = block_assemble(coeffs, b)
         g = SparsePoly.zero(3, 2)
         for s, c in enumerate(coeffs):
             g = g + c.extend(("x1", "x2")) * parse_poly("x2", 3, 2) ** s
@@ -196,6 +194,18 @@ def test_block_assemble_degree_bound():
     one = SparsePoly.one(3, 1)
     with pytest.raises(ValueError):
         block_assemble([one, one, one, one], b)
+
+
+def test_block_assemble_refuses_a_clashing_name():
+    # the appended variable is x_{n+1}, here already a name of the ring
+    b = FrobBasis(3, 1, 1, ("x2",))
+    with pytest.raises(ValueError, match="'x2' already in the ring"):
+        block_assemble([SparsePoly.one(3, 1, ("x2",))], b)
+
+
+def test_polymatrix_is_unhashable():
+    with pytest.raises(TypeError, match="unhashable type: 'PolyMatrix'"):
+        hash(PolyMatrix(2, 2, 3, 1))
 
 
 def test_serialization():

@@ -1,9 +1,11 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from frobsig import fsig
+from frobsig.cli import main
 from frobsig.oracle import w_values_by_subsets
 from frobsig.fsig import (
     bernoulli,
@@ -157,10 +159,21 @@ def test_empirical_gaps_shrink():
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
 
 
-def test_empirical_resource_bound():
-    f = parse_poly("x1", 3, 1)
-    with pytest.raises(ResourceWarning):
-        empirical_sequence(f, 3, range(1, 20), "uv", max_size=100)
+def test_empirical_resource_bound(capsys):
+    # the size gate is the CLI's: the sweep stops at the last e that fits,
+    # and refuses when even e = 1 does not
+    argv = ["fsignature", "--type", "uv", "--f", "x1", "--p", "3", "--emax", "19"]
+    assert main(argv + ["--max-size", "100"]) == 0
+    out, err = capsys.readouterr()
+    assert [row["e"] for row in json.loads(out)["empirical"]] == [1]
+    assert err == "note: truncating sweep to e <= 1 (size bound 100)\n"
+    assert main(argv + ["--max-size", "10"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: requested computation needs 27 units of chain work, "
+        "over the bound 10\n"
+    )
 
 
 def test_empirical_validation():

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from frobsig import hypersurface, matfac
+from frobsig import cli, hypersurface, matfac
 from frobsig.frobenius import FrobBasis, PolyMatrix, matrix_power
 from frobsig.hypersurface import (
     _blocks,
@@ -218,7 +218,7 @@ def test_free_rank_uv_reaches_e4():
 
 def _refusal(*args):
     try:
-        hypersurface.check_work(*args)
+        cli.check_work(*args)
     except ResourceWarning as exc:
         return str(exc)
     return None

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,15 @@ def rand_poly(rng, p, n, max_deg=4, max_terms=4):
 def test_parse_basic():
     f = parse_poly("x1^2 + x1*x2", 3, 2)
     assert f.terms == {(2, 0): 1, (1, 1): 1}
+
+
+def test_parse_is_linear_in_the_terms():
+    # terms are summed into one dict, not added one SparsePoly at a time
+    text = "+".join(f"x1^{i}" for i in range(1, 24001))
+    start = time.perf_counter()
+    f = parse_poly(text, 97, 1)
+    assert time.perf_counter() - start < 1.0
+    assert len(f.terms) == 24000
 
 
 def test_parse_coefficient_reduction():
