@@ -14,7 +14,6 @@ import importlib
 
 _EXPORTS = {
     "frobenius": (
-        "FrobBasis",
         "PolyMatrix",
         "block_assemble",
         "frobenius_decompose",
@@ -62,7 +61,7 @@ _EXPORTS = {
         "ffrt_witness",
         "free_rank_formula",
     ),
-    "ring": ("SparsePoly", "parse_poly"),
+    "ring": ("FrobBasis", "SparsePoly", "parse_poly"),
 }
 
 # public name -> the module that defines it

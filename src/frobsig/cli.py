@@ -24,7 +24,7 @@ import sys
 # ring and hypersurface load with the CLI; every other module is imported
 # by the subcommand that uses it
 from .hypersurface import free_rank_uv, free_rank_z2
-from .ring import SparsePoly, check_prime, parse_poly
+from .ring import FrobBasis, SparsePoly, check_prime, parse_poly
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -129,12 +129,13 @@ def _parse_f(args, route: str, e: int) -> SparsePoly:
 
 
 def cmd_matrix(args) -> str:
-    from .frobenius import FrobBasis, matrix_power
-
     f = _parse_f(args, "matrix", args.e)
     # each column of M(f^power, e) holds as many terms as f^power
     terms = f.power_terms_bound(args.power)
     check_work("matrix", args.max_size, args.e, f.n, args.p, terms)
+    # imported only once f is accepted, so that a refusal loads nothing more
+    from .frobenius import matrix_power
+
     basis = FrobBasis(args.p, args.e, f.n, f.names)
     m = matrix_power(f, args.power, basis)
     return m.to_csv() if args.format == "csv" else m.to_json()
@@ -181,8 +182,6 @@ def cmd_decompose(args) -> str:
 
 
 def cmd_freerank(args) -> str:
-    from .frobenius import FrobBasis
-
     f = _parse_f(args, "free-rank", args.e)
     basis = FrobBasis(args.p, args.e, f.n, f.names)
     if args.target == "uv":
@@ -195,7 +194,6 @@ def cmd_freerank(args) -> str:
 
 
 def cmd_verify(args) -> str:
-    from .frobenius import FrobBasis
     from .hypersurface import presentation_fk
     from .matfac import verify_matfac
 
@@ -253,9 +251,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv):
+    try:
+        return _build_parser().parse_args(argv)
+    except ValueError as exc:
+        # argparse reads the "-x1" of "--f -x1" as a flag, not as the value
+        if str(exc) == "argument --f: expected one argument":
+            for flag, value in zip(argv, argv[1:]):
+                if flag == "--f" and value[:1] == "-" and value[:2] != "--":
+                    raise ValueError(f"{exc} (write an f that starts with '-' "
+                                     f"as --f={value})") from None
+        raise
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         if getattr(args, "target", None) == "z2" and getattr(args, "p", None) == 2:
             raise ValueError("the f+z^2 target requires p odd")
         # --dvec sets the variable count, and makes fsignature a closed form,

@@ -1,10 +1,12 @@
-"""Frobenius pushforward bases and matrices of relations.
+"""Matrices of relations on Frobenius pushforward bases.
 
 For S = F_p[x_1..x_n] and q = p^e, the pushforward F_*^e(S) is free over S
 with monomial basis {x^a : 0 <= a_i < q}.  Multiplication by f on that basis
 is represented by a sparse square matrix whose column j is the coordinate
-vector of x^j * f.  This module builds that basis, the matrix, its powers,
-and the block assembly of the matrix over a ring with one added variable.
+vector of x^j * f.  This module builds the matrix, its powers, and the
+block assembly of the matrix over a ring with one added variable.  The
+basis, ``FrobBasis``, lives in ``ring``, so the routes that need only the
+basis (the free ranks) never load this module; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -12,57 +14,7 @@ from __future__ import annotations
 import io
 import json
 
-from .ring import SparsePoly, check_prime, default_names
-
-
-class FrobBasis:
-    """Ordered monomial basis of F_*^e(S), mixed radix with x_1 least significant.
-
-    index(a_1, ..., a_n) = sum_i a_i * q^(i-1), a bijection onto [0, q^n).
-    """
-
-    __slots__ = ("p", "e", "n", "names", "q", "size", "_radix", "_tuples")
-
-    def __init__(self, p: int, e: int, n: int, names=None):
-        check_prime(p)
-        if e < 1:
-            raise ValueError("e must be >= 1")
-        if n < 1:
-            raise ValueError("variable count must be >= 1")
-        self.p = p
-        self.e = e
-        self.n = n
-        self.names = tuple(names) if names is not None else default_names(n)
-        self.q = p ** e
-        self.size = self.q ** n
-        self._radix = tuple(self.q ** i for i in range(n))
-        self._tuples = None
-
-    def index_of(self, exps) -> int:
-        if len(exps) != self.n or any(not 0 <= a < self.q for a in exps):
-            raise ValueError(f"{tuple(exps)} is not a basis exponent tuple")
-        return sum(a * r for a, r in zip(exps, self._radix))
-
-    def tuple_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.size:
-            raise ValueError(f"basis index {index} out of range")
-        out = []
-        for _ in range(self.n):
-            index, a = divmod(index, self.q)
-            out.append(a)
-        return tuple(out)
-
-    @property
-    def tuples(self) -> list[tuple[int, ...]]:
-        if self._tuples is None:
-            self._tuples = [self.tuple_of(i) for i in range(self.size)]
-        return self._tuples
-
-    def monomial(self, exps, coeff=1) -> SparsePoly:
-        return SparsePoly.monomial(exps, self.p, self.n, coeff, self.names)
-
-    def __repr__(self) -> str:
-        return f"FrobBasis(p={self.p}, e={self.e}, n={self.n})"
+from .ring import FrobBasis, SparsePoly, default_names
 
 
 class PolyMatrix:
@@ -178,20 +130,65 @@ class PolyMatrix:
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self + (-other)
 
+    def _exponents(self) -> set[tuple[int, ...]]:
+        return {e for col in self.data for poly in col.values() for e in poly.terms}
+
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The product, with each exponent tuple packed into one int.
+
+        Variable v gets a bit field wide enough for the sum of the two
+        factors' largest exponents in v, so adding two packed exponents
+        multiplies the monomials with no carry between fields.  The row of
+        an entry of self sits above all the fields, so one int keys each
+        (row, exponent) of a product column; its raw coefficient sums are
+        reduced mod p once each.
+        """
         self._check_same_ring(other)
         if self.cols != other.rows:
             raise ValueError("size mismatch in matrix multiplication")
+        a_exps, b_exps = self._exponents(), other._exponents()
+        fields, offset = [], 0
+        for v in range(self.n):
+            top = max((e[v] for e in a_exps), default=0)
+            top += max((e[v] for e in b_exps), default=0)
+            width = top.bit_length()
+            fields.append((offset, (1 << width) - 1))
+            offset += width
+        mask = (1 << offset) - 1
+        pack = {
+            e: sum(a << off for a, (off, _) in zip(e, fields)) for e in a_exps | b_exps
+        }
+        # column i of self as one list of (row << offset | exponent, coefficient)
+        a_cols = [
+            [((r << offset) | pack[e], c)
+             for r, poly in col.items() for e, c in poly.terms.items()]
+            for col in self.data
+        ]
+        p, n, names = self.p, self.n, self.names
+        exps_of: dict[int, tuple[int, ...]] = {}
         data = []
         for bcol in other.data:
-            acc: dict[int, SparsePoly] = {}
+            acc: dict[int, int] = {}
+            get = acc.get
             for i, poly in bcol.items():
-                for r, apoly in self.data[i].items():
-                    prod = apoly * poly
-                    cur = acc.get(r)
-                    acc[r] = prod if cur is None else cur + prod
-            data.append({r: v for r, v in acc.items() if not v.is_zero()})
-        return PolyMatrix(self.rows, other.cols, self.p, self.n, self.names, data)
+                a_terms = a_cols[i]
+                for e, cb in poly.terms.items():
+                    pb = pack[e]
+                    for ka, ca in a_terms:
+                        k = ka + pb
+                        acc[k] = get(k, 0) + ca * cb
+            rows: dict[int, dict[tuple[int, ...], int]] = {}
+            for k, c in acc.items():
+                c %= p
+                if c:
+                    packed = k & mask
+                    exps = exps_of.get(packed)
+                    if exps is None:
+                        exps = tuple((packed >> off) & m for off, m in fields)
+                        exps_of[packed] = exps
+                    rows.setdefault(k >> offset, {})[exps] = c
+            data.append({r: SparsePoly._raw(p, n, names, t) for r, t in rows.items()})
+        return PolyMatrix(self.rows, other.cols, p, n, names, data)
 
     def matrix_pow(self, k: int) -> "PolyMatrix":
         if self.rows != self.cols:
@@ -277,11 +274,25 @@ class PolyMatrix:
         items.sort(key=lambda t: (t[0], t[1]))
         return items
 
+    def _text_entries(self) -> list[list]:
+        """Sorted [row, col, str(entry)], formatting each entry object once.
+
+        A matrix of relations shares one entry object among many cells.
+        """
+        text: dict[int, str] = {}
+        out = []
+        for i, j, poly in self.sorted_entries():
+            s = text.get(id(poly))
+            if s is None:
+                s = text[id(poly)] = str(poly)
+            out.append([i, j, s])
+        return out
+
     def to_json_dict(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[i, j, str(poly)] for i, j, poly in self.sorted_entries()],
+            "entries": self._text_entries(),
         }
 
     def to_json(self) -> str:
@@ -293,8 +304,7 @@ class PolyMatrix:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["row", "col", "entry"])
-        for i, j, poly in self.sorted_entries():
-            writer.writerow([i, j, str(poly)])
+        writer.writerows(self._text_entries())
         return buf.getvalue()
 
     def __repr__(self) -> str:
@@ -349,7 +359,8 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
     radix = basis._radix
     size = basis.size
     data: list[dict[int, SparsePoly]] = [dict() for _ in range(size)]
-    mono_cache: dict[tuple[int, ...], SparsePoly] = {}
+    # one entry object per distinct (quotient exponents, coefficient)
+    entries: dict[tuple[tuple[int, ...], int], SparsePoly] = {}
     tuples = basis.tuples
     for gamma, coeff in f.terms.items():
         # per-variable tables over basis exponent values
@@ -373,12 +384,11 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
                 bi = beta[i]
                 row += row_tab[i][bi]
                 quo.append(quo_tab[i][bi])
-            key = tuple(quo)
-            mono = mono_cache.get(key)
-            if mono is None:
-                mono = SparsePoly._raw(f.p, n, basis.names, {key: 1})
-                mono_cache[key] = mono
-            entry = mono if coeff == 1 else mono.scale(coeff)
+            key = (tuple(quo), coeff)
+            entry = entries.get(key)
+            if entry is None:
+                entry = SparsePoly._raw(f.p, n, basis.names, {key[0]: coeff})
+                entries[key] = entry
             col = data[j]
             cur = col.get(row)
             if cur is None:

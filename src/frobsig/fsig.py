@@ -12,25 +12,23 @@ gate.  All arithmetic is exact rational; no floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .hypersurface import check_nonunit, free_rank_uv, free_rank_z2
-from .ring import SparsePoly
+from .ring import FrobBasis, SparsePoly
 
 
-@dataclass(frozen=True)
-class WTable:
+class WTable(namedtuple("WTable", "dvec values")):
     """The values W_0..W_n for an exponent vector.
 
     W_s sums, over s-element subsets J of the variables, the product of
     (d - d_j) for j in J times d_j for j outside J, with d = max d_j.
     """
 
-    dvec: tuple[int, ...]
-    values: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -160,14 +158,21 @@ def expansion_check(dvec, u_values) -> bool:
     return True
 
 
-@dataclass
-class SignatureReport:
-    """Closed-form value (monomial input only) plus empirical sequence."""
+class SignatureReport(
+    namedtuple("SignatureReport", "target dvec closed_form empirical")
+):
+    """Closed-form value (monomial input only) plus empirical sequence.
 
-    target: str
-    dvec: tuple[int, ...] | None = None
-    closed_form: Fraction | None = None
-    empirical: list = field(default_factory=list)  # [(e, Fraction), ...]
+    ``empirical`` lists (e, Fraction) pairs; it defaults to a fresh list.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, target, dvec=None, closed_form=None, empirical=None):
+        # a namedtuple default would be one list shared by every report
+        if empirical is None:
+            empirical = []
+        return super().__new__(cls, target, dvec, closed_form, empirical)
 
     def gaps(self) -> list:
         if self.closed_form is None:
@@ -208,8 +213,6 @@ def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> Signature
     dimension n+1); z2 target: s_e = free_rank_z2 / p^{e*n}.  Every e given
     is computed; bounding the work is the caller's choice.
     """
-    from .frobenius import FrobBasis
-
     if target not in ("uv", "z2"):
         raise ValueError(f"unknown target {target!r}")
     check_nonunit(f)

@@ -16,10 +16,9 @@ dim F_p[x,y]/(x^a, y^b, (x+y)^c).  A component is a closed form when it is
 a monomial or has one variable, and otherwise the chain f^j A is walked on
 its own variables.
 Only ``ring`` is imported with this module; the matrix constructions import
-``frobenius`` and ``matfac`` when they run.  The free ranks never load
-``matfac``, and take from ``frobenius`` only ``FrobBasis``, which their
-caller has loaded already.  Nothing here refuses a computation by its
-size: that gate is the CLI's.
+``frobenius`` and ``matfac`` when they run.  The free ranks load neither:
+the one piece of the pushforward they need, ``FrobBasis``, is in ``ring``.
+Nothing here refuses a computation by its size: that gate is the CLI's.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
-from .ring import SparsePoly, echelon
+from .ring import FrobBasis, SparsePoly, echelon
 
 if TYPE_CHECKING:
-    from .frobenius import FrobBasis
     from .matfac import MatFac
 
 
@@ -152,8 +150,6 @@ def _components(f: SparsePoly, basis: FrobBasis):
     as a polynomial in its own variables, with its basis, and the count of
     variables that no component uses.
     """
-    from .frobenius import FrobBasis
-
     groups: list[tuple[set[int], dict]] = []
     for exps, c in f.terms.items():
         if max(exps) >= basis.q:
@@ -313,8 +309,9 @@ def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
     return MatFac(phi, psi, f)
 
 
-# Named tuples, not dataclasses: this module loads on every CLI call, and
-# importing dataclasses (with inspect) would add to the start-up of each.
+# Records across the package are named tuples, not dataclasses: importing
+# dataclasses (with inspect) would add about 10 ms to the start-up of every
+# CLI call that loads the module.
 
 
 class UVBlock(namedtuple("UVBlock", "k matfac counts")):

@@ -12,7 +12,7 @@ for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .frobenius import PolyMatrix
 from .ring import RESERVED_NAMES, SparsePoly, echelon
@@ -37,17 +37,14 @@ def verify_matfac(phi: PolyMatrix, psi: PolyMatrix, f: SparsePoly) -> bool:
     return not f.is_zero() or psi * phi == target
 
 
-@dataclass(repr=False, slots=True)
-class MatFac:
+class MatFac(namedtuple("MatFac", "phi psi f")):
     """A pair (phi, psi) meant to factor f; building one verifies nothing.
 
     Check a pair with ``verify_matfac(mf.phi, mf.psi, mf.f)`` or with the
     ``frobsig verify`` command.
     """
 
-    phi: PolyMatrix
-    psi: PolyMatrix
-    f: SparsePoly
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -57,17 +54,15 @@ class MatFac:
         return f"MatFac(size={self.size}, f={self.f!s})"
 
 
-@dataclass(frozen=True)
-class SummandCount:
+class SummandCount(namedtuple("SummandCount", "t r reduced_size")):
     """Counts of trivial summands: t copies of (f,1) and r copies of (1,f)."""
 
-    t: int
-    r: int
-    reduced_size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t < 0 or self.r < 0 or self.reduced_size < 0:
+    def __new__(cls, t, r, reduced_size):
+        if t < 0 or r < 0 or reduced_size < 0:
             raise ValueError("inconsistent summand counts")
+        return super().__new__(cls, t, r, reduced_size)
 
 
 def direct_sum(a: MatFac, b: MatFac) -> MatFac:
@@ -165,16 +160,12 @@ UV = "uv"
 SHAPES = (CHAIN, EVEN, ODD, SPLIT, UV)
 
 
-@dataclass
-class CompanionReduction:
+class CompanionReduction(namedtuple(
+    "CompanionReduction", "matrix left right reduced row_ops col_ops"
+)):
     """Result of a companion reduction: left * matrix * right == reduced."""
 
-    matrix: PolyMatrix
-    left: PolyMatrix
-    right: PolyMatrix
-    reduced: PolyMatrix
-    row_ops: list = field(default_factory=list)
-    col_ops: list = field(default_factory=list)
+    __slots__ = ()
 
     def verify(self) -> bool:
         return self.left * self.matrix * self.right == self.reduced

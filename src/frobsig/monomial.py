@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from typing import TYPE_CHECKING
 
 from .hypersurface import monomial_dim
@@ -24,18 +23,18 @@ if TYPE_CHECKING:
     from .frobenius import PolyMatrix
 
 
-@dataclass(frozen=True)
-class MonomialData:
+class MonomialData(namedtuple("MonomialData", "dvec")):
     """Exponent vector of a monomial hypersurface."""
 
-    dvec: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.dvec:
+    def __new__(cls, dvec):
+        dvec = tuple(dvec)
+        if not dvec:
             raise ValueError("dvec must be non-empty")
-        if any(d < 1 for d in self.dvec):
+        if any(d < 1 for d in dvec):
             raise ValueError("all exponents must be >= 1")
-        object.__setattr__(self, "dvec", tuple(self.dvec))
+        return super().__new__(cls, dvec)
 
     @property
     def n(self) -> int:
@@ -109,8 +108,9 @@ def free_rank_formula(md: MonomialData, q: int, k: int) -> int:
     return monomial_dim(md.dvec, q, q - k)
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(namedtuple(
+    "DecompositionReport", "q e dvec free_rank summands threshold_ok"
+)):
     """Summand decomposition of F_*^e(S[[u,v]]/(x^dvec + uv)).
 
     ``summands`` maps interior labels c (0 < c < dvec somewhere) to their
@@ -120,12 +120,7 @@ class DecompositionReport:
     every q and the report is computed from them alone.
     """
 
-    q: int
-    e: int
-    dvec: tuple[int, ...]
-    free_rank: int
-    summands: dict = field(default_factory=dict)
-    threshold_ok: bool = True
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,6 +6,9 @@ after construction and every operation returns a new polynomial in sparse
 normal form: no zero coefficients stored, exponent tuples pairwise distinct.
 The names ``u``, ``v`` and ``z`` are reserved for the auxiliary variables of
 the f+uv and f+z^2 constructions and are rejected by the parser.
+:class:`FrobBasis` is the monomial basis of the Frobenius pushforward
+F_*^e(S); it lives here, not in ``frobenius``, so that the free ranks,
+which need the basis and no matrix, load no more than this module.
 :func:`echelon` reduces sparse rows over F_p; the free ranks and the rank
 at the origin both rest on it.
 """
@@ -308,6 +311,56 @@ class SparsePoly:
 
     def __repr__(self) -> str:
         return f"SparsePoly({self!s} over F_{self.p}, n={self.n})"
+
+
+class FrobBasis:
+    """Ordered monomial basis of F_*^e(S), mixed radix with x_1 least significant.
+
+    index(a_1, ..., a_n) = sum_i a_i * q^(i-1), a bijection onto [0, q^n).
+    """
+
+    __slots__ = ("p", "e", "n", "names", "q", "size", "_radix", "_tuples")
+
+    def __init__(self, p: int, e: int, n: int, names=None):
+        check_prime(p)
+        if e < 1:
+            raise ValueError("e must be >= 1")
+        if n < 1:
+            raise ValueError("variable count must be >= 1")
+        self.p = p
+        self.e = e
+        self.n = n
+        self.names = tuple(names) if names is not None else default_names(n)
+        self.q = p ** e
+        self.size = self.q ** n
+        self._radix = tuple(self.q ** i for i in range(n))
+        self._tuples = None
+
+    def index_of(self, exps) -> int:
+        if len(exps) != self.n or any(not 0 <= a < self.q for a in exps):
+            raise ValueError(f"{tuple(exps)} is not a basis exponent tuple")
+        return sum(a * r for a, r in zip(exps, self._radix))
+
+    def tuple_of(self, index: int) -> tuple[int, ...]:
+        if not 0 <= index < self.size:
+            raise ValueError(f"basis index {index} out of range")
+        out = []
+        for _ in range(self.n):
+            index, a = divmod(index, self.q)
+            out.append(a)
+        return tuple(out)
+
+    @property
+    def tuples(self) -> list[tuple[int, ...]]:
+        if self._tuples is None:
+            self._tuples = [self.tuple_of(i) for i in range(self.size)]
+        return self._tuples
+
+    def monomial(self, exps, coeff=1) -> SparsePoly:
+        return SparsePoly.monomial(exps, self.p, self.n, coeff, self.names)
+
+    def __repr__(self) -> str:
+        return f"FrobBasis(p={self.p}, e={self.e}, n={self.n})"
 
 
 # -- linear algebra over F_p ------------------------------------------------

@@ -113,6 +113,30 @@ def test_verify(capsys):
     assert json.loads(out)["verified"] is True
 
 
+def test_verify_huge_exponent(capsys):
+    # exponents past 2^64 get wide bit fields in the product
+    code, out, err = run(capsys, "verify", "--f", "x1^99999999999999999999+x2^2",
+                         "--p", "3", "--e", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"f": "x1^99999999999999999999 + x2^2", "q": 3,
+                               "k": 1, "size": 9, "verified": True}
+
+
+def test_leading_minus_in_f(capsys):
+    # argparse takes "-x1" for an option, so the refusal says how to pass it
+    code, out, err = run(capsys, "verify", "--f", "-x1", "--p", "3", "--e", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: argument --f: expected one argument "
+                   "(write an f that starts with '-' as --f=-x1)\n")
+    code, out, err = run(capsys, "verify", "--f=-x1", "--p", "3", "--e", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["f"] == "2*x1"
+    # a missing value is not an f that starts with '-'
+    code, out, err = run(capsys, "verify", "--f", "--p", "3", "--e", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: argument --f: expected one argument\n"
+
+
 def test_validation_exit_code(capsys):
     code, out, err = run(capsys, "matrix", "--f", "x1 +", "--p", "3", "--e", "1")
     assert code == 2
@@ -362,40 +386,57 @@ def test_decompose_gate_counts_eta_terms(capsys):
 BASE_MODULES = {"frobsig", "frobsig.cli", "frobsig.hypersurface", "frobsig.ring"}
 
 
-@pytest.mark.parametrize(
-    "argv, added, dataclasses_loaded",
-    [
-        (None, set(), False),  # import frobsig.cli alone
-        ("freerank --type z2 --f x1^2 --p 2 --e 1", set(), False),  # refused
-        ("freerank --type uv --f x1*x2 --p 3 --e 1", {"frobsig.frobenius"}, False),
-        ("matrix --f x1^2+x1*x2 --p 3 --e 1", {"frobsig.frobenius"}, False),
-        ("fsignature --type uv --dvec 2,1", {"frobsig.fsig"}, True),
-        ("decompose --dvec 2 --p 3 --e 1", {"frobsig.monomial"}, True),
-        # a monomial f is built from its exponents, without frobsig.monomial
-        ("freerank --type uv --dvec 2,1 --p 3 --e 1", {"frobsig.frobenius"}, False),
-        ("verify --dvec 2,1 --p 3 --e 1", {"frobsig.frobenius", "frobsig.matfac"},
-         True),
-        ("fsignature --type uv --f x1^2*x2 --p 5 --emax 2",
-         {"frobsig.fsig", "frobsig.frobenius"}, True),
-    ],
-    ids=["import", "p2-refusal", "freerank", "matrix", "fsignature-closed",
-         "decompose", "freerank-dvec", "verify-dvec", "fsignature-monomial"],
-)
-def test_each_call_loads_only_its_route(argv, added, dataclasses_loaded):
-    # start-up cost: a fresh interpreter runs one call, then lists its modules
-    code = (
-        "import sys, frobsig.cli\n"
-        f"if {argv!r}: frobsig.cli.main({argv!r}.split())\n"
-        "print(*(m for m in sys.modules"
+def _modules_after(code):
+    """frobsig modules and dataclasses loaded by ``code`` in a fresh interpreter."""
+    code += (
+        "\nimport sys\nprint(*(m for m in sys.modules"
         " if m.startswith('frobsig') or m == 'dataclasses'))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=_env_with_src(), capture_output=True,
         text=True, timeout=10,
     )
-    loaded = set(result.stdout.splitlines()[-1].split())
-    assert {m for m in loaded if m.startswith("frobsig")} == BASE_MODULES | added
-    assert ("dataclasses" in loaded) == dataclasses_loaded
+    lines = result.stdout.splitlines()
+    return lines[:-1], set(lines[-1].split())
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, added",
+    [
+        (None, None, set()),  # import frobsig.cli alone
+        ("freerank --type z2 --f x1^2 --p 2 --e 1", 2, set()),  # refused
+        ("freerank --type uv --f x1*x2 --p 3 --e 1", 0, set()),
+        ("matrix --f x1^2+x1*x2 --p 3 --e 1", 0, {"frobsig.frobenius"}),
+        # refused for its size or for its f, before the matrix route loads
+        ("matrix --f x1^2+x2 --p 3 --e 2 --max-size 10", 3, set()),
+        ("matrix --f x1*u --p 3 --e 1", 2, set()),
+        ("fsignature --type uv --dvec 2,1", 0, {"frobsig.fsig"}),
+        ("decompose --dvec 2 --p 3 --e 1", 0, {"frobsig.monomial"}),
+        # a monomial f is built from its exponents, without frobsig.monomial
+        ("freerank --type uv --dvec 2,1 --p 3 --e 1", 0, set()),
+        ("verify --dvec 2,1 --p 3 --e 1", 0, {"frobsig.frobenius", "frobsig.matfac"}),
+        ("fsignature --type uv --f x1^2*x2 --p 5 --emax 2", 0, {"frobsig.fsig"}),
+    ],
+    ids=["import", "p2-refusal", "freerank", "matrix", "matrix-size-refusal",
+         "matrix-parse-refusal", "fsignature-closed", "decompose", "freerank-dvec",
+         "verify-dvec", "fsignature-monomial"],
+)
+def test_each_call_loads_only_its_route(argv, exit_code, added):
+    # start-up cost: a fresh interpreter runs one call, then lists its modules;
+    # no route loads dataclasses, whose import pulls in inspect
+    code = "import frobsig.cli"
+    if argv:
+        code += f"\nprint(frobsig.cli.main({argv.split()!r}))"
+    printed, loaded = _modules_after(code)
+    if argv:
+        assert printed[-1] == str(exit_code)
+    assert loaded == BASE_MODULES | added
+
+
+def test_frobbasis_loads_only_ring():
+    # the free ranks need the basis, not the matrices of frobsig.frobenius
+    _, loaded = _modules_after("import frobsig\nfrobsig.FrobBasis")
+    assert loaded == {"frobsig", "frobsig.ring"}
 
 
 def test_freerank_prices_the_chain_like_fsignature(capsys):

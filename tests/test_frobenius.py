@@ -11,7 +11,7 @@ from frobsig.frobenius import (
     matrix_of_relations,
     matrix_power,
 )
-from frobsig.ring import SparsePoly, parse_poly
+from frobsig.ring import SparsePoly, default_names, parse_poly
 
 from test_ring import rand_poly
 
@@ -146,6 +146,76 @@ def test_matrix_power_routes_agree():
         f = rand_poly(rng, p, 2, max_deg=2, max_terms=3)
         for k in (2, 3):
             assert matrix_power(f, k, b) == matrix_of_relations(f, b).matrix_pow(k)
+
+
+def _entrywise_product(a, b):
+    """The reference product: entry (i, j) sums the SparsePoly products a_ik * b_kj."""
+    out = PolyMatrix(a.rows, b.cols, a.p, a.n, a.names)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            total = SparsePoly.zero(a.p, a.n, a.names)
+            for k in range(a.cols):
+                total = total + a.entry(i, k) * b.entry(k, j)
+            out.set_entry(i, j, total)
+    return out
+
+
+# exponents 0 and past 2^64, where the packed exponent needs wide bit fields
+EXPONENTS = (0, 0, 1, 2, 3, 7, 2 ** 64, 2 ** 64 + 1, 2 ** 70 + 5)
+
+
+def _random_matrix(rng, rows, cols, p, names):
+    entries = []
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < 0.6:
+                terms = {
+                    tuple(rng.choice(EXPONENTS) for _ in names): rng.randint(1, p - 1)
+                    for _ in range(rng.randint(1, 3))
+                }
+                entries.append((i, j, SparsePoly(p, len(names), terms, names)))
+    return PolyMatrix.from_entries(rows, cols, entries, p, len(names), names)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "extra", [(), ("next",), ("u", "v"), ("z",)], ids=["x", "x_n+1", "uv", "z"]
+)
+def test_product_matches_entrywise_reference(p, n, extra):
+    # the rings of block_assemble (x_{n+1}), maltese (u, v) and sharp (z)
+    names = default_names(n) + tuple(f"x{n + 1}" if v == "next" else v for v in extra)
+    rng = random.Random(f"{p} {n} {extra}")
+    for _ in range(6):
+        rows, inner, cols = (rng.randint(1, 4) for _ in range(3))
+        a = _random_matrix(rng, rows, inner, p, names)
+        b = _random_matrix(rng, inner, cols, p, names)
+        product = a * b
+        assert product == _entrywise_product(a, b)
+        assert (product.rows, product.cols, product.names) == (rows, cols, names)
+        for col in product.data:
+            for poly in col.values():
+                assert poly.names == names
+                assert all(0 < c < p for c in poly.terms.values())
+
+
+def test_product_drops_entries_that_cancel():
+    big = 2 ** 64
+    a = PolyMatrix.from_dense([
+        [parse_poly(f"x1^{big}", 3, 2), parse_poly(f"x1^{big}*x2", 3, 2)],
+        [parse_poly("1", 3, 2), parse_poly("1", 3, 2)],
+    ])
+    b = PolyMatrix.from_dense([
+        [parse_poly("x2", 3, 2), parse_poly("2", 3, 2)],
+        [parse_poly("-1", 3, 2), parse_poly("1", 3, 2)],
+    ])
+    product = a * b
+    # x1^(2^64) x2 - x1^(2^64) x2 = 0, and 2 + 1 = 0 mod 3: neither is stored
+    assert product.data == [
+        {1: parse_poly("x2 - 1", 3, 2)},
+        {0: parse_poly(f"2*x1^{big} + x1^{big}*x2", 3, 2)},
+    ]
+    assert product == _entrywise_product(a, b)
 
 
 def test_block_assemble_worked_example():
