@@ -24,7 +24,7 @@ import sys
 # ring and hypersurface load with the CLI; every other module is imported
 # by the subcommand that uses it
 from .hypersurface import free_rank_uv, free_rank_z2
-from .ring import FrobBasis, SparsePoly, check_prime, parse_poly
+from .ring import FrobBasis, SparsePoly, check_prime, parse_int, parse_poly
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -62,9 +62,17 @@ def check_work(route: str, max_size: int, e: int, n: int, p: int, terms=1) -> No
     )
 
 
+def _int(text: str) -> int:
+    # argparse's words for a bad int; parse_int's for one of too many digits
+    try:
+        return parse_int(text, argparse.ArgumentTypeError)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive(text: str) -> int:
     try:
-        value = int(text)
+        value = parse_int(text, argparse.ArgumentTypeError)
     except ValueError:
         value = 0
     if value < 1:
@@ -74,7 +82,9 @@ def _positive(text: str) -> int:
 
 def _parse_dvec(text: str) -> tuple[int, ...]:
     try:
-        dvec = tuple(int(part) for part in text.split(","))
+        dvec = tuple(
+            parse_int(part, argparse.ArgumentTypeError) for part in text.split(",")
+        )
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad exponent vector {text!r}; expected e.g. 2,1"
@@ -87,11 +97,11 @@ def _parse_dvec(text: str) -> tuple[int, ...]:
 FLAGS = {
     "f": dict(help="polynomial in x1..xn"),
     "dvec": dict(type=_parse_dvec, help="monomial exponents, e.g. 2,1"),
-    "p": dict(type=int, help="prime characteristic"),
+    "p": dict(type=_int, help="prime characteristic"),
     "e": dict(type=_positive, help="Frobenius iterate"),
     "emax": dict(type=_positive, help="largest e for sweeps (default 1)"),
     "n": dict(type=_positive, help="variable count override"),
-    "k": dict(type=int, default=1, help="power index k"),
+    "k": dict(type=_int, default=1, help="power index k"),
     "power": dict(type=_positive, default=1, help="power of f"),
     "type": dict(choices=("uv", "z2"), dest="target", help="f+uv or f+z^2"),
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
@@ -105,7 +115,9 @@ FLAGS = {
 def _infer_n(f_text: str, n_flag: int | None) -> int:
     # the names the parser's tokenizer sees: "2x1" is the number 2, then x1
     names = re.findall(r"[A-Za-z_]\w*", f_text)
-    indices = [int(name[1:]) for name in names if re.fullmatch(r"x\d+", name)]
+    indices = [
+        parse_int(name[1:]) for name in names if re.fullmatch(r"x\d+", name)
+    ]
     inferred = max(indices, default=0)
     if n_flag is not None:
         if inferred > n_flag:
@@ -136,7 +148,7 @@ def cmd_matrix(args) -> str:
     # imported only once f is accepted, so that a refusal loads nothing more
     from .frobenius import matrix_power
 
-    basis = FrobBasis(args.p, args.e, f.n, f.names)
+    basis = FrobBasis(args.p, args.e, f.n)
     m = matrix_power(f, args.power, basis)
     return m.to_csv() if args.format == "csv" else m.to_json()
 
@@ -183,7 +195,7 @@ def cmd_decompose(args) -> str:
 
 def cmd_freerank(args) -> str:
     f = _parse_f(args, "free-rank", args.e)
-    basis = FrobBasis(args.p, args.e, f.n, f.names)
+    basis = FrobBasis(args.p, args.e, f.n)
     if args.target == "uv":
         rank = free_rank_uv(f, basis)
     else:
@@ -198,7 +210,7 @@ def cmd_verify(args) -> str:
     from .matfac import verify_matfac
 
     f = _parse_f(args, "matrix", args.e)
-    basis = FrobBasis(args.p, args.e, f.n, f.names)
+    basis = FrobBasis(args.p, args.e, f.n)
     mf = presentation_fk(f, args.k, basis)
     if not verify_matfac(mf.phi, mf.psi, f):
         raise ValueError("the pair is not a matrix factorization of f")

@@ -4,8 +4,9 @@ For S = F_p[x_1..x_n] and q = p^e, the pushforward F_*^e(S) is free over S
 with monomial basis {x^a : 0 <= a_i < q}.  Multiplication by f on that basis
 is represented by a sparse square matrix whose column j is the coordinate
 vector of x^j * f.  This module builds the matrix, its powers, and the
-block assembly of the matrix over a ring with one added variable.  The
-basis, ``FrobBasis``, lives in ``ring``, so the routes that need only the
+block assembly of the matrix over a ring with one added variable, each in
+the ring of the polynomials it is built from.  The basis, ``FrobBasis``, is
+(p, e, n) alone; it lives in ``ring``, so the routes that need only the
 basis (the free ranks) never load this module; it is re-exported here.
 """
 
@@ -15,6 +16,7 @@ import io
 import json
 
 from .ring import FrobBasis, SparsePoly, default_names
+from .ring import check_same_ring, extended_names, same_ring
 
 
 class PolyMatrix:
@@ -61,13 +63,18 @@ class PolyMatrix:
 
     @classmethod
     def from_dense(cls, grid) -> "PolyMatrix":
-        """Build from a non-empty nested list of SparsePoly."""
+        """Build from a non-empty nested list of SparsePoly over one ring."""
+        if not grid or not grid[0]:
+            raise ValueError("a dense matrix needs at least one entry")
         rows = len(grid)
         cols = len(grid[0])
         sample = grid[0][0]
         m = cls(rows, cols, sample.p, sample.n, sample.names)
         for i, row in enumerate(grid):
+            if len(row) != cols:
+                raise ValueError("dense grid rows of unequal length")
             for j, poly in enumerate(row):
+                check_same_ring(sample, poly)
                 if not poly.is_zero():
                     m.data[j][i] = poly
         return m
@@ -102,12 +109,8 @@ class PolyMatrix:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _check_same_ring(self, other: "PolyMatrix") -> None:
-        if self.p != other.p or self.n != other.n or self.names != other.names:
-            raise ValueError("mismatched coefficient rings")
-
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_same_ring(other)
+        check_same_ring(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("size mismatch in matrix addition")
         data = []
@@ -143,7 +146,7 @@ class PolyMatrix:
         (row, exponent) of a product column; its raw coefficient sums are
         reduced mod p once each.
         """
-        self._check_same_ring(other)
+        check_same_ring(self, other)
         if self.cols != other.rows:
             raise ValueError("size mismatch in matrix multiplication")
         a_exps, b_exps = self._exponents(), other._exponents()
@@ -209,15 +212,14 @@ class PolyMatrix:
         return (
             isinstance(other, PolyMatrix)
             and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.p == other.p
-            and self.n == other.n
+            and same_ring(self, other)
             and self.data == other.data
         )
 
     # -- ring extension and evaluation ----------------------------------------
 
     def extend(self, names) -> "PolyMatrix":
-        names = tuple(names)
+        names = extended_names(self.names, names)
         data = [
             {i: poly.extend(names) for i, poly in col.items()} for col in self.data
         ]
@@ -252,9 +254,24 @@ class PolyMatrix:
 
     @classmethod
     def block(cls, grid) -> "PolyMatrix":
-        """Assemble from a 2D grid of equally-sized PolyMatrix blocks or None."""
-        sample = next(b for row in grid for b in row if b is not None)
+        """Assemble from a 2D grid of equally-sized PolyMatrix blocks or None.
+
+        The grid's rows are of one length, and its blocks of one shape over
+        one ring, which the result takes.
+        """
+        blocks = [b for row in grid for b in row if b is not None]
+        if not blocks:
+            raise ValueError("a block grid needs at least one block")
+        sample = blocks[0]
         br, bc = sample.rows, sample.cols
+        if any(len(row) != len(grid[0]) for row in grid):
+            raise ValueError("block grid rows of unequal length")
+        for b in blocks:
+            check_same_ring(sample, b)
+            if (b.rows, b.cols) != (br, bc):
+                raise ValueError(
+                    f"blocks of unequal shape: {br}x{bc} and {b.rows}x{b.cols}"
+                )
         out = cls(
             br * len(grid), bc * len(grid[0]), sample.p, sample.n, sample.names
         )
@@ -321,8 +338,7 @@ def frobenius_decompose(g: SparsePoly, basis: FrobBasis) -> dict[int, SparsePoly
     runs over basis monomials; omitted indices are zero.  Over F_p the q-th
     power fixes coefficients, so each term splits by exponent divmod q.
     """
-    if g.p != basis.p or g.n != basis.n:
-        raise ValueError("polynomial not in the ambient ring of the basis")
+    basis.check(g)
     q = basis.q
     radix = basis._radix
     out: dict[int, dict[tuple[int, ...], int]] = {}
@@ -339,7 +355,7 @@ def frobenius_decompose(g: SparsePoly, basis: FrobBasis) -> dict[int, SparsePoly
     result = {}
     for idx, terms in out.items():
         poly = SparsePoly._raw(
-            g.p, g.n, basis.names, {e: c for e, c in terms.items() if c}
+            g.p, g.n, g.names, {e: c for e, c in terms.items() if c}
         )
         if not poly.is_zero():
             result[idx] = poly
@@ -350,10 +366,9 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
     """The matrix of multiplication by f on F_*^e(S) in the monomial basis.
 
     Column j is the decomposition of x^j * f; column sparsity is bounded by
-    the number of terms of f.
+    the number of terms of f.  The matrix is over f's ring.
     """
-    if f.p != basis.p or f.n != basis.n:
-        raise ValueError("polynomial not in the ambient ring of the basis")
+    basis.check(f)
     q = basis.q
     n = basis.n
     radix = basis._radix
@@ -387,7 +402,7 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
             key = (tuple(quo), coeff)
             entry = entries.get(key)
             if entry is None:
-                entry = SparsePoly._raw(f.p, n, basis.names, {key[0]: coeff})
+                entry = SparsePoly._raw(f.p, n, f.names, {key[0]: coeff})
                 entries[key] = entry
             col = data[j]
             cur = col.get(row)
@@ -399,7 +414,7 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
                     del col[row]
                 else:
                     col[row] = s
-    return PolyMatrix(size, size, f.p, n, basis.names, data)
+    return PolyMatrix(size, size, f.p, n, f.names, data)
 
 
 def matrix_power(f: SparsePoly, k: int, basis: FrobBasis) -> PolyMatrix:
@@ -420,7 +435,8 @@ def block_assemble(coeffs: list[SparsePoly], basis: FrobBasis) -> PolyMatrix:
 
     The result is the q x q block matrix with A_s = M(coeffs[s], e) on block
     subdiagonal s and t * A_s wrapped into the upper-right corner, equal to
-    the directly constructed matrix of relations of g in the larger ring.
+    the directly constructed matrix of relations of g over the coefficients'
+    one ring extended by t.
     """
     if not coeffs:
         raise ValueError("need at least one coefficient polynomial")
@@ -429,19 +445,12 @@ def block_assemble(coeffs: list[SparsePoly], basis: FrobBasis) -> PolyMatrix:
     if d >= q:
         raise ValueError(f"degree {d} in the new variable must be < q = {q}")
     for g in coeffs:
-        if g.p != basis.p or g.n != basis.n:
-            raise ValueError("coefficient not in the ambient ring of the basis")
-    name = f"x{basis.n + 1}"
-    if name in basis.names:
-        raise ValueError(f"variable name {name!r} already in the ring")
-    names = basis.names + (name,)
-    n_big = basis.n + 1
-    r_e = basis.size
-    t_poly = SparsePoly.monomial(
-        (0,) * basis.n + (1,), basis.p, n_big, 1, names
-    )
+        check_same_ring(coeffs[0], g)
+    names = coeffs[0].names + (f"x{basis.n + 1}",)
     blocks = [matrix_of_relations(g, basis).extend(names) for g in coeffs]
-    out = PolyMatrix(r_e * q, r_e * q, basis.p, n_big, names)
+    r_e = basis.size
+    t_poly = SparsePoly.variable(len(names), basis.p, len(names), names)
+    out = PolyMatrix(r_e * q, r_e * q, basis.p, len(names), names)
     for s, block in enumerate(blocks):
         if not block.data or all(not col for col in block.data):
             continue

@@ -229,7 +229,7 @@ def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> Signature
     n = f.n
     report = SignatureReport(target=target, dvec=dvec, closed_form=closed)
     for e in e_range:
-        basis = FrobBasis(p, e, n, f.names)
+        basis = FrobBasis(p, e, n)
         if target == "uv":
             s = Fraction(free_rank_uv(f, basis), p ** (e * (n + 1)))
         else:

@@ -42,13 +42,8 @@ def check_nonunit(f: SparsePoly) -> None:
         raise ValueError("f must vanish at the origin (f(0) != 0 makes f a unit)")
 
 
-def _check_ring(f: SparsePoly, basis: FrobBasis) -> None:
-    if f.p != basis.p or f.n != basis.n:
-        raise ValueError("polynomial not in the ambient ring of the basis")
-
-
 def _check_local(f: SparsePoly, basis: FrobBasis) -> None:
-    _check_ring(f, basis)
+    basis.check(f)
     check_nonunit(f)
 
 
@@ -270,7 +265,11 @@ def jordan_type(f: SparsePoly, basis: FrobBasis) -> dict[int, int]:
     x+y on F_p[x,y]/(x^a, y^b) over pairs of blocks (a, b).
     """
     _check_local(f, basis)
-    parts, unused = _components(f, basis)
+    return _jordan_type_of_parts(*_components(f, basis), basis)
+
+
+def _jordan_type_of_parts(parts, unused: int, basis: FrobBasis) -> dict[int, int]:
+    """``jordan_type`` of the f that ``_components`` split into these parts."""
     lam = {1: basis.q ** unused}
     for g, sub in parts:
         gamma = _closed_form_exponents(g)
@@ -301,7 +300,7 @@ def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
     q = basis.q
     if not 1 <= k <= q - 1:
         raise ValueError(f"k must satisfy 1 <= k <= q-1 = {q - 1}")
-    _check_ring(f, basis)
+    basis.check(f)
     if f.is_zero() or f.is_constant():
         raise ValueError("f must be nonzero and nonconstant")
     phi = matrix_power(f, k, basis)
@@ -446,7 +445,7 @@ def free_rank_z2(f: SparsePoly, basis: FrobBasis) -> int:
         f_a = ring.element(comp)
         g_span = ring.image(ring.monomials(), ring.power(f_a, half))
         return (len(g_span) + len(ring.image(g_span.values(), f_a))) * basis.q ** unused
-    lam = jordan_type(f, basis)
+    lam = _jordan_type_of_parts(parts, unused, basis)
     return sum(
         count * (max(s - half, 0) + max(s - half - 1, 0)) for s, count in lam.items()
     )

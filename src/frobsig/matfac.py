@@ -86,9 +86,6 @@ _U, _V, _Z = RESERVED_NAMES
 
 
 def _extend_pair(mf: MatFac, extra: tuple[str, ...]):
-    for name in extra:
-        if name in mf.f.names:
-            raise ValueError(f"variable {name!r} already in the ambient ring")
     names = mf.f.names + extra
     return mf.phi.extend(names), mf.psi.extend(names), mf.f.extend(names), names
 

@@ -48,8 +48,8 @@ class MonomialData(namedtuple("MonomialData", "dvec")):
         """The label box: all c with 0 <= c_j <= d_j."""
         return itertools.product(*(range(d + 1) for d in self.dvec))
 
-    def poly(self, p: int, names=None) -> SparsePoly:
-        return SparsePoly.monomial(self.dvec, p, self.n, 1, names)
+    def poly(self, p: int) -> SparsePoly:
+        return SparsePoly.monomial(self.dvec, p, self.n)
 
 
 def eta(k: int, c, md: MonomialData, q: int) -> int:

@@ -31,7 +31,7 @@ def decompose_by_exponents(g: SparsePoly, basis: FrobBasis) -> dict[int, SparseP
         high = tuple(a // q for a in exps)
         low = tuple(a % q for a in exps)
         idx = basis.index_of(low)
-        piece = SparsePoly.monomial(high, g.p, g.n, coeff, basis.names)
+        piece = SparsePoly.monomial(high, g.p, g.n, coeff, g.names)
         if idx in coords:
             coords[idx] = coords[idx] + piece
         else:

@@ -6,6 +6,8 @@ after construction and every operation returns a new polynomial in sparse
 normal form: no zero coefficients stored, exponent tuples pairwise distinct.
 The names ``u``, ``v`` and ``z`` are reserved for the auxiliary variables of
 the f+uv and f+z^2 constructions and are rejected by the parser.
+Which ring a polynomial or a matrix lives in is decided here alone, by
+``same_ring`` and by ``extended_names``, the rule for adding variables.
 :class:`FrobBasis` is the monomial basis of the Frobenius pushforward
 F_*^e(S); it lives here, not in ``frobenius``, so that the free ranks,
 which need the basis and no matrix, load no more than this module.
@@ -16,6 +18,7 @@ at the origin both rest on it.
 from __future__ import annotations
 
 import re
+import sys
 from math import comb
 from typing import Iterator
 
@@ -67,6 +70,48 @@ def check_prime(p: int) -> None:
 
 def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
+
+
+def same_ring(a, b) -> bool:
+    """Whether polynomials or matrices a and b lie over one F_p[names]."""
+    return a.p == b.p and a.n == b.n and a.names == b.names
+
+
+def check_same_ring(a, b) -> None:
+    if not same_ring(a, b):
+        raise ValueError(
+            f"mismatched ambient rings: F_{a.p}{list(a.names)} "
+            f"vs F_{b.p}{list(b.names)}"
+        )
+
+
+def extended_names(names: tuple[str, ...], new) -> tuple[str, ...]:
+    """``new`` as a tuple; it must be ``names`` followed by fresh variables."""
+    new = tuple(new)
+    if new[: len(names)] != names:
+        raise ValueError("extension names must start with existing names")
+    for i in range(len(names), len(new)):
+        if new[i] in new[:i]:
+            raise ValueError(f"variable {new[i]!r} already in the ring")
+    return new
+
+
+def parse_int(text: str, error=ValueError) -> int:
+    """int(text); a well-formed integer that int() refuses has too many digits.
+
+    Past ``sys.get_int_max_str_digits()`` digits (4300 by default) int()
+    asks for that limit to be raised; this raises ``error`` instead, naming
+    the limit and echoing a short prefix.  The limit stays as it is.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):
+            raise
+    raise error(
+        f"integer {text.strip()[:20]}... has too many digits "
+        f"(limit {sys.get_int_max_str_digits()})"
+    )
 
 
 class SparsePoly:
@@ -132,15 +177,8 @@ class SparsePoly:
 
     # -- ring structure -------------------------------------------------
 
-    def _check_same_ring(self, other: "SparsePoly") -> None:
-        if self.p != other.p or self.n != other.n or self.names != other.names:
-            raise ValueError(
-                f"mismatched ambient rings: F_{self.p}{list(self.names)} "
-                f"vs F_{other.p}{list(other.names)}"
-            )
-
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        self._check_same_ring(other)
+        check_same_ring(self, other)
         p = self.p
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -163,7 +201,7 @@ class SparsePoly:
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, int):
             return self.scale(other)
-        self._check_same_ring(other)
+        check_same_ring(self, other)
         p = self.p
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
@@ -258,13 +296,12 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparsePoly)
-            and self.p == other.p
-            and self.n == other.n
+            and same_ring(self, other)
             and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.n, frozenset(self.terms.items())))
+        return hash((self.p, self.names, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -276,14 +313,9 @@ class SparsePoly:
     # -- ring extension --------------------------------------------------
 
     def extend(self, names: tuple[str, ...]) -> "SparsePoly":
-        """Embed into F_p[names]; ``names`` must start with our variables."""
-        names = tuple(names)
-        if names[: self.n] != self.names:
-            raise ValueError("extension names must start with existing names")
-        extra = len(names) - self.n
-        if extra < 0:
-            raise ValueError("cannot extend to fewer variables")
-        pad = (0,) * extra
+        """Embed into F_p[names]: our variables followed by fresh ones."""
+        names = extended_names(self.names, names)
+        pad = (0,) * (len(names) - self.n)
         return SparsePoly._raw(
             self.p,
             len(names),
@@ -317,11 +349,12 @@ class FrobBasis:
     """Ordered monomial basis of F_*^e(S), mixed radix with x_1 least significant.
 
     index(a_1, ..., a_n) = sum_i a_i * q^(i-1), a bijection onto [0, q^n).
+    It is (p, e, n) alone: what is built on it from f lives in f's ring.
     """
 
-    __slots__ = ("p", "e", "n", "names", "q", "size", "_radix", "_tuples")
+    __slots__ = ("p", "e", "n", "q", "size", "_radix", "_tuples")
 
-    def __init__(self, p: int, e: int, n: int, names=None):
+    def __init__(self, p: int, e: int, n: int):
         check_prime(p)
         if e < 1:
             raise ValueError("e must be >= 1")
@@ -330,11 +363,15 @@ class FrobBasis:
         self.p = p
         self.e = e
         self.n = n
-        self.names = tuple(names) if names is not None else default_names(n)
         self.q = p ** e
         self.size = self.q ** n
         self._radix = tuple(self.q ** i for i in range(n))
         self._tuples = None
+
+    def check(self, f: SparsePoly) -> None:
+        """Refuse f unless it is over F_p in n variables."""
+        if f.p != self.p or f.n != self.n:
+            raise ValueError("polynomial not in the ambient ring of the basis")
 
     def index_of(self, exps) -> int:
         if len(exps) != self.n or any(not 0 <= a < self.q for a in exps):
@@ -355,9 +392,6 @@ class FrobBasis:
         if self._tuples is None:
             self._tuples = [self.tuple_of(i) for i in range(self.size)]
         return self._tuples
-
-    def monomial(self, exps, coeff=1) -> SparsePoly:
-        return SparsePoly.monomial(exps, self.p, self.n, coeff, self.names)
 
     def __repr__(self) -> str:
         return f"FrobBasis(p={self.p}, e={self.e}, n={self.n})"
@@ -412,7 +446,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-def parse_poly(text: str, p: int, n: int, names=None) -> SparsePoly:
+def parse_poly(text: str, p: int, n: int) -> SparsePoly:
     """Parse ``text`` into a polynomial over F_p in n variables.
 
     Grammar: terms joined by ``+`` (a leading or separating ``-`` negates the
@@ -420,7 +454,6 @@ def parse_poly(text: str, p: int, n: int, names=None) -> SparsePoly:
     coefficient or a power ``xK^E`` with 1 <= K <= n.
     """
     check_prime(p)
-    names = tuple(names) if names is not None else default_names(n)
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty polynomial expression")
@@ -433,7 +466,7 @@ def parse_poly(text: str, p: int, n: int, names=None) -> SparsePoly:
         kind, val = tokens[pos]
         if kind == "int":
             pos += 1
-            return sign_coeff * int(val), None
+            return sign_coeff * parse_int(val), None
         if kind == "name":
             pos += 1
             if val in RESERVED_NAMES:
@@ -443,7 +476,7 @@ def parse_poly(text: str, p: int, n: int, names=None) -> SparsePoly:
             m = re.fullmatch(r"x(\d+)", val)
             if not m:
                 raise ValueError(f"unknown variable {val!r} (expected x1..x{n})")
-            idx = int(m.group(1))
+            idx = parse_int(m.group(1))
             if not 1 <= idx <= n:
                 raise ValueError(f"variable index {idx} out of range 1..{n}")
             exp = 1
@@ -451,7 +484,7 @@ def parse_poly(text: str, p: int, n: int, names=None) -> SparsePoly:
                 pos += 1
                 if pos >= len(tokens) or tokens[pos][0] != "int":
                     raise ValueError("expected integer exponent after '^'")
-                exp = int(tokens[pos][1])
+                exp = parse_int(tokens[pos][1])
                 pos += 1
             return sign_coeff, (idx, exp)
         raise ValueError(f"unexpected token {val!r} in polynomial")
@@ -483,5 +516,5 @@ def parse_poly(text: str, p: int, n: int, names=None) -> SparsePoly:
             kind, val = tokens[pos]
             if kind != "op" or val not in "+-":
                 raise ValueError(f"expected '+' between terms, found {val!r}")
-    return SparsePoly(p, n, terms, names)
+    return SparsePoly(p, n, terms)
 

@@ -165,7 +165,7 @@ def eta_sweep():
         if key not in bases:
             bases[key] = FrobBasis(p, e, md.n)
         b = bases[key]
-        f = md.poly(p, b.names)
+        f = md.poly(p)
         per_k = {}
         for k in range(1, q):
             a = matrix_power(f, k, b)
@@ -252,13 +252,13 @@ def test_criterion_08_z2_free_rank_law():
                     q = p ** e
                     b = FrobBasis(p, e, n)
                     want = ((q - 1) // 2) ** n + ((q + 1) // 2) ** n
-                    assert free_rank_z2(md.poly(p, b.names), b) == want
+                    assert free_rank_z2(md.poly(p), b) == want
         # max d_j > 2: Fedder membership holds and the free rank is zero
         for dvec, p, e in (((3,), 3, 1), ((3,), 5, 1), ((4, 1), 3, 1), ((3, 2), 5, 1)):
             assert fedder_membership(dvec, p, e)
             md = MonomialData(dvec)
             b = FrobBasis(p, e, md.n)
-            assert free_rank_z2(md.poly(p, b.names), b) == 0
+            assert free_rank_z2(md.poly(p), b) == 0
 
 
 def test_criterion_09_companion_reductions():

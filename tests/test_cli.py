@@ -613,3 +613,35 @@ def test_random_argv_exit_cleanly(capsys, seed):
         else:
             assert out.endswith("\n"), argv
             assert err == "" or err.startswith("note: truncating sweep"), (argv, err)
+
+
+# an integer with more digits than int() converts, in each place a call
+# reads one: each gets one refusal that names the limit, which stays as it is
+_LIMIT = sys.get_int_max_str_digits()
+_LONG = "9" * (_LIMIT + 100)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("matrix --f {}*x1 --p 3 --e 1", None),
+        ("matrix --f x1^{} --p 3 --e 1", None),
+        ("matrix --f x{} --p 3 --e 1", None),
+        ("matrix --f x1 --p {} --e 1", "--p"),
+        ("matrix --f x1 --p 3 --e {}", "--e"),
+        ("fsignature --type uv --f x1 --p 3 --emax {}", "--emax"),
+        ("matrix --f x1 --p 3 --e 1 --n {}", "--n"),
+        ("matrix --f x1 --p 3 --e 1 --power {}", "--power"),
+        ("matrix --f x1 --p 3 --e 1 --max-size {}", "--max-size"),
+        ("verify --f x1 --p 3 --e 1 --k {}", "--k"),
+        ("decompose --dvec 2,{} --p 3 --e 1", "--dvec"),
+    ],
+    ids=["f-coefficient", "f-exponent", "f-variable", "p", "e", "emax", "n",
+         "power", "max-size", "k", "dvec"],
+)
+def test_integer_past_the_digit_limit_refused_in_one_line(capsys, argv, flag):
+    code, out, err = run(capsys, *argv.format(_LONG).split())
+    where = f"argument {flag}: " if flag else ""
+    assert (code, out) == (2, "")
+    assert err == (f"error: {where}integer {_LONG[:20]}... has too many digits "
+                   f"(limit {_LIMIT})\n")

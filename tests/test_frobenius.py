@@ -90,7 +90,7 @@ def test_decompose_reconstruction_randomized():
         g = rand_poly(rng, p, n, max_deg=2 * b.q)
         total = SparsePoly.zero(p, n)
         for idx, gi in frobenius_decompose(g, b).items():
-            total = total + gi ** b.q * b.monomial(b.tuple_of(idx))
+            total = total + gi ** b.q * SparsePoly.monomial(b.tuple_of(idx), p, n)
         assert total == g
 
 
@@ -268,9 +268,61 @@ def test_block_assemble_degree_bound():
 
 def test_block_assemble_refuses_a_clashing_name():
     # the appended variable is x_{n+1}, here already a name of the ring
-    b = FrobBasis(3, 1, 1, ("x2",))
+    b = FrobBasis(3, 1, 1)
     with pytest.raises(ValueError, match="'x2' already in the ring"):
         block_assemble([SparsePoly.one(3, 1, ("x2",))], b)
+
+
+def test_extension_refuses_a_clashing_name_on_an_empty_matrix():
+    # the fresh-name rule is the ring's, not the entries': a zero matrix
+    # over F_3[x2] has no entry to extend, and still refuses x2 again
+    with pytest.raises(ValueError, match="variable 'x2' already in the ring"):
+        block_assemble([SparsePoly.zero(3, 1, ("x2",))], FrobBasis(3, 1, 1))
+    with pytest.raises(ValueError, match="variable 'u' already in the ring"):
+        PolyMatrix(2, 2, 3, 1, ("u",)).extend(("u", "u"))
+
+
+def test_block_assemble_refuses_coefficients_over_two_rings():
+    b = FrobBasis(3, 1, 1)
+    with pytest.raises(ValueError, match="mismatched ambient rings"):
+        block_assemble([parse_poly("x1", 3, 1), SparsePoly.one(3, 1, ("y1",))], b)
+
+
+_I_X = PolyMatrix.identity(2, 3, 1)
+_I_Y = PolyMatrix.identity(2, 3, 1, ("y1",))
+
+
+@pytest.mark.parametrize(
+    "grid, reason",
+    [
+        ([[None, None], [None, None]], "at least one block"),
+        ([[_I_X, PolyMatrix.identity(1, 3, 1)]], "unequal shape: 2x2 and 1x1"),
+        ([[_I_X, None], [_I_X]], "rows of unequal length"),
+        ([[_I_X, _I_Y]], r"mismatched ambient rings: F_3\['x1'\] vs F_3\['y1'\]"),
+    ],
+    ids=["no-block", "unequal-shape", "ragged-grid", "two-rings"],
+)
+def test_block_refuses_a_bad_grid(grid, reason):
+    with pytest.raises(ValueError, match=reason):
+        PolyMatrix.block(grid)
+
+
+_ONE_X, _ONE_Y = SparsePoly.one(3, 1), SparsePoly.one(3, 1, ("y1",))
+
+
+@pytest.mark.parametrize(
+    "grid, reason",
+    [
+        ([], "at least one entry"),
+        ([[]], "at least one entry"),
+        ([[_ONE_X], [_ONE_X, _ONE_X]], "rows of unequal length"),
+        ([[_ONE_X, _ONE_Y]], "mismatched ambient rings"),
+    ],
+    ids=["no-row", "empty-row", "ragged-grid", "two-rings"],
+)
+def test_from_dense_refuses_a_bad_grid(grid, reason):
+    with pytest.raises(ValueError, match=reason):
+        PolyMatrix.from_dense(grid)
 
 
 def test_polymatrix_is_unhashable():

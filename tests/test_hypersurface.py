@@ -7,7 +7,14 @@ from math import comb
 import pytest
 
 from frobsig import cli, hypersurface, matfac
-from frobsig.frobenius import FrobBasis, PolyMatrix, matrix_power
+from frobsig.frobenius import (
+    FrobBasis,
+    PolyMatrix,
+    block_assemble,
+    frobenius_decompose,
+    matrix_of_relations,
+    matrix_power,
+)
 from frobsig.hypersurface import (
     _blocks,
     _closed_form_exponents,
@@ -29,7 +36,7 @@ from frobsig.matfac import (
 )
 from frobsig.monomial import MonomialData, free_rank_formula
 from frobsig.oracle import invariant_factors_univariate
-from frobsig.ring import SparsePoly, echelon, parse_poly
+from frobsig.ring import SparsePoly, default_names, echelon, parse_poly
 
 
 def test_presentation_fk_basic():
@@ -213,7 +220,7 @@ def test_free_rank_uv_reaches_e4():
     b = FrobBasis(3, 4, 2)
     q = b.q
     want = q ** 2 + 2 * sum(free_rank_formula(md, q, k) for k in range(1, q))
-    assert free_rank_uv(md.poly(3, b.names), b) == want
+    assert free_rank_uv(md.poly(3), b) == want
 
 
 def _refusal(*args):
@@ -410,7 +417,7 @@ def test_free_rank_uv_reaches_e4_by_the_chain():
     # monomials of A, where the free rank itself reads a closed form
     md = MonomialData((2, 1))
     b = FrobBasis(3, 4, 2)
-    f = md.poly(3, b.names)
+    f = md.poly(3)
     assert free_rank_uv(f, b) == b.size + 2 * sum(chain_dims(f, b)[1:])
 
 
@@ -438,3 +445,80 @@ def test_diagonal_f_reaches_e5():
     assert time.monotonic() - start < 2.0
     lam = jordan_type(f, b)
     assert sum(count * size for size, count in lam.items()) == b.q ** 2
+
+
+def _as_terms(m):
+    """A matrix with its ring forgotten: its shape and the terms of its entries."""
+    return m.rows, m.cols, [{i: g.terms for i, g in col.items()} for col in m.data]
+
+
+def _names_of(m):
+    """The names of m and of every entry of m, which must agree."""
+    names = {g.names for col in m.data for g in col.values()}
+    assert names <= {m.names}, names
+    return m.names
+
+
+@pytest.mark.parametrize("names", [("y1",), ("y1", "y2")])
+def test_results_live_in_the_ring_of_f(names):
+    # a basis is (p, e, n); what is built from f takes f's variable names,
+    # extended by u, v, z or x_{n+1}, and agrees with the x-named f
+    p, n = 3, len(names)
+    b = FrobBasis(p, 1, n)
+    f_x = parse_poly("x1^2 + x1" if n == 1 else "x1^2 + x1*x2 + x2^3", p, n)
+    f_y = SparsePoly(p, n, f_x.terms, names)
+    assert f_x != f_y and f_y == SparsePoly(p, n, f_x.terms, names)
+    for build in (
+        lambda f: matrix_of_relations(f, b),
+        lambda f: matrix_power(f, 2, b),
+        lambda f: block_assemble([f, f * f], b),
+    ):
+        m_x, m_y = build(f_x), build(f_y)
+        assert _names_of(m_x)[:n] == default_names(n)
+        assert _names_of(m_y) == names + _names_of(m_x)[n:]
+        assert _as_terms(m_y) == _as_terms(m_x)
+    assert block_assemble([f_y], b).names == names + (f"x{n + 1}",)
+    coords_x = frobenius_decompose(f_x * f_x, b)
+    coords_y = frobenius_decompose(f_y * f_y, b)
+    assert {i: g.names for i, g in coords_y.items()} == dict.fromkeys(coords_x, names)
+    assert {i: g.terms for i, g in coords_y.items()} == {
+        i: g.terms for i, g in coords_x.items()
+    }
+    mf = presentation_fk(f_y, 1, b)
+    assert (_names_of(mf.phi), _names_of(mf.psi), mf.f) == (names, names, f_y)
+    assert verify_matfac(mf.phi, mf.psi, f_y)
+    mf_x = presentation_fk(f_x, 1, b)
+    assert not verify_matfac(mf_x.phi, mf_x.psi, f_y)
+    uv_x, uv_y = uv_decomposition(f_x, b), uv_decomposition(f_y, b)
+    assert uv_y.to_json() == uv_x.to_json()
+    for block in uv_y.blocks:
+        assert _names_of(block.matfac.phi) == names + ("u", "v")
+        assert block.matfac.f.names == names + ("u", "v")
+    z2_x, z2_y = z2_presentation(f_x, b), z2_presentation(f_y, b)
+    assert z2_y.to_json() == z2_x.to_json()
+    assert _names_of(z2_y.matfac.psi) == names + ("z",)
+    assert z2_y.matfac.f.names == names + ("z",)
+    assert jordan_type(f_y, b) == jordan_type(f_x, b)
+    assert free_rank_uv(f_y, b) == free_rank_uv(f_x, b)
+    assert free_rank_z2(f_y, b) == free_rank_z2(f_x, b)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("x1^2+x2^3", 2), ("x1^2*x2", 2), ("x1^2+x1*x2+x2^3", 2), ("x1^2", 1)],
+    ids=["split", "closed-form", "single-chain", "one-variable"],
+)
+def test_free_ranks_split_f_once(monkeypatch, text, n):
+    calls = []
+    split = hypersurface._components
+
+    def counted(f, basis):
+        calls.append(f)
+        return split(f, basis)
+
+    monkeypatch.setattr(hypersurface, "_components", counted)
+    f, b = parse_poly(text, 3, n), FrobBasis(3, 2, n)
+    for free_rank in (free_rank_uv, free_rank_z2):
+        calls.clear()
+        free_rank(f, b)
+        assert len(calls) == 1, free_rank.__name__

@@ -88,7 +88,7 @@ def test_eta_matches_diagonalization():
     ):
         md = MonomialData(dvec)
         b = FrobBasis(p, e, md.n)
-        f = md.poly(p, b.names)
+        f = md.poly(p)
         q = b.q
         for k in range(1, q):
             diag = diagonalize_monomial_matrix(matrix_power(f, k, b))
@@ -107,7 +107,7 @@ def test_free_rank_triple_agreement():
     for dvec, p in (((2,), 3), ((1, 1), 3), ((2, 1), 3), ((2,), 5)):
         md = MonomialData(dvec)
         b = FrobBasis(p, 1, md.n)
-        f = md.poly(p, b.names)
+        f = md.poly(p)
         for k in range(1, b.q):
             closed = free_rank_formula(md, b.q, k)
             assert closed == eta(k, md.dvec, md, b.q)
@@ -133,7 +133,7 @@ def test_decomposition_report_both_sides_of_threshold():
             if b.size > 400:
                 continue
             rep = decomposition_report(md, p, e)
-            f = md.poly(p, b.names)
+            f = md.poly(p)
             labels = Counter()
             for k in range(1, b.q):
                 labels.update(diagonalize_monomial_matrix(matrix_power(f, k, b)))
