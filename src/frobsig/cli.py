@@ -145,10 +145,19 @@ def cmd_matrix(args) -> str:
     # each column of M(f^power, e) holds as many terms as f^power
     terms = f.power_terms_bound(args.power)
     check_work("matrix", args.max_size, args.e, f.n, args.p, terms)
+    basis = FrobBasis(args.p, args.e, f.n)
+    # x^j f^power with j_i = q-1 and deg_i f^power = power * deg_i f puts
+    # x_i^ceil(power * deg_i f / q) in some entry: the widest exponent printed
+    degree = max((a for exps in f.terms for a in exps), default=0)
+    limit = sys.get_int_max_str_digits()
+    if limit and -(-args.power * degree // basis.q) >= 10 ** limit:
+        raise ValueError(
+            f"M(f^{args.power}, {args.e}) has exponents with too many digits "
+            f"to print (limit {limit})"
+        )
     # imported only once f is accepted, so that a refusal loads nothing more
     from .frobenius import matrix_power
 
-    basis = FrobBasis(args.p, args.e, f.n)
     m = matrix_power(f, args.power, basis)
     return m.to_csv() if args.format == "csv" else m.to_json()
 

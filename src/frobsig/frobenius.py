@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import json
 
-from .ring import FrobBasis, SparsePoly, default_names
+from .ring import FrobBasis, SparsePoly, ring_names
 from .ring import check_same_ring, extended_names, same_ring
 
 
@@ -34,14 +34,14 @@ class PolyMatrix:
         self.cols = cols
         self.p = p
         self.n = n
-        self.names = tuple(names) if names is not None else default_names(n)
+        self.names = ring_names(n, names)
         self.data = data if data is not None else [dict() for _ in range(cols)]
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def identity(cls, size, p, n, names=None) -> "PolyMatrix":
-        names = tuple(names) if names is not None else default_names(n)
+        names = ring_names(n, names)
         one = SparsePoly.one(p, n, names)
         return cls(size, size, p, n, names, [{i: one} for i in range(size)])
 
@@ -91,6 +91,7 @@ class PolyMatrix:
 
     def set_entry(self, i, j, poly: SparsePoly) -> None:
         self._check_index(i, j)
+        check_same_ring(self, poly)
         if poly.is_zero():
             self.data[j].pop(i, None)
         else:
@@ -239,6 +240,7 @@ class PolyMatrix:
 
     def add_block(self, row_off, col_off, block: "PolyMatrix", factor=None) -> None:
         """In-place: add ``factor * block`` at offset (row_off, col_off)."""
+        check_same_ring(self, block)
         for j, col in enumerate(block.data):
             target = self.data[col_off + j]
             for i, poly in col.items():

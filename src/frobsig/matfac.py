@@ -85,41 +85,38 @@ def direct_sum(a: MatFac, b: MatFac) -> MatFac:
 _U, _V, _Z = RESERVED_NAMES
 
 
-def _extend_pair(mf: MatFac, extra: tuple[str, ...]):
+def _glue(mf: MatFac, extra: tuple[str, ...]) -> MatFac:
+    """([phi, -vI; uI, psi], [psi, vI; -uI, phi]), a factorization of f + uv.
+
+    The ring of mf gains the variables ``extra``; u is the first of them and
+    v the last, so one added variable z gives f + z^2.
+    """
     names = mf.f.names + extra
-    return mf.phi.extend(names), mf.psi.extend(names), mf.f.extend(names), names
+    phi, psi, f = (part.extend(names) for part in mf)
+    n = len(names)
+    u, v = (SparsePoly.variable(i, f.p, n, names) for i in (n - len(extra) + 1, n))
+    uI, vI = PolyMatrix.scalar(mf.size, u), PolyMatrix.scalar(mf.size, v)
+    return MatFac(
+        PolyMatrix.block([[phi, -vI], [uI, psi]]),
+        PolyMatrix.block([[psi, vI], [-uI, phi]]),
+        f + u * v,
+    )
 
 
 def maltese(mf: MatFac) -> MatFac:
-    """Factorization of f + uv built from one of f.
+    """Factorization ([phi, -vI; uI, psi], [psi, vI; -uI, phi]) of f + uv.
 
-    Returns ([phi, -vI; uI, psi], [psi, vI; -uI, phi]) over the ring with
-    fresh variables u, v appended.
+    Built from the factorization (phi, psi) of f over the ring with fresh
+    variables u, v appended.
     """
-    phi, psi, f, names = _extend_pair(mf, (_U, _V))
-    n = len(names)
-    size = mf.size
-    u = SparsePoly.monomial((0,) * (n - 2) + (1, 0), f.p, n, 1, names)
-    v = SparsePoly.monomial((0,) * (n - 2) + (0, 1), f.p, n, 1, names)
-    uI = PolyMatrix.scalar(size, u)
-    vI = PolyMatrix.scalar(size, v)
-    big_phi = PolyMatrix.block([[phi, -vI], [uI, psi]])
-    big_psi = PolyMatrix.block([[psi, vI], [-uI, phi]])
-    return MatFac(big_phi, big_psi, f + u * v)
+    return _glue(mf, (_U, _V))
 
 
 def sharp(mf: MatFac) -> MatFac:
-    """Factorization of f + z^2 built from one of f; requires p odd."""
+    """Factorization of f + z^2: :func:`maltese` with u = v = z; p odd."""
     if mf.f.p == 2:
         raise ValueError("the f+z^2 construction requires p != 2")
-    phi, psi, f, names = _extend_pair(mf, (_Z,))
-    n = len(names)
-    size = mf.size
-    z = SparsePoly.monomial((0,) * (n - 1) + (1,), f.p, n, 1, names)
-    zI = PolyMatrix.scalar(size, z)
-    big_phi = PolyMatrix.block([[phi, -zI], [zI, psi]])
-    big_psi = PolyMatrix.block([[psi, zI], [-zI, phi]])
-    return MatFac(big_phi, big_psi, f + z * z)
+    return _glue(mf, (_Z,))
 
 
 def rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
@@ -147,6 +144,13 @@ def trivial_summand_counts(mf: MatFac) -> SummandCount:
 # single element b (plus designated corner entries).  Each is reduced, by an
 # explicit recorded sequence of elementary row/column operations, to a sparse
 # form whose nonzero entries are signed powers of b and the corner entries.
+#
+# Each shape is declared once in _SHAPES: the arguments it takes besides b,
+# its least size, the parity its size needs (or None), and its layout(size,
+# k) = (chains, entries, order).  Every shape has b on the diagonal.  A chain
+# is an index range idx with 1 at (idx[t+1], idx[t]); the reduction clears
+# each.  An entry is a position and what fills it: "corner", "corner2" or 1.
+# The order is None or the (rows, cols) permutation that ends the reduction.
 
 CHAIN = "chain"
 EVEN = "even"
@@ -154,7 +158,22 @@ ODD = "odd"
 SPLIT = "split"
 UV = "uv"
 
-SHAPES = (CHAIN, EVEN, ODD, SPLIT, UV)
+_SHAPES = {
+    CHAIN: ((), 2, None, lambda n, k: ([range(n)], [], None)),
+    EVEN: (("corner",), 4, 0, lambda n, k: (
+        [range(0, n, 2), range(1, n, 2)], [((0, n - 1), "corner")], None)),
+    ODD: (("corner", "corner2"), 5, 1, lambda n, k: (
+        [range(0, n, 2), range(1, n, 2)],
+        [((0, n - 2), "corner"), ((1, n - 1), "corner2")], None)),
+    SPLIT: (("corner", "corner2", "k"), 2, None, lambda n, k: (
+        [range(k), range(k, n)],
+        [((k, k - 1), "corner2"), ((0, n - 1), "corner")],
+        ([*range(1, k), *range(k + 1, n), 0, k],
+         [*range(k - 1), *range(k, n - 1), k - 1, n - 1]))),
+    UV: (("corner",), 2, None, lambda n, k: (
+        [range(n - 1)], [((n - 1, n - 2), 1), ((0, n - 1), "corner")],
+        ([*range(1, n - 1), 0, n - 1], range(n)))),
+}
 
 
 class CompanionReduction(namedtuple(
@@ -275,61 +294,46 @@ def companion_matrix(
     corner2: SparsePoly | None = None,
     k: int | None = None,
 ) -> PolyMatrix:
-    """Build the companion-style matrix of the given shape.
+    """Build the companion-style matrix of the given shape, b on the diagonal.
 
-    chain: b on the diagonal, 1 on the first subdiagonal.
-    even:  size 2m, b diagonal, 1 on the second subdiagonal, corner at (0, n-1).
-    odd:   size 2m+1, as even plus corner at (0, n-2) and corner2 at (1, n-1).
-    split: two chains of sizes k and size-k glued by corner2 (lower left) at
-           (k, k-1) and corner (upper right) at (0, size-1).
-    uv:    chain with corner at (0, size-1).
+    Each shape takes exactly the arguments named here and refuses others:
+    chain: size >= 2; 1 on the first subdiagonal.
+    even:  even size >= 4, corner; 1 on the second subdiagonal, corner at
+           (0, size-1).
+    odd:   odd size >= 5, corner, corner2; as even, but corner at (0, size-2)
+           and corner2 at (1, size-1).
+    split: size >= 2, corner, corner2, 1 <= k <= size-1; chains of sizes k
+           and size-k glued by corner2 at (k, k-1), corner at (0, size-1).
+    uv:    size >= 2, corner; chain with corner at (0, size-1).
     """
-    if shape not in SHAPES:
+    if shape not in _SHAPES:
         raise ValueError(f"unsupported shape {shape!r}")
-    if size < 2:
-        raise ValueError("companion shapes need size >= 2")
+    takes, least, parity, layout = _SHAPES[shape]
+    fill = {"corner": corner, "corner2": corner2, "k": k}
+    for name, value in fill.items():
+        if (value is None) == (name in takes):
+            verb = "needs" if value is None else "takes no"
+            raise ValueError(f"{shape} shape {verb} {name}")
+    if size < least or parity is not None and size % 2 != parity:
+        kind = {None: "", 0: "even ", 1: "odd "}[parity]
+        raise ValueError(f"{shape} shape needs {kind}size >= {least}")
+    if k is not None and not 1 <= k <= size - 1:
+        raise ValueError(f"{shape} shape needs 1 <= k <= size-1")
+    chains, entries, _ = layout(size, k)
     ring = (b.p, b.n, b.names)
-    one = SparsePoly.one(*ring)
+    fill[1] = SparsePoly.one(*ring)
     m = PolyMatrix(size, size, *ring)
-    if shape in (CHAIN, UV, SPLIT):
-        for i in range(size):
-            m.set_entry(i, i, b)
-        for i in range(1, size):
-            m.set_entry(i, i - 1, one)
-        if shape == UV:
-            if corner is None:
-                raise ValueError("uv shape needs the corner entry")
-            m.set_entry(0, size - 1, corner)
-        if shape == SPLIT:
-            if k is None or not 1 <= k <= size - 1:
-                raise ValueError("split shape needs 1 <= k <= size-1")
-            if corner is None or corner2 is None:
-                raise ValueError("split shape needs both corner entries")
-            m.set_entry(k, k - 1, corner2)
-            m.set_entry(0, size - 1, corner)
-        return m
-    # interleaved shapes: two chains on even/odd index sublattices
-    if shape == EVEN and size % 2:
-        raise ValueError("even shape needs even size")
-    if shape == ODD and size % 2 == 0:
-        raise ValueError("odd shape needs odd size")
     for i in range(size):
         m.set_entry(i, i, b)
-    for i in range(2, size):
-        m.set_entry(i, i - 2, one)
-    if corner is None:
-        raise ValueError(f"{shape} shape needs a corner entry")
-    if shape == EVEN:
-        m.set_entry(0, size - 1, corner)
-    else:
-        if corner2 is None:
-            raise ValueError("odd shape needs both corner entries")
-        m.set_entry(0, size - 2, corner)
-        m.set_entry(1, size - 1, corner2)
+    for idx in chains:
+        for t in range(len(idx) - 1):
+            m.set_entry(idx[t + 1], idx[t], fill[1])
+    for (i, j), arg in entries:
+        m.set_entry(i, j, fill[arg])
     return m
 
 
-def _reduce_chain(work: _Work, idx: list[int], b: SparsePoly) -> None:
+def _reduce_chain(work: _Work, idx: range, b: SparsePoly) -> None:
     """Clear a chain supported on the index sublattice ``idx``.
 
     Afterwards the sublattice carries subdiagonal units and the single entry
@@ -353,45 +357,22 @@ def companion_reduce(
 ) -> CompanionReduction:
     """Reduce a companion-shape matrix by explicit elementary operations.
 
-    Returns (left, right, reduced) with left * A * right == reduced, where A
-    is the matrix built by :func:`companion_matrix` and left, right are
+    Takes exactly the arguments of :func:`companion_matrix`, which builds A.
+    Each chain of the shape is cleared, leaving a signed power of b in its
+    first row, and the split and uv shapes then permute rows and columns so
+    that the reduced matrix ends in a 2 x 2 block.  Returns left, right and
+    reduced with left * A * right == reduced, where left and right are
     products of the recorded elementary operations.  Nothing is checked
     here; ``CompanionReduction.verify`` multiplies the three out.
     """
-    a = companion_matrix(shape, size, b, corner=corner, corner2=corner2, k=k)
-    ring = (b.p, b.n, b.names)
-    work = _Work(a.to_dense(), ring)
-    if shape == CHAIN:
-        _reduce_chain(work, list(range(size)), b)
-    elif shape == EVEN:
-        if size < 4:
-            raise ValueError("even shape needs size >= 4")
-        _reduce_chain(work, list(range(0, size, 2)), b)
-        _reduce_chain(work, list(range(1, size, 2)), b)
-    elif shape == ODD:
-        if size < 5:
-            raise ValueError("odd shape needs size >= 5")
-        _reduce_chain(work, list(range(0, size, 2)), b)
-        _reduce_chain(work, list(range(1, size, 2)), b)
-    elif shape == SPLIT:
-        if size == 2:
-            pass  # already in target form
-        else:
-            _reduce_chain(work, list(range(k)), b)
-            _reduce_chain(work, list(range(k, size)), b)
-            row_order = (
-                list(range(1, k)) + list(range(k + 1, size)) + [0, k]
-            )
-            col_order = (
-                list(range(k - 1)) + list(range(k, size - 1)) + [k - 1, size - 1]
-            )
-            work.permute(row_order, col_order)
-    elif shape == UV:
-        if size > 2:
-            _reduce_chain(work, list(range(size - 1)), b)
-            row_order = list(range(1, size - 1)) + [0, size - 1]
-            col_order = list(range(size))
-            work.permute(row_order, col_order)
+    a = companion_matrix(shape, size, b, corner, corner2, k)
+    *_, layout = _SHAPES[shape]
+    chains, _, order = layout(size, k)
+    work = _Work(a.to_dense(), (b.p, b.n, b.names))
+    for idx in chains:
+        _reduce_chain(work, idx, b)
+    if order:
+        work.permute(*order)
     return CompanionReduction(
         matrix=a,
         left=PolyMatrix.from_dense(work.left),

@@ -72,6 +72,23 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
+def ring_names(n: int, names=None) -> tuple[str, ...]:
+    """The n variable names of a ring: ``names`` as a tuple, or x1..xn.
+
+    Refuses a count other than n and a repeated name, so that no two
+    variables print alike.
+    """
+    if names is None:
+        return default_names(n)
+    names = tuple(names)
+    if len(names) != n:
+        raise ValueError("names length does not match variable count")
+    if len(set(names)) != n:
+        repeat = next(a for i, a in enumerate(names) if a in names[:i])
+        raise ValueError(f"variable {repeat!r} named twice")
+    return names
+
+
 def same_ring(a, b) -> bool:
     """Whether polynomials or matrices a and b lie over one F_p[names]."""
     return a.p == b.p and a.n == b.n and a.names == b.names
@@ -125,9 +142,7 @@ class SparsePoly:
             raise ValueError("variable count must be non-negative")
         self.p = p
         self.n = n
-        self.names = tuple(names) if names is not None else default_names(n)
-        if len(self.names) != n:
-            raise ValueError("names length does not match variable count")
+        self.names = ring_names(n, names)
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)

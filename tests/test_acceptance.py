@@ -154,25 +154,38 @@ def _eta_grid():
 def eta_sweep():
     """Per grid point and k: diagonalization counts and rank at the origin.
 
+    With x_1 least significant, M(x^(k gamma), e) is the tensor product of
+    the one-variable M(x_1^(k gamma_i), e), so its diagonal Counter is the
+    product of theirs and its rank at the origin the product of their ranks.
+    Every point with n = 1 or q^n <= 125 also builds the full matrix, and the
+    products must equal its Counter and rank.
+
     Returns (sweep, seconds spent building it), so that criterion 4 can count
     the fixture's work against its budget.
     """
     start = time.monotonic()
+
+    def full(f, p, e, k):
+        a = matrix_power(f, k, FrobBasis(p, e, f.n))
+        return diagonalize_monomial_matrix(a), rank_mod_p(a.at_origin(), p)
+
+    one_variable = {}
     sweep = {}
-    bases = {}
     for md, p, e, q in _eta_grid():
-        key = (p, e, md.n)
-        if key not in bases:
-            bases[key] = FrobBasis(p, e, md.n)
-        b = bases[key]
-        f = md.poly(p)
         per_k = {}
         for k in range(1, q):
-            a = matrix_power(f, k, b)
-            per_k[k] = (
-                diagonalize_monomial_matrix(a),
-                rank_mod_p(a.at_origin(), p),
-            )
+            diag, rank = Counter({(): 1}), 1
+            for d in md.dvec:
+                if (d, p, e, k) not in one_variable:
+                    one_variable[d, p, e, k] = full(MonomialData((d,)).poly(p), p, e, k)
+                counts, r = one_variable[d, p, e, k]
+                diag = Counter({
+                    c + c1: m * m1 for c, m in diag.items() for c1, m1 in counts.items()
+                })
+                rank *= r
+            if md.n == 1 or q ** md.n <= 125:
+                assert (diag, rank) == full(md.poly(p), p, e, k)
+            per_k[k] = (diag, rank)
         sweep[(md.dvec, p, e)] = per_k
     return sweep, time.monotonic() - start
 

@@ -645,3 +645,23 @@ def test_integer_past_the_digit_limit_refused_in_one_line(capsys, argv, flag):
     assert (code, out) == (2, "")
     assert err == (f"error: {where}integer {_LONG[:20]}... has too many digits "
                    f"(limit {_LIMIT})\n")
+
+
+# f = x1^(10^(limit-1)), an exponent of exactly `limit` digits: M(f^k, 1) over
+# F_3 prints x1^ceil(k * 10^(limit-1) / 3), which fits the limit up to k = 29
+_WIDE_F = "x1^1" + "0" * (_LIMIT - 1)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_matrix_refuses_exponents_past_the_digit_limit(capsys, fmt):
+    argv = ["matrix", "--f", _WIDE_F, "--p", "3", "--e", "1", "--format", fmt]
+    for power in (100, 30):
+        code, out, err = run(capsys, *argv, "--power", str(power))
+        assert (code, out) == (2, "")
+        assert err == (f"error: M(f^{power}, 1) has exponents with too many "
+                       f"digits to print (limit {_LIMIT})\n")
+    for power in (1, 29):
+        code, out, err = run(capsys, *argv, "--power", str(power))
+        assert (code, err) == (0, "")
+        widest = -(-power * 10 ** (_LIMIT - 1) // 3)
+        assert f"x1^{widest}" in out

@@ -325,6 +325,26 @@ def test_from_dense_refuses_a_bad_grid(grid, reason):
         PolyMatrix.from_dense(grid)
 
 
+_X5 = SparsePoly.variable(1, 5, 1).scale(2)  # 2*x1 over F_5, not F_3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PolyMatrix(1, 1, 3, 1).set_entry(0, 0, _X5),
+        lambda: PolyMatrix.from_entries(1, 1, [(0, 0, _X5)], 3, 1),
+        lambda: PolyMatrix(2, 2, 3, 1).add_block(
+            1, 1, PolyMatrix.from_entries(1, 1, [(0, 0, _X5)], 5, 1)
+        ),
+    ],
+    ids=["set_entry", "from_entries", "add_block-into-empty-cell"],
+)
+def test_entry_paths_refuse_a_foreign_ring(build):
+    # the F_3 square of 2*x1 would print x1^2, where F_5 gives 4*x1^2
+    with pytest.raises(ValueError, match=r"mismatched ambient rings: F_3\['x1'\] vs F_5"):
+        build()
+
+
 def test_polymatrix_is_unhashable():
     with pytest.raises(TypeError, match="unhashable type: 'PolyMatrix'"):
         hash(PolyMatrix(2, 2, 3, 1))

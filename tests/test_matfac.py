@@ -313,3 +313,51 @@ def test_companion_rejects_bad_input():
         companion_matrix(SPLIT, 4, x, corner=x, corner2=x, k=4)
     with pytest.raises(ValueError):
         companion_matrix(UV, 3, x)
+
+
+_X3 = SparsePoly.variable(1, 3, 1)
+_ARGS = {"corner": _X3 * _X3, "corner2": _X3, "k": 1}
+_TAKES = {
+    CHAIN: (),
+    EVEN: ("corner",),
+    ODD: ("corner", "corner2"),
+    SPLIT: ("corner", "corner2", "k"),
+    UV: ("corner",),
+}
+
+
+def _accepts(build, shape, size, names):
+    try:
+        build(shape, size, _X3, **{name: _ARGS[name] for name in names})
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("build", [companion_matrix, companion_reduce])
+def test_companion_shapes_refuse_what_they_do_not_take(build):
+    with pytest.raises(ValueError, match="even shape needs even size >= 4"):
+        build(EVEN, 2, _X3, corner=_X3)
+    with pytest.raises(ValueError, match="odd shape needs odd size >= 5"):
+        build(ODD, 3, _X3, corner=_X3, corner2=_X3)
+    for shape, takes in _TAKES.items():
+        size = 5 if shape == ODD else 4
+        for name in _ARGS:
+            names = set(takes) ^ {name}
+            verb = "needs" if name in takes else "takes no"
+            with pytest.raises(ValueError, match=f"{shape} shape {verb} {name}"):
+                build(shape, size, _X3, **{n: _ARGS[n] for n in names})
+
+
+def test_companion_matrix_and_reduce_accept_the_same_arguments():
+    subsets = [(), ("corner",), ("corner", "corner2"), ("corner", "corner2", "k"),
+               ("k",), ("corner2",)]
+    accepted = 0
+    for shape in _TAKES:
+        for size in range(1, 9):
+            for names in subsets:
+                built = _accepts(companion_matrix, shape, size, names)
+                assert built == _accepts(companion_reduce, shape, size, names)
+                accepted += built
+    # chain, split and uv at sizes 2..8, even at 4, 6, 8 and odd at 5, 7
+    assert accepted == 3 * 7 + 3 + 2

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from frobsig.ring import SparsePoly, is_prime, parse_poly
+from frobsig.frobenius import PolyMatrix
+from frobsig.ring import SparsePoly, is_prime, parse_poly, ring_names
 
 
 def rand_poly(rng, p, n, max_deg=4, max_terms=4):
@@ -149,3 +150,30 @@ def test_power_terms_bound_is_lucas():
         assert f.power_terms_bound(k) == want
         assert len((f ** k).terms) == want
     assert SparsePoly.zero(3, 2).power_terms_bound(5) == 1
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda: SparsePoly(3, 2, {(1, 0): 1, (0, 1): 1}, ("a", "a")),
+         "variable 'a' named twice"),
+        (lambda: PolyMatrix(1, 1, 3, 2, ("a", "a")), "variable 'a' named twice"),
+        (lambda: PolyMatrix(2, 2, 3, 2, ("a",)), "names length does not match"),
+        (lambda: PolyMatrix.identity(2, 3, 2, ("x1", "x1")),
+         "variable 'x1' named twice"),
+        (lambda: PolyMatrix.identity(2, 3, 1, ("x1", "x2")),
+         "names length does not match"),
+    ],
+    ids=["poly-repeat", "matrix-repeat", "matrix-count", "identity-repeat",
+         "identity-count"],
+)
+def test_variable_names_are_checked_once(build, reason):
+    with pytest.raises(ValueError, match=reason):
+        build()
+
+
+def test_ring_names_defaults_and_keeps_given_names():
+    assert ring_names(2) == ("x1", "x2")
+    assert ring_names(2, ["a", "b"]) == ("a", "b")
+    assert SparsePoly.one(3, 2, ("a", "b")).names == ("a", "b")
+    assert PolyMatrix(1, 1, 3, 2).names == ("x1", "x2")
