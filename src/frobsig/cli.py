@@ -11,20 +11,21 @@ uses.
 
 The size gate is this module's alone: ``check_work`` prices a call's route
 from p, e and n (and, for matrix, the terms of f^power) before the work
-starts, and the library functions compute whatever they are given.
+starts, and the library functions compute whatever they are given.  How
+``--f`` reads (its variable count too) and Python's digit limit are ``ring``'s.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 # ring and hypersurface load with the CLI; every other module is imported
 # by the subcommand that uses it
 from .hypersurface import free_rank_uv, free_rank_z2
-from .ring import FrobBasis, SparsePoly, check_prime, parse_int, parse_poly
+from .ring import (FrobBasis, SparsePoly, check_digits, check_prime, parse_int,
+                   parse_poly, variable_count)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -112,32 +113,21 @@ FLAGS = {
 }
 
 
-def _infer_n(f_text: str, n_flag: int | None) -> int:
-    # the names the parser's tokenizer sees: "2x1" is the number 2, then x1
-    names = re.findall(r"[A-Za-z_]\w*", f_text)
-    indices = [
-        parse_int(name[1:]) for name in names if re.fullmatch(r"x\d+", name)
-    ]
-    inferred = max(indices, default=0)
-    if n_flag is not None:
-        if inferred > n_flag:
-            raise ValueError(
-                f"--n {n_flag} is smaller than highest variable index {inferred}"
-            )
-        return n_flag
-    if not names:
-        raise ValueError("cannot infer variable count; pass --n")
-    # a name other than x1, x2, ... makes the parser refuse f in its own words
-    return inferred or 1
-
-
 def _parse_f(args, route: str, e: int) -> SparsePoly:
     """f from --f or --dvec, once p is prime and the route's work fits."""
-    n = _infer_n(args.f, args.n) if args.f is not None else len(args.dvec)
+    if args.f is None:
+        check_work(route, args.max_size, e, len(args.dvec), args.p)
+        return SparsePoly.monomial(args.dvec, args.p, len(args.dvec))
+    n = variable_count(args.f)
+    if args.n is not None and n > args.n:
+        raise ValueError(f"--n {args.n} is smaller than highest variable index {n}")
+    if args.n is None and not n:
+        # malformed text is refused in the parser's words, a constant here
+        parse_poly(args.f, args.p, 1)
+        raise ValueError("cannot infer variable count; pass --n")
+    n = args.n or n
     check_work(route, args.max_size, e, n, args.p)
-    if args.f is not None:
-        return parse_poly(args.f, args.p, n)
-    return SparsePoly.monomial(args.dvec, args.p, n)
+    return parse_poly(args.f, args.p, n)
 
 
 def cmd_matrix(args) -> str:
@@ -149,12 +139,10 @@ def cmd_matrix(args) -> str:
     # x^j f^power with j_i = q-1 and deg_i f^power = power * deg_i f puts
     # x_i^ceil(power * deg_i f / q) in some entry: the widest exponent printed
     degree = max((a for exps in f.terms for a in exps), default=0)
-    limit = sys.get_int_max_str_digits()
-    if limit and -(-args.power * degree // basis.q) >= 10 ** limit:
-        raise ValueError(
-            f"M(f^{args.power}, {args.e}) has exponents with too many digits "
-            f"to print (limit {limit})"
-        )
+    check_digits(
+        -(-args.power * degree // basis.q),
+        f"M(f^{args.power}, {args.e}) has exponents with too many digits to print",
+    )
     # imported only once f is accepted, so that a refusal loads nothing more
     from .frobenius import matrix_power
 
@@ -163,19 +151,11 @@ def cmd_matrix(args) -> str:
 
 
 def cmd_fsignature(args) -> str:
-    from .fsig import (
-        SignatureReport,
-        empirical_sequence,
-        fsignature_uv_closed,
-        fsignature_z2_closed,
-    )
+    from .fsig import SignatureReport, closed_form, empirical_sequence
 
     if args.f is None:
-        closed = fsignature_uv_closed if args.target == "uv" else fsignature_z2_closed
-        report = SignatureReport(
-            target=args.target, dvec=args.dvec, closed_form=closed(args.dvec)
-        )
-        return report.to_json()
+        closed = closed_form(args.dvec, args.target)
+        return SignatureReport(args.target, args.dvec, closed).to_json()
     if args.p is None:
         raise ValueError("--p is required")
     f = _parse_f(args, "free-rank", 1)

@@ -6,7 +6,8 @@ is 1/2^{n-1} when all exponents are 1 and 0 otherwise.  Empirical
 sequences s_e divide exact free ranks by the matching power of p so the
 convergence toward the closed form can be checked at small e; every e
 given is computed, and choosing the e that fit a size bound is the CLI's
-gate.  All arithmetic is exact rational; no floating point.
+gate.  ``closed_form`` picks a target's formula.  All arithmetic is exact
+rational, and a fraction too long to print is refused (``ring.check_digits``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from .hypersurface import check_nonunit, free_rank_uv, free_rank_z2
-from .ring import FrobBasis, SparsePoly
+from .ring import FrobBasis, SparsePoly, check_digits
 
 
 class WTable(namedtuple("WTable", "dvec values")):
@@ -39,6 +40,14 @@ class WTable(namedtuple("WTable", "dvec values")):
         return max(self.dvec)
 
 
+def _exponents(dvec) -> tuple[int, ...]:
+    """dvec as a tuple, refused unless non-empty with every exponent >= 1."""
+    dvec = tuple(dvec)
+    if not dvec or any(d < 1 for d in dvec):
+        raise ValueError("dvec must be non-empty with all exponents >= 1")
+    return dvec
+
+
 def w_values(dvec) -> WTable:
     """W_0..W_n, by adding one variable at a time in O(n^2) steps.
 
@@ -46,11 +55,7 @@ def w_values(dvec) -> WTable:
     when variable m joins.  ``oracle.w_values_by_subsets`` sums the 2^n subsets
     directly and is the tests' reference.
     """
-    dvec = tuple(dvec)
-    if not dvec:
-        raise ValueError("dvec must be non-empty")
-    if any(d < 1 for d in dvec):
-        raise ValueError("all exponents must be >= 1")
+    dvec = _exponents(dvec)
     d = max(dvec)
     values = [1]
     for dm in dvec:
@@ -81,13 +86,16 @@ def fsignature_uv_closed(dvec) -> Fraction:
 
 def fsignature_z2_closed(dvec) -> Fraction:
     """Closed-form F-signature of S[[z]]/(x^dvec + z^2): 1/2^{n-1} or 0."""
-    dvec = tuple(dvec)
-    if not dvec or any(d < 1 for d in dvec):
-        raise ValueError("dvec must be non-empty with all exponents >= 1")
+    dvec = _exponents(dvec)
     n = len(dvec)
     if all(d == 1 for d in dvec):
         return Fraction(1, 2 ** (n - 1))
     return Fraction(0)
+
+
+def closed_form(dvec, target: str) -> Fraction:
+    """Closed-form F-signature of x^dvec + uv (target "uv") or x^dvec + z^2 ("z2")."""
+    return fsignature_uv_closed(dvec) if target == "uv" else fsignature_z2_closed(dvec)
 
 
 @lru_cache(maxsize=None)
@@ -195,6 +203,8 @@ class SignatureReport(
 
 
 def _frac_str(x: Fraction) -> str:
+    check_digits(max(x.numerator, x.denominator, key=abs),
+                 "the signature has too many digits to print")
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -219,13 +229,7 @@ def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> Signature
     if target == "z2" and p == 2:
         raise ValueError("the f+z^2 target requires p odd")
     dvec = _monomial_exponents(f)
-    closed = None
-    if dvec is not None:
-        closed = (
-            fsignature_uv_closed(dvec)
-            if target == "uv"
-            else fsignature_z2_closed(dvec)
-        )
+    closed = None if dvec is None else closed_form(dvec, target)
     n = f.n
     report = SignatureReport(target=target, dvec=dvec, closed_form=closed)
     for e in e_range:

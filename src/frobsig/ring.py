@@ -7,7 +7,8 @@ normal form: no zero coefficients stored, exponent tuples pairwise distinct.
 The names ``u``, ``v`` and ``z`` are reserved for the auxiliary variables of
 the f+uv and f+z^2 constructions and are rejected by the parser.
 Which ring a polynomial or a matrix lives in is decided here alone, by
-``same_ring`` and by ``extended_names``, the rule for adding variables.
+``same_ring`` and by ``extended_names``, the rule for adding variables; so
+are a text's variable count (``variable_count``) and the digit limit (``check_digits``).
 :class:`FrobBasis` is the monomial basis of the Frobenius pushforward
 F_*^e(S); it lives here, not in ``frobenius``, so that the free ranks,
 which need the basis and no matrix, load no more than this module.
@@ -113,22 +114,25 @@ def extended_names(names: tuple[str, ...], new) -> tuple[str, ...]:
     return new
 
 
-def parse_int(text: str, error=ValueError) -> int:
-    """int(text); a well-formed integer that int() refuses has too many digits.
+def check_digits(value: int | None, what: str, error=ValueError) -> None:
+    """Raise ``error``, naming the limit, for an integer int() and str() refuse.
 
-    Past ``sys.get_int_max_str_digits()`` digits (4300 by default) int()
-    asks for that limit to be raised; this raises ``error`` instead, naming
-    the limit and echoing a short prefix.  The limit stays as it is.
+    They stop at ``sys.get_int_max_str_digits()`` digits (4300 by default);
+    the limit stays as it is.  None stands for a text int() has refused.
     """
+    limit = sys.get_int_max_str_digits()
+    if value is None or limit and abs(value) >= 10 ** limit:
+        raise error(f"{what} (limit {limit})")
+
+
+def parse_int(text: str, error=ValueError) -> int:
+    """int(text); a well-formed integer int() refuses has too many digits."""
     try:
         return int(text)
     except ValueError:
         if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):
             raise
-    raise error(
-        f"integer {text.strip()[:20]}... has too many digits "
-        f"(limit {sys.get_int_max_str_digits()})"
-    )
+    check_digits(None, f"integer {text.strip()[:20]}... has too many digits", error)
 
 
 class SparsePoly:
@@ -444,6 +448,17 @@ def echelon(rows, p: int) -> dict[int, dict[int, int]]:
 # -- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_]\w*)|([+\-*^])|(\S)")
+_VARIABLE_RE = re.compile(r"x(\d+)")
+
+
+def variable_count(text: str) -> int:
+    """The largest K of the variables xK in ``text``, or 0.
+
+    It reads the parser's tokens ("2x1" is 2, then x1) and leaves other
+    names and malformed text for ``parse_poly`` to refuse in its own words.
+    """
+    found = (_VARIABLE_RE.fullmatch(name) for _, name, _, _ in _TOKEN_RE.findall(text))
+    return max((parse_int(m.group(1)) for m in found if m), default=0)
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -488,7 +503,7 @@ def parse_poly(text: str, p: int, n: int) -> SparsePoly:
                 raise ValueError(
                     f"variable {val!r} is reserved for ring extensions"
                 )
-            m = re.fullmatch(r"x(\d+)", val)
+            m = _VARIABLE_RE.fullmatch(val)
             if not m:
                 raise ValueError(f"unknown variable {val!r} (expected x1..x{n})")
             idx = parse_int(m.group(1))

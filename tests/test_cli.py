@@ -360,6 +360,11 @@ def test_readme_command_line_examples_run():
         ("2x1", "expected '+' between terms, found 'x1'"),
         ("x0", "variable index 0 out of range 1..1"),
         ("u", "variable 'u' is reserved for ring extensions"),
+        # a text that names no variable is parsed before --n is asked for
+        ("", "empty polynomial expression"),
+        ("+", "dangling sign at end of polynomial"),
+        ("-", "dangling sign at end of polynomial"),
+        ("*", "unexpected token '*' in polynomial"),
     ],
 )
 @pytest.mark.parametrize("extra", [(), ("--n", "1")], ids=["inferred-n", "n-flag"])
@@ -665,3 +670,69 @@ def test_matrix_refuses_exponents_past_the_digit_limit(capsys, fmt):
         assert (code, err) == (0, "")
         widest = -(-power * 10 ** (_LIMIT - 1) // 3)
         assert f"x1^{widest}" in out
+
+
+# the signature's fraction is printed by the same rule as the matrix: with D
+# of `limit` nines the uv closed form of (D, D) divides by D^3, and
+# 1/2^14999 for 15000 ones has 4516 digits
+_NINES = "9" * _LIMIT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fsignature", "--type", "uv", "--dvec", f"{_NINES},{_NINES}"],
+        ["fsignature", "--type", "z2", "--dvec", ",".join(["1"] * 15000)],
+        ["fsignature", "--type", "uv", "--f", f"x1^{_NINES}*x2^{_NINES}", "--p", "3"],
+    ],
+    ids=["uv-dvec", "z2-dvec", "uv-monomial-f"],
+)
+def test_signature_past_the_digit_limit_refused_in_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the signature has too many digits to print "
+                   f"(limit {_LIMIT})\n")
+
+
+@pytest.mark.parametrize(
+    "f, extra, reason",
+    [
+        ("5", (), "cannot infer variable count; pass --n"),
+        ("0", (), "cannot infer variable count; pass --n"),
+        ("x5", ("--n", "3"), "--n 3 is smaller than highest variable index 5"),
+    ],
+)
+def test_variable_count_refusals_keep_their_words(capsys, f, extra, reason):
+    code, out, err = run(capsys, "matrix", "--f", f, "--p", "3", "--e", "1", *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_variable_count_is_the_parsers(seed):
+    # texts glued from the fuzz pool of --f, with their variables renumbered:
+    # every text the parser accepts in many variables parses in exactly
+    # variable_count(text) of them, and one fewer refuses the highest index
+    from frobsig.ring import parse_poly, variable_count
+
+    rng = random.Random(seed)
+    good, bad = FUZZ_VALUES["--f"]
+    accepted = 0
+    for _ in range(300):
+        parts = rng.sample(good + bad, rng.randint(1, 3))
+        text = "".join(part + rng.choice(["+", "-", "*", "", " "]) for part in parts)
+        text = re.sub(r"x(\d+)", lambda m: f"x{rng.randint(0, 12)}", text[:-1])
+        count = variable_count(text)
+        try:
+            want = parse_poly(text, 3, 40)
+        except ValueError:
+            continue
+        accepted += 1
+        assert str(parse_poly(text, 3, max(count, 1))) == str(want), text
+        if count:
+            with pytest.raises(ValueError) as refusal:
+                parse_poly(text, 3, count - 1)
+            assert str(refusal.value) == (
+                f"variable index {count} out of range 1..{count - 1}"
+            ), text
+    assert accepted >= 50
