@@ -31,26 +31,26 @@ _EXPORTS = {
         "w_values",
     ),
     "hypersurface": (
-        "UVDecomposition",
-        "Z2Presentation",
         "chain_dims",
         "free_rank_uv",
         "free_rank_z2",
         "jordan_type",
         "presentation_fk",
-        "uv_decomposition",
-        "z2_presentation",
     ),
     "matfac": (
         "MatFac",
         "SummandCount",
+        "UVDecomposition",
+        "Z2Presentation",
         "companion_matrix",
         "companion_reduce",
         "direct_sum",
         "maltese",
         "sharp",
         "trivial_summand_counts",
+        "uv_decomposition",
         "verify_matfac",
+        "z2_presentation",
     ),
     "monomial": (
         "DecompositionReport",

@@ -23,7 +23,7 @@ import sys
 
 # ring and hypersurface load with the CLI; every other module is imported
 # by the subcommand that uses it
-from .hypersurface import free_rank_uv, free_rank_z2
+from .hypersurface import TARGETS, check_target, free_rank_uv, free_rank_z2
 from .ring import (FrobBasis, SparsePoly, check_digits, check_prime, parse_int,
                    parse_poly, variable_count)
 
@@ -104,7 +104,7 @@ FLAGS = {
     "n": dict(type=_positive, help="variable count override"),
     "k": dict(type=_int, default=1, help="power index k"),
     "power": dict(type=_positive, default=1, help="power of f"),
-    "type": dict(choices=("uv", "z2"), dest="target", help="f+uv or f+z^2"),
+    "type": dict(choices=tuple(TARGETS), dest="target", help="f+uv or f+z^2"),
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
     "max-size": dict(type=_positive, default=DEFAULT_MAX_SIZE,
                      help="refuse calls whose work exceeds this: matrix cells for "
@@ -268,8 +268,8 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-        if getattr(args, "target", None) == "z2" and getattr(args, "p", None) == 2:
-            raise ValueError("the f+z^2 target requires p odd")
+        if getattr(args, "target", None):
+            check_target(args.target, getattr(args, "p", None))
         # --dvec sets the variable count, and makes fsignature a closed form,
         # which reads no p and sweeps no e
         if getattr(args, "dvec", None):

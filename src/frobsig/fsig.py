@@ -6,8 +6,10 @@ is 1/2^{n-1} when all exponents are 1 and 0 otherwise.  Empirical
 sequences s_e divide exact free ranks by the matching power of p so the
 convergence toward the closed form can be checked at small e; every e
 given is computed, and choosing the e that fit a size bound is the CLI's
-gate.  ``closed_form`` picks a target's formula.  All arithmetic is exact
-rational, and a fraction too long to print is refused (``ring.check_digits``).
+gate.  ``closed_form`` picks a target's formula; the target names, the
+z2 rule for p and each target's dimension are ``hypersurface``'s.  All
+arithmetic is exact rational, and a fraction too long to print is refused
+(``ring.check_digits``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .hypersurface import check_nonunit, free_rank_uv, free_rank_z2
+from .hypersurface import (TARGETS, check_nonunit, check_target, free_rank_uv,
+                           free_rank_z2)
 from .ring import FrobBasis, SparsePoly, check_digits
 
 
@@ -95,6 +98,7 @@ def fsignature_z2_closed(dvec) -> Fraction:
 
 def closed_form(dvec, target: str) -> Fraction:
     """Closed-form F-signature of x^dvec + uv (target "uv") or x^dvec + z^2 ("z2")."""
+    check_target(target)
     return fsignature_uv_closed(dvec) if target == "uv" else fsignature_z2_closed(dvec)
 
 
@@ -219,24 +223,18 @@ def _monomial_exponents(f: SparsePoly) -> tuple[int, ...] | None:
 def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> SignatureReport:
     """Exact signature approximants s_e for e in e_range.
 
-    uv target: s_e = free_rank_uv / p^{e(n+1)} (the uv-hypersurface has
-    dimension n+1); z2 target: s_e = free_rank_z2 / p^{e*n}.  Every e given
-    is computed; bounding the work is the caller's choice.
+    s_e is the target's free rank over p^(e*D), where D is the dimension of
+    its hypersurface: n+1 for f+uv and n for f+z^2.  Every e given is
+    computed; bounding the work is the caller's choice.
     """
-    if target not in ("uv", "z2"):
-        raise ValueError(f"unknown target {target!r}")
+    check_target(target, p)
     check_nonunit(f)
-    if target == "z2" and p == 2:
-        raise ValueError("the f+z^2 target requires p odd")
     dvec = _monomial_exponents(f)
     closed = None if dvec is None else closed_form(dvec, target)
     n = f.n
+    free_rank = free_rank_uv if target == "uv" else free_rank_z2
     report = SignatureReport(target=target, dvec=dvec, closed_form=closed)
     for e in e_range:
-        basis = FrobBasis(p, e, n)
-        if target == "uv":
-            s = Fraction(free_rank_uv(f, basis), p ** (e * (n + 1)))
-        else:
-            s = Fraction(free_rank_z2(f, basis), p ** (e * n))
+        s = Fraction(free_rank(f, FrobBasis(p, e, n)), p ** (e * (n + TARGETS[target])))
         report.empirical.append((e, s))
     return report

@@ -1,9 +1,8 @@
-"""Pushforward presentations for hypersurface quotients and free-rank totals.
+"""The two targets, pushforward presentations of S/f^k, and free ranks.
 
-For a hypersurface f in S = F_p[x_1..x_n] this module presents F_*^e of
-S/f^k as the cokernel of the pair (M(f^k,e), M(f^{q-k},e)), decomposes
-F_*^e of S[[u,v]]/(f+uv) into a free part plus q-1 explicit blocks, and
-builds the single-block presentation for S[[z]]/(f+z^2).
+For a hypersurface f in S = F_p[x_1..x_n] this module declares the two
+targets, f+uv in S[[u,v]] and f+z^2 in S[[z]] (p odd), and presents F_*^e
+of S/f^k as the cokernel of the pair (M(f^k,e), M(f^{q-k},e)).
 
 Free ranks need only the matrices at the origin, and M(g,e) at the origin is
 the matrix of multiplication by g on the Artinian ring
@@ -15,16 +14,14 @@ blocks, each read from rules on base-p digits and Han's formula for
 dim F_p[x,y]/(x^a, y^b, (x+y)^c).  A component is a closed form when it is
 a monomial or has one variable, and otherwise the chain f^j A is walked on
 its own variables.
-Only ``ring`` is imported with this module; the matrix constructions import
-``frobenius`` and ``matfac`` when they run.  The free ranks load neither:
+Only ``ring`` is imported with this module; ``presentation_fk`` imports
+``frobenius`` and ``matfac`` when it runs.  The free ranks load neither:
 the one piece of the pushforward they need, ``FrobBasis``, is in ``ring``.
 Nothing here refuses a computation by its size: that gate is the CLI's.
 """
 
 from __future__ import annotations
 
-import json
-from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
@@ -32,6 +29,25 @@ from .ring import FrobBasis, SparsePoly, echelon
 
 if TYPE_CHECKING:
     from .matfac import MatFac
+
+
+# Each target's name and how far the dimension of its hypersurface exceeds n:
+# f+uv in S[[u,v]] has dimension n+1, f+z^2 in S[[z]] has dimension n.
+TARGETS = {"uv": 1, "z2": 0}
+
+
+def check_target(target: str, p: int | None = None) -> None:
+    """Refuse a name not in TARGETS, and the f+z^2 target at p = 2."""
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}")
+    if target == "z2" and p == 2:
+        raise ValueError("the f+z^2 target requires p odd")
+
+
+def check_power_index(k: int, q: int) -> None:
+    """Refuse a power index k outside 1 <= k <= q-1."""
+    if not 1 <= k <= q - 1:
+        raise ValueError(f"k must satisfy 1 <= k <= q-1 = {q - 1}")
 
 
 def check_nonunit(f: SparsePoly) -> None:
@@ -42,7 +58,8 @@ def check_nonunit(f: SparsePoly) -> None:
         raise ValueError("f must vanish at the origin (f(0) != 0 makes f a unit)")
 
 
-def _check_local(f: SparsePoly, basis: FrobBasis) -> None:
+def check_local(f: SparsePoly, basis: FrobBasis) -> None:
+    """Refuse f unless it is in the ring of ``basis`` and f(0) = 0."""
     basis.check(f)
     check_nonunit(f)
 
@@ -126,7 +143,7 @@ def chain_dims(f: SparsePoly, basis: FrobBasis) -> list[int]:
     The chain A > fA > f^2A > ... is walked by multiplying an echelon basis
     of f^{j-1} A by f; it reaches 0 by j = q, since f^q = f(x^q) = 0 in A.
     """
-    _check_local(f, basis)
+    check_local(f, basis)
     ring = _Artinian(basis)
     f_a = ring.element(f)
     dims = [basis.size]
@@ -264,7 +281,7 @@ def jordan_type(f: SparsePoly, basis: FrobBasis) -> dict[int, int]:
     acts as g(x)1 + 1(x)h, so the types combine by summing the type of
     x+y on F_p[x,y]/(x^a, y^b) over pairs of blocks (a, b).
     """
-    _check_local(f, basis)
+    check_local(f, basis)
     return _jordan_type_of_parts(*_components(f, basis), basis)
 
 
@@ -297,73 +314,13 @@ def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
     from .frobenius import matrix_power
     from .matfac import MatFac
 
-    q = basis.q
-    if not 1 <= k <= q - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= q-1 = {q - 1}")
+    check_power_index(k, basis.q)
     basis.check(f)
     if f.is_zero() or f.is_constant():
         raise ValueError("f must be nonzero and nonconstant")
     phi = matrix_power(f, k, basis)
-    psi = matrix_power(f, q - k, basis)
+    psi = matrix_power(f, basis.q - k, basis)
     return MatFac(phi, psi, f)
-
-
-# Records across the package are named tuples, not dataclasses: importing
-# dataclasses (with inspect) would add about 10 ms to the start-up of every
-# CLI call that loads the module.
-
-
-class UVBlock(namedtuple("UVBlock", "k matfac counts")):
-    """Block k of the f+uv decomposition: its pair and trivial-summand counts."""
-
-    __slots__ = ()
-
-
-class UVDecomposition(namedtuple("UVDecomposition", "q r_e blocks")):
-    """F_*^e(S[[u,v]]/(f+uv)) = free part of rank r_e plus q-1 blocks."""
-
-    __slots__ = ()
-
-    @property
-    def free_rank_total(self) -> int:
-        # each block contributes its count of trivial (f+uv, 1) summands,
-        # which already sums the ranks at the origin of both diagonal blocks
-        return self.r_e + sum(b.counts.t for b in self.blocks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "r_e": self.r_e,
-            "blocks": [
-                {
-                    "k": b.k,
-                    "t": b.counts.t,
-                    "r": b.counts.r,
-                    "size": b.matfac.size,
-                }
-                for b in self.blocks
-            ],
-            "free_rank_total": self.free_rank_total,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-
-def uv_decomposition(f: SparsePoly, basis: FrobBasis) -> UVDecomposition:
-    """The block decomposition of F_*^e(S[[u,v]]/(f+uv)).
-
-    Block k is the factorization ([A^k, -vI; uI, A^{q-k}], companion) of
-    f+uv, where A = M(f,e); its trivial-summand counts are attached.
-    """
-    from .matfac import maltese, trivial_summand_counts
-
-    _check_local(f, basis)
-    blocks = []
-    for k in range(1, basis.q):
-        mf = maltese(presentation_fk(f, k, basis))
-        blocks.append(UVBlock(k=k, matfac=mf, counts=trivial_summand_counts(mf)))
-    return UVDecomposition(q=basis.q, r_e=basis.size, blocks=blocks)
 
 
 def free_rank_uv(f: SparsePoly, basis: FrobBasis) -> int:
@@ -377,52 +334,6 @@ def free_rank_uv(f: SparsePoly, basis: FrobBasis) -> int:
     return basis.size + sum(count * s * (s - 1) for s, count in lam.items())
 
 
-class Z2Presentation(namedtuple("Z2Presentation", "q r_e matfac counts")):
-    """F_*^e(S[[z]]/(f+z^2)) as the cokernel of a single 2r_e x 2r_e pair."""
-
-    __slots__ = ()
-
-    @property
-    def free_rank_total(self) -> int:
-        # t of the assembled pair already sums the ranks at the origin of
-        # both diagonal blocks, so it is the whole free rank
-        return self.counts.t
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "r_e": self.r_e,
-            "blocks": [
-                {
-                    "k": (self.q - 1) // 2,
-                    "t": self.counts.t,
-                    "r": self.counts.r,
-                    "size": self.matfac.size,
-                }
-            ],
-            "free_rank_total": self.free_rank_total,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-
-def z2_presentation(f: SparsePoly, basis: FrobBasis) -> Z2Presentation:
-    """The pair ([A^{(q-1)/2}, -zI; zI, A^{(q+1)/2}], companion) for f+z^2."""
-    from .matfac import sharp, trivial_summand_counts
-
-    if basis.p == 2:
-        raise ValueError("the f+z^2 presentation requires p odd")
-    _check_local(f, basis)
-    mf = sharp(presentation_fk(f, (basis.q - 1) // 2, basis))
-    return Z2Presentation(
-        q=basis.q,
-        r_e=basis.size,
-        matfac=mf,
-        counts=trivial_summand_counts(mf),
-    )
-
-
 def free_rank_z2(f: SparsePoly, basis: FrobBasis) -> int:
     """Free rank of F_*^e(S[[z]]/(f+z^2)): dim f^{(q-1)/2} A + dim f^{(q+1)/2} A.
 
@@ -433,9 +344,8 @@ def free_rank_z2(f: SparsePoly, basis: FrobBasis) -> int:
     cheaper than walking (q+1)/2 chain steps, each an elimination over all
     of f^{j-1} A.
     """
-    if basis.p == 2:
-        raise ValueError("the f+z^2 free rank requires p odd")
-    _check_local(f, basis)
+    check_target("z2", basis.p)
+    check_local(f, basis)
     half = (basis.q - 1) // 2
     parts, unused = _components(f, basis)
     if len(parts) == 1 and _closed_form_exponents(parts[0][0]) is None:

@@ -5,6 +5,9 @@ phi*psi = psi*phi = f*I.  This module holds such pairs, forms direct sums,
 the block constructions producing factorizations of f+uv and f+z^2, counts
 the trivial summands (f,1) and (1,f) by rank at the origin, and performs the
 constructive companion-block reductions with explicit elementary matrices.
+From these it decomposes F_*^e of S[[u,v]]/(f+uv) into a free part plus q-1
+explicit blocks and builds the single-block presentation for S[[z]]/(f+z^2);
+what the two targets are is declared in ``hypersurface``.
 Building a pair checks nothing: every pair the package builds factors f by
 algebra, and :func:`verify_matfac` is the one check, run where it is asked
 for.
@@ -12,10 +15,12 @@ for.
 
 from __future__ import annotations
 
+import json
 from collections import namedtuple
 
 from .frobenius import PolyMatrix
-from .ring import RESERVED_NAMES, SparsePoly, echelon
+from .hypersurface import check_local, check_target, presentation_fk
+from .ring import RESERVED_NAMES, FrobBasis, SparsePoly, echelon
 
 
 def verify_matfac(phi: PolyMatrix, psi: PolyMatrix, f: SparsePoly) -> bool:
@@ -35,6 +40,11 @@ def verify_matfac(phi: PolyMatrix, psi: PolyMatrix, f: SparsePoly) -> bool:
     if phi * psi != target:
         return False
     return not f.is_zero() or psi * phi == target
+
+
+# Records across the package are named tuples, not dataclasses: importing
+# dataclasses (with inspect) would add about 10 ms to the start-up of every
+# CLI call that loads the module.
 
 
 class MatFac(namedtuple("MatFac", "phi psi f")):
@@ -114,8 +124,7 @@ def maltese(mf: MatFac) -> MatFac:
 
 def sharp(mf: MatFac) -> MatFac:
     """Factorization of f + z^2: :func:`maltese` with u = v = z; p odd."""
-    if mf.f.p == 2:
-        raise ValueError("the f+z^2 construction requires p != 2")
+    check_target("z2", mf.f.p)
     return _glue(mf, (_Z,))
 
 
@@ -136,6 +145,90 @@ def trivial_summand_counts(mf: MatFac) -> SummandCount:
     t = rank_mod_p(mf.psi.at_origin(), p)
     r = rank_mod_p(mf.phi.at_origin(), p)
     return SummandCount(t=t, r=r, reduced_size=mf.size - t - r)
+
+
+# -- the decompositions over the two targets -----------------------------------
+
+
+class UVBlock(namedtuple("UVBlock", "k matfac counts")):
+    """Block k of a decomposition: its pair and trivial-summand counts."""
+
+    __slots__ = ()
+
+
+class _BlockReport:
+    """JSON of a pushforward as a free part of rank r_e plus its blocks."""
+
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        return {
+            "q": self.q,
+            "r_e": self.r_e,
+            "blocks": [
+                {"k": b.k, "t": b.counts.t, "r": b.counts.r, "size": b.matfac.size}
+                for b in self.blocks
+            ],
+            "free_rank_total": self.free_rank_total,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
+
+
+class UVDecomposition(_BlockReport, namedtuple("UVDecomposition", "q r_e blocks")):
+    """F_*^e(S[[u,v]]/(f+uv)) = free part of rank r_e plus q-1 blocks."""
+
+    __slots__ = ()
+
+    @property
+    def free_rank_total(self) -> int:
+        # each block contributes its count of trivial (f+uv, 1) summands,
+        # which already sums the ranks at the origin of both diagonal blocks
+        return self.r_e + sum(b.counts.t for b in self.blocks)
+
+
+def uv_decomposition(f: SparsePoly, basis: FrobBasis) -> UVDecomposition:
+    """The block decomposition of F_*^e(S[[u,v]]/(f+uv)).
+
+    Block k is the factorization ([A^k, -vI; uI, A^{q-k}], companion) of
+    f+uv, where A = M(f,e); its trivial-summand counts are attached.
+    """
+    check_local(f, basis)
+    blocks = []
+    for k in range(1, basis.q):
+        mf = maltese(presentation_fk(f, k, basis))
+        blocks.append(UVBlock(k=k, matfac=mf, counts=trivial_summand_counts(mf)))
+    return UVDecomposition(q=basis.q, r_e=basis.size, blocks=blocks)
+
+
+class Z2Presentation(_BlockReport, namedtuple("Z2Presentation", "q r_e matfac counts")):
+    """F_*^e(S[[z]]/(f+z^2)) as the cokernel of a single 2r_e x 2r_e pair."""
+
+    __slots__ = ()
+
+    @property
+    def free_rank_total(self) -> int:
+        # t of the assembled pair already sums the ranks at the origin of
+        # both diagonal blocks, so it is the whole free rank
+        return self.counts.t
+
+    @property
+    def blocks(self) -> list:
+        return [UVBlock((self.q - 1) // 2, self.matfac, self.counts)]
+
+
+def z2_presentation(f: SparsePoly, basis: FrobBasis) -> Z2Presentation:
+    """The pair ([A^{(q-1)/2}, -zI; zI, A^{(q+1)/2}], companion) for f+z^2."""
+    check_target("z2", basis.p)
+    check_local(f, basis)
+    mf = sharp(presentation_fk(f, (basis.q - 1) // 2, basis))
+    return Z2Presentation(
+        q=basis.q,
+        r_e=basis.size,
+        matfac=mf,
+        counts=trivial_summand_counts(mf),
+    )
 
 
 # -- companion-block reductions ------------------------------------------------

@@ -6,7 +6,9 @@ The diagonal entries x^c with c in the box Gamma = prod [0, d_j] occur with
 multiplicity eta_k(c), a product of per-variable counts in closed form.
 This module computes eta, performs the permutation diagonalization (the
 tests' independent check of eta), gives the free-rank product formula, and
-assembles the full decomposition report from eta alone.
+assembles the full decomposition report from eta alone.  The reports take
+q from ``FrobBasis``, and the rule for the power index k from
+``hypersurface``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import json
 from collections import Counter, namedtuple
 from typing import TYPE_CHECKING
 
-from .hypersurface import monomial_dim
-from .ring import SparsePoly, check_prime
+from .hypersurface import check_power_index, monomial_dim
+from .ring import FrobBasis, SparsePoly
 
 if TYPE_CHECKING:
     from .frobenius import PolyMatrix
@@ -59,8 +61,7 @@ def eta(k: int, c, md: MonomialData, q: int) -> int:
     else 0, which counts the b in [0, q) with floor((b + k*d_j)/q) = c_j
     for every q; the total is the product over variables.
     """
-    if not 1 <= k <= q - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= q-1 = {q - 1}")
+    check_power_index(k, q)
     c = tuple(c)
     if len(c) != md.n or any(not 0 <= cj <= dj for cj, dj in zip(c, md.dvec)):
         raise ValueError(f"label {c} outside the box of {md.dvec}")
@@ -103,8 +104,7 @@ def free_rank_formula(md: MonomialData, q: int, k: int) -> int:
     The clamp at 0 encodes that the count vanishes unless k > q(d_j-1)/d_j
     for every j.
     """
-    if not 1 <= k <= q - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= q-1 = {q - 1}")
+    check_power_index(k, q)
     return monomial_dim(md.dvec, q, q - k)
 
 
@@ -158,10 +158,7 @@ def decomposition_report(md: MonomialData, p: int, e: int) -> DecompositionRepor
     q = p^e on either side of the threshold q > max d_j + 1.  Diagonalizing
     each M(f^k,e) gives the same counts and is the tests' independent check.
     """
-    check_prime(p)
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    q = p ** e
+    q = FrobBasis(p, e, md.n).q
     labels = Counter()
     for k in range(1, q):
         for c in _window(k, md, q):
@@ -183,11 +180,10 @@ def ffrt_witness(md: MonomialData, p: int, e_max: int) -> set:
     Always a subset of the finite box Gamma: the computational witness that
     only finitely many summand classes ever occur.
     """
-    if e_max < 1:
-        raise ValueError("e_max must be >= 1")
+    q = FrobBasis(p, e_max, md.n).q
     out = set()
-    for e in range(1, e_max + 1):
-        q = p ** e
+    while q > 1:
         for k in range(1, q):
             out.update(_window(k, md, q))
+        q //= p
     return out

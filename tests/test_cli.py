@@ -143,8 +143,8 @@ def test_validation_exit_code(capsys):
     assert out == "" and "error" in err
     code, _, _ = run(capsys, "matrix", "--f", "x1", "--p", "4", "--e", "1")
     assert code == 2
-    code, _, _ = run(capsys, "freerank", "--type", "z2", "--f", "x1", "--p", "2", "--e", "1")
-    assert code == 2
+    code, _, err = run(capsys, "freerank", "--type", "z2", "--f", "x1", "--p", "2", "--e", "1")
+    assert (code, err) == (2, "error: the f+z^2 target requires p odd\n")
 
 
 def test_decompose_refuses_non_prime_p(capsys):

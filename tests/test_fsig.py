@@ -9,6 +9,7 @@ from frobsig.cli import main
 from frobsig.oracle import w_values_by_subsets
 from frobsig.fsig import (
     bernoulli,
+    closed_form,
     empirical_sequence,
     expansion_check,
     expansion_coefficients,
@@ -181,8 +182,18 @@ def test_empirical_validation():
         empirical_sequence(parse_poly("x1", 3, 1), 3, range(1, 2), "qq")
     with pytest.raises(ValueError):
         empirical_sequence(parse_poly("1", 3, 1), 3, range(1, 2), "uv")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the f\+z\^2 target requires p odd$"):
         empirical_sequence(parse_poly("x1", 2, 1), 2, range(1, 2), "z2")
+
+
+@pytest.mark.parametrize("target", ["zz", "UV"])
+def test_unknown_target_refused_in_one_message(target):
+    # closed_form once fell through to the z2 formula for any other name
+    message = f"^unknown target '{target}'$"
+    with pytest.raises(ValueError, match=message):
+        closed_form((1, 1), target)
+    with pytest.raises(ValueError, match=message):
+        empirical_sequence(parse_poly("x1", 3, 1), 3, range(1, 2), target)
 
 
 def test_report_json():

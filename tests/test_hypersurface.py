@@ -25,14 +25,14 @@ from frobsig.hypersurface import (
     free_rank_z2,
     jordan_type,
     presentation_fk,
-    uv_decomposition,
-    z2_presentation,
 )
 from frobsig.matfac import (
     maltese,
     rank_mod_p,
     trivial_summand_counts,
+    uv_decomposition,
     verify_matfac,
+    z2_presentation,
 )
 from frobsig.monomial import MonomialData, free_rank_formula
 from frobsig.oracle import invariant_factors_univariate
@@ -143,9 +143,9 @@ def test_free_rank_z2_values():
 def test_z2_rejects_p2():
     b = FrobBasis(2, 1, 1)
     f = parse_poly("x1", 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the f\+z\^2 target requires p odd$"):
         z2_presentation(f, b)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the f\+z\^2 target requires p odd$"):
         free_rank_z2(f, b)
 
 

@@ -100,7 +100,7 @@ def test_sharp_small():
 
 def test_sharp_rejects_p2():
     x = parse_poly("x1", 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the f\+z\^2 target requires p odd$"):
         sharp(MatFac(one_by_one(x), one_by_one(x), x * x))
 
 

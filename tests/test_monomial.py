@@ -47,6 +47,20 @@ def test_eta_validation():
         eta(1, (3,), md, 3)
 
 
+def test_power_index_refused_in_one_wording():
+    md = MonomialData((2,))
+    b = FrobBasis(3, 1, 1)
+    f = md.poly(3)
+    message = r"^k must satisfy 1 <= k <= q-1 = 2$"
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=message):
+            presentation_fk(f, k, b)
+        with pytest.raises(ValueError, match=message):
+            eta(k, (1,), md, 3)
+        with pytest.raises(ValueError, match=message):
+            free_rank_formula(md, 3, k)
+
+
 def test_eta_symmetry_and_conservation():
     for dvec in ((2,), (1, 1), (2, 1), (3, 2)):
         md = MonomialData(dvec)
@@ -146,10 +160,15 @@ def test_decomposition_report_both_sides_of_threshold():
 
 
 def test_decomposition_report_refuses_bad_p_and_e():
+    # both reports read q from FrobBasis, so they refuse p and e in its words;
+    # the witness once returned labels for p = 4 and nothing for p = 0 or 1
     md = MonomialData((2, 1))
-    for p, e in ((4, 1), (9, 1), (3, 0), (3, -1)):
-        with pytest.raises(ValueError):
-            decomposition_report(md, p, e)
+    cases = [(p, 1, f"modulus {p} is not a prime number") for p in (0, 1, 4, 9)]
+    cases += [(3, e, "e must be >= 1") for e in (0, -1)]
+    for p, e, message in cases:
+        for report in (decomposition_report, ffrt_witness):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                report(md, p, e)
 
 
 def test_decomposition_report_regular():
