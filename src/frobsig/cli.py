@@ -9,9 +9,11 @@ Output is deterministic for a fixed configuration.  Each subcommand
 imports its own route when it runs, so a call loads only the modules it
 uses.
 
-The size gate is this module's alone: ``check_work`` prices a call's route
-from p, e and n (and, for matrix, the terms of f^power) before the work
-starts, and the library functions compute whatever they are given.  How
+The size gate is this module's alone: ``check_work`` refuses a call whose
+route is priced over ``--max-size`` before the work starts, and the library
+functions compute whatever they are given.  A matrix is priced from p, e
+and n, then from the terms of f^power and the characters it would print; a
+free rank by ``hypersurface.Plan``, the route that the call then runs.  How
 ``--f`` reads (its variable count too) and Python's digit limit are ``ring``'s.
 """
 
@@ -23,7 +25,7 @@ import sys
 
 # ring and hypersurface load with the CLI; every other module is imported
 # by the subcommand that uses it
-from .hypersurface import TARGETS, check_target, free_rank_uv, free_rank_z2
+from .hypersurface import TARGETS, Plan, check_target, free_rank_uv, free_rank_z2
 from .ring import (FrobBasis, SparsePoly, check_digits, check_prime, parse_int,
                    parse_poly, variable_count)
 
@@ -33,29 +35,22 @@ EXIT_RESOURCE = 3
 
 DEFAULT_MAX_SIZE = 10 ** 6
 
-# Each route's work, in its unit, is the largest q^a * c over its pairs (a, c)
-# for q = p^e and n variables.  Each of the q^n columns of M(f^k, e) holds as
-# many terms as f^k, at most ``terms``; the chain f^j A has up to q steps on
-# the q^n-dimensional A; decompose sums eta over 2^n labels for each k < q.
-ROUTE_WORK = {
-    "matrix": ("matrix cells", lambda n, terms: ((2 * n, 1), (n, terms))),
-    "free-rank": ("units of chain work", lambda n, terms: ((n + 2, 1),)),
-    "decompose": ("eta terms", lambda n, terms: ((1, 2 ** n),)),
-}
+# The work of a route, in its unit, is the sum of q^a * c over pairs (a, c)
+# for q = p^e: M(g, e) has q^n columns of q^n cells; decompose sums eta over
+# 2^n labels for each k < q; hypersurface.Plan prices a free rank.
+CELLS = "matrix cells"
 
 
-def check_work(route: str, max_size: int, e: int, n: int, p: int, terms=1) -> None:
-    """Raise ResourceWarning when the work of ``route`` exceeds ``max_size``."""
+def check_work(unit: str, pairs, max_size: int, e: int, p: int) -> None:
+    """Raise ResourceWarning when the work of ``pairs`` exceeds ``max_size``."""
     check_prime(p)
-    unit, pairs = ROUTE_WORK[route]
-    pairs = pairs(n, terms)
     # a prime p is at least 2 and c >= 2^(bitlen(c) - 1), so the work is at
     # least 2^bits: a huge e or n is refused before p^e is formed
     bits = max(e * a + c.bit_length() - 1 for a, c in pairs)
     work = f"at least 2^{bits}"
     if bits < max_size.bit_length():
         q = p ** e
-        work = max(q ** a * c for a, c in pairs)
+        work = sum(q ** a * c for a, c in pairs)
         if work <= max_size:
             return
     raise ResourceWarning(
@@ -108,41 +103,63 @@ FLAGS = {
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
     "max-size": dict(type=_positive, default=DEFAULT_MAX_SIZE,
                      help="refuse calls whose work exceeds this: matrix cells for "
-                     "matrix and verify, units of chain work for freerank and "
-                     "fsignature --f, eta terms for decompose"),
+                     "matrix and verify, and printed characters for matrix; "
+                     "units of free-rank work, priced from the route f runs, "
+                     "for freerank and fsignature --f; eta terms for decompose"),
 }
 
 
-def _parse_f(args, route: str, e: int) -> SparsePoly:
-    """f from --f or --dvec, once p is prime and the route's work fits."""
+def _parse_f(args, e: int, cells: bool) -> SparsePoly:
+    """f from --f or --dvec; with ``cells``, once the q^(2n) cells of a
+    matrix over its n variables fit."""
     if args.f is None:
-        check_work(route, args.max_size, e, len(args.dvec), args.p)
-        return SparsePoly.monomial(args.dvec, args.p, len(args.dvec))
-    n = variable_count(args.f)
-    if args.n is not None and n > args.n:
-        raise ValueError(f"--n {args.n} is smaller than highest variable index {n}")
-    if args.n is None and not n:
-        # malformed text is refused in the parser's words, a constant here
-        parse_poly(args.f, args.p, 1)
-        raise ValueError("cannot infer variable count; pass --n")
-    n = args.n or n
-    check_work(route, args.max_size, e, n, args.p)
+        n = len(args.dvec)
+    else:
+        n = variable_count(args.f)
+        if args.n is not None and n > args.n:
+            raise ValueError(f"--n {args.n} is smaller than highest variable index {n}")
+        if args.n is None and not n:
+            # malformed text is refused in the parser's words, a constant here
+            parse_poly(args.f, args.p, 1)
+            raise ValueError("cannot infer variable count; pass --n")
+        n = args.n or n
+    if cells:
+        check_work(CELLS, ((2 * n, 1),), args.max_size, e, args.p)
+    if args.f is None:
+        return SparsePoly.monomial(args.dvec, args.p, n)
     return parse_poly(args.f, args.p, n)
 
 
+def _free_rank_plan(f: SparsePoly, args, e: int) -> Plan:
+    """f's free-rank plan at e, once its price fits."""
+    plan = Plan(f, args.p, e, args.target)
+    check_work("units of free-rank work", plan.price, args.max_size, e, args.p)
+    return plan
+
+
 def cmd_matrix(args) -> str:
-    f = _parse_f(args, "matrix", args.e)
+    f = _parse_f(args, args.e, cells=True)
+    basis = FrobBasis(args.p, args.e, f.n)
     # each column of M(f^power, e) holds as many terms as f^power
     terms = f.power_terms_bound(args.power)
-    check_work("matrix", args.max_size, args.e, f.n, args.p, terms)
-    basis = FrobBasis(args.p, args.e, f.n)
+    check_work(CELLS, ((f.n, max(basis.size, terms)),), args.max_size, args.e, args.p)
     # x^j f^power with j_i = q-1 and deg_i f^power = power * deg_i f puts
     # x_i^ceil(power * deg_i f / q) in some entry: the widest exponent printed
     degree = max((a for exps in f.terms for a in exps), default=0)
+    widest = -(-args.power * degree // basis.q)
     check_digits(
-        -(-args.power * degree // basis.q),
+        widest,
         f"M(f^{args.power}, {args.e}) has exponents with too many digits to print",
     )
+    # each of those terms prints as c*x1^a*...*xn^a with c < p and a <= widest,
+    # joined by " + ", in an entry [row, col, "..."] of indices below q^n;
+    # the JSON writer prints more around them than the CSV writer
+    digits = len(str(basis.size))
+    term = len(str(args.p)) + f.n * len(f"*x{f.n}^{widest}") + len(" + ")
+    entry = 2 * digits + len('[, , ""], ')
+    head = 2 * digits + len('{"rows": , "cols": , "entries": []}\n')
+    check_work("printed characters", ((0, head), (f.n, terms * (term + entry))),
+               args.max_size, args.e, args.p)
     # imported only once f is accepted, so that a refusal loads nothing more
     from .frobenius import matrix_power
 
@@ -158,19 +175,18 @@ def cmd_fsignature(args) -> str:
         return SignatureReport(args.target, args.dvec, closed).to_json()
     if args.p is None:
         raise ValueError("--p is required")
-    f = _parse_f(args, "free-rank", 1)
+    f = _parse_f(args, 1, cells=False)
     # the work grows with e: the sweep stops before the first e over the bound
-    emax, sweep = args.emax or 1, [1]
+    emax, plans = args.emax or 1, [_free_rank_plan(f, args, 1)]
     for e in range(2, emax + 1):
         try:
-            check_work("free-rank", args.max_size, e, f.n, args.p)
+            plans.append(_free_rank_plan(f, args, e))
         except ResourceWarning:
             break
-        sweep.append(e)
-    report = empirical_sequence(f, args.p, sweep, args.target)
+    report = empirical_sequence(f, args.p, range(1, len(plans) + 1), args.target, plans)
     # noted once f is accepted, so that a refusal stays one line
-    if sweep[-1] < emax:
-        print(f"note: truncating sweep to e <= {sweep[-1]} "
+    if len(plans) < emax:
+        print(f"note: truncating sweep to e <= {len(plans)} "
               f"(size bound {args.max_size})", file=sys.stderr)
     return report.to_json()
 
@@ -178,17 +194,19 @@ def cmd_fsignature(args) -> str:
 def cmd_decompose(args) -> str:
     from .monomial import MonomialData, decomposition_report
 
-    check_work("decompose", args.max_size, args.e, len(args.dvec), args.p)
+    check_work("eta terms", ((1, 2 ** len(args.dvec)),), args.max_size, args.e, args.p)
     return decomposition_report(MonomialData(args.dvec), args.p, args.e).to_json()
 
 
 def cmd_freerank(args) -> str:
-    f = _parse_f(args, "free-rank", args.e)
+    f = _parse_f(args, args.e, cells=False)
+    plan = _free_rank_plan(f, args, args.e)
     basis = FrobBasis(args.p, args.e, f.n)
     if args.target == "uv":
-        rank = free_rank_uv(f, basis)
+        rank = free_rank_uv(f, basis, plan)
     else:
-        rank = free_rank_z2(f, basis)
+        rank = free_rank_z2(f, basis, plan)
+    check_digits(rank, "the free rank has too many digits to print")
     return json.dumps(
         {"target": args.target, "f": str(f), "q": basis.q, "free_rank": rank}
     )
@@ -198,7 +216,7 @@ def cmd_verify(args) -> str:
     from .hypersurface import presentation_fk
     from .matfac import verify_matfac
 
-    f = _parse_f(args, "matrix", args.e)
+    f = _parse_f(args, args.e, cells=True)
     basis = FrobBasis(args.p, args.e, f.n)
     mf = presentation_fk(f, args.k, basis)
     if not verify_matfac(mf.phi, mf.psi, f):

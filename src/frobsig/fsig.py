@@ -220,12 +220,15 @@ def _monomial_exponents(f: SparsePoly) -> tuple[int, ...] | None:
     return exps if all(exps) else None
 
 
-def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> SignatureReport:
+def empirical_sequence(
+    f: SparsePoly, p: int, e_range, target: str, plans=None
+) -> SignatureReport:
     """Exact signature approximants s_e for e in e_range.
 
     s_e is the target's free rank over p^(e*D), where D is the dimension of
     its hypersurface: n+1 for f+uv and n for f+z^2.  Every e given is
-    computed; bounding the work is the caller's choice.
+    computed; bounding the work is the caller's choice.  ``plans`` holds
+    the ``hypersurface.Plan`` of each e, when the caller has made them.
     """
     check_target(target, p)
     check_nonunit(f)
@@ -234,7 +237,7 @@ def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> Signature
     n = f.n
     free_rank = free_rank_uv if target == "uv" else free_rank_z2
     report = SignatureReport(target=target, dvec=dvec, closed_form=closed)
-    for e in e_range:
-        s = Fraction(free_rank(f, FrobBasis(p, e, n)), p ** (e * (n + TARGETS[target])))
-        report.empirical.append((e, s))
+    for i, e in enumerate(e_range):
+        rank = free_rank(f, FrobBasis(p, e, n), plans[i] if plans else None)
+        report.empirical.append((e, Fraction(rank, p ** (e * (n + TARGETS[target])))))
     return report

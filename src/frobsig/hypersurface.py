@@ -13,7 +13,8 @@ product of their rings, and the Jordan type into a sum over pairs of
 blocks, each read from rules on base-p digits and Han's formula for
 dim F_p[x,y]/(x^a, y^b, (x+y)^c).  A component is a closed form when it is
 a monomial or has one variable, and otherwise the chain f^j A is walked on
-its own variables.
+its own variables.  ``Plan`` alone splits f, decides these routes and
+prices them; a caller that checks the price hands the plan on.
 Only ``ring`` is imported with this module; ``presentation_fk`` imports
 ``frobenius`` and ``matfac`` when it runs.  The free ranks load neither:
 the one piece of the pushforward they need, ``FrobBasis``, is in ``ring``.
@@ -82,12 +83,13 @@ class _Artinian:
             digit_sums[m] = digit_sums[m // q] + m % q
         self.digit_sums = digit_sums
 
-    def element(self, f: SparsePoly) -> dict[int, int]:
+    def element(self, f: SparsePoly, twist: int = 1) -> dict[int, int]:
+        """f(x^twist) in A: its terms with every exponent below q."""
         q = self.basis.q
         return {
-            self.basis.index_of(exps): c
+            self.basis.index_of(tuple(a * twist for a in exps)): c
             for exps, c in f.terms.items()
-            if max(exps) < q
+            if max(exps) * twist < q
         }
 
     def times(self, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
@@ -103,15 +105,23 @@ class _Artinian:
         p = self.p
         return {m: c % p for m, c in out.items() if c % p}
 
-    def power(self, g: dict[int, int], m: int) -> dict[int, int]:
-        """g^m in A by square-and-multiply, truncated at every step."""
-        result = {0: 1}
+    def power(self, g: SparsePoly, m: int) -> dict[int, int]:
+        """g^m in A, the product of g(x^(p^i))^(m_i) over the base-p digits m_i.
+
+        Over F_p, g^p = g(x^p).  Each twisted factor is reduced mod x^q, and
+        squared only within its digit m_i < p, every product reduced in A.
+        """
+        result, twist = {0: 1}, 1
         while m:
-            if m & 1:
-                result = self.times(result, g)
-            m >>= 1
-            if m:
-                g = self.times(g, g)
+            m, digit = divmod(m, self.p)
+            base = self.element(g, twist)
+            while digit:
+                if digit & 1:
+                    result = self.times(result, base)
+                digit >>= 1
+                if digit:
+                    base = self.times(base, base)
+            twist *= self.p
         return result
 
     def image(self, rows, g: dict[int, int]) -> dict[int, dict[int, int]]:
@@ -154,17 +164,20 @@ def chain_dims(f: SparsePoly, basis: FrobBasis) -> list[int]:
     return dims
 
 
-def _components(f: SparsePoly, basis: FrobBasis):
+def _components(f: SparsePoly, p: int, e: int):
     """f's terms in A grouped by connected sets of variables, and the rest.
 
     Two variables are joined when some term holds both; a term with an
-    exponent of at least q is 0 in A and is dropped.  Returns each component
-    as a polynomial in its own variables, with its basis, and the count of
-    variables that no component uses.
+    exponent of at least q = p^e is 0 in A and is dropped.  Returns each
+    component as a polynomial in its own variables, and the count of
+    variables that no component uses.  q is formed only when some exponent
+    could reach it, so a huge e costs nothing here.
     """
+    top = max(max(exps) for exps in f.terms)
+    q = p ** e if e < top.bit_length() else top + 1
     groups: list[tuple[set[int], dict]] = []
     for exps, c in f.terms.items():
-        if max(exps) >= basis.q:
+        if max(exps) >= q:
             continue
         used = {i for i, a in enumerate(exps) if a}
         terms = {exps: c}
@@ -180,10 +193,8 @@ def _components(f: SparsePoly, basis: FrobBasis):
     for used, terms in groups:
         idx = sorted(used)
         sub = {tuple(exps[i] for i in idx): c for exps, c in terms.items()}
-        parts.append(
-            (SparsePoly(f.p, len(idx), sub), FrobBasis(basis.p, basis.e, len(idx)))
-        )
-    return parts, basis.n - sum(len(used) for used, _ in groups)
+        parts.append(SparsePoly(f.p, len(idx), sub))
+    return parts, f.n - sum(len(used) for used, _ in groups)
 
 
 def _closed_form_exponents(g: SparsePoly):
@@ -272,30 +283,91 @@ def _pair(r: int, s: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-def jordan_type(f: SparsePoly, basis: FrobBasis) -> dict[int, int]:
+class Plan:
+    """How a free rank of f at q = p^e runs, and its price, fixed before it runs.
+
+    ``parts`` are f's components on disjoint sets of variables, each
+    ``(g, gamma)``: g in its own variables and gamma its closed form's
+    exponents, or None for the chain.  ``unused`` counts the variables no
+    component uses.  ``squaring``: the f+z^2 free rank forms g^((q-1)/2) in
+    A, f being one component that needs the chain.  ``price`` bounds the
+    work as pairs (a, c), the sum of c * q^a, formed without q.  Its units,
+    about a microsecond each, were fitted to measured times: k q for a
+    closed form on k variables; (k-1)^2 (t-1) q^(k+2) for the chain, or
+    the squaring, of t terms; D D' (A + A') (e+1) for a pair step, with D
+    the distinct block sizes and A the longest block of a side, each of
+    A + A' colengths a loop over e+1 powers of p; and q^u for u unused
+    variables, whose blocks are counted, never walked, so that thousands
+    of them are refused before any basis is built.
+    """
+
+    __slots__ = ("parts", "unused", "squaring", "price")
+
+    def __init__(self, f: SparsePoly, p: int, e: int, target: str = "uv"):
+        check_target(target, p)
+        check_nonunit(f)
+        parts, self.unused = _components(f, p, e)
+        self.parts = [(g, _closed_form_exponents(g)) for g in parts]
+        self.squaring = (
+            target == "z2" and len(parts) == 1 and self.parts[0][1] is None
+        )
+        price: dict[int, int] = {}
+
+        def add(a: int, c: int) -> None:
+            price[a] = price.get(a, 0) + c
+
+        if self.unused:
+            add(self.unused, 1)
+        # D and A of the type so far, each as (a, c) for c * q^a
+        sides = None
+        for g, gamma in self.parts:
+            k = g.n
+            if gamma is None:
+                add(k + 2, (k - 1) ** 2 * (len(g.terms) - 1))
+                # g^(k(q-1)+1) = 0 in A, so no block is longer
+                distinct = longest = (1, k)
+            else:
+                add(1, k)
+                # x^m on F_p[x]/(x^q) has blocks of two sizes
+                distinct, longest = (0, 2) if k == 1 else (1, 1), (1, 1)
+            if sides is None:
+                # the unused variables' blocks of size 1 pair at once
+                add(*distinct)
+            else:
+                (d, d_c), (a, a_c) = sides
+                # x+y on (r, s) has blocks shorter than r + s
+                longest = (max(a, longest[0]), a_c + longest[1])
+                add(d + distinct[0] + longest[0],
+                    d_c * distinct[1] * longest[1] * (e + 1))
+                distinct = longest
+            sides = distinct, longest
+        self.price = tuple(price.items())
+
+
+def jordan_type(
+    f: SparsePoly, basis: FrobBasis, plan: Plan | None = None
+) -> dict[int, int]:
     """Jordan type of multiplication by f on A, as {block size: count}.
 
     Each component of f gives its type from d_j = dim g^j A, a closed form
     or the chain on its own variables; a variable f does not use gives q
     blocks of size 1.  A = A_I (x) A_J for disjoint I and J, and f = g + h
     acts as g(x)1 + 1(x)h, so the types combine by summing the type of
-    x+y on F_p[x,y]/(x^a, y^b) over pairs of blocks (a, b).
+    x+y on F_p[x,y]/(x^a, y^b) over pairs of blocks (a, b).  ``plan`` is
+    f's ``Plan`` at basis's p and e, made here when None.
     """
     check_local(f, basis)
-    return _jordan_type_of_parts(*_components(f, basis), basis)
-
-
-def _jordan_type_of_parts(parts, unused: int, basis: FrobBasis) -> dict[int, int]:
-    """``jordan_type`` of the f that ``_components`` split into these parts."""
-    lam = {1: basis.q ** unused}
-    for g, sub in parts:
-        gamma = _closed_form_exponents(g)
+    if plan is None:
+        plan = Plan(f, basis.p, basis.e)
+    q = basis.q
+    lam = {1: q ** plan.unused}
+    for g, gamma in plan.parts:
         if gamma is None:
-            dims = chain_dims(g, sub)
+            dims = chain_dims(g, FrobBasis(basis.p, basis.e, g.n))
         else:
             # d_j > 0 exactly while j * max(gamma) < q
-            last = (sub.q - 1) // max(gamma)
-            dims = [monomial_dim(gamma, sub.q, j) for j in range(last + 1)]
+            last = (q - 1) // max(gamma)
+            dims = [monomial_dim(gamma, q, j) for j in range(last + 1)]
         mu = _blocks(dims)
         out: dict[int, int] = {}
         for a, count_a in lam.items():
@@ -323,39 +395,41 @@ def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
     return MatFac(phi, psi, f)
 
 
-def free_rank_uv(f: SparsePoly, basis: FrobBasis) -> int:
+def free_rank_uv(f: SparsePoly, basis: FrobBasis, plan: Plan | None = None) -> int:
     """Free rank of F_*^e(S[[u,v]]/(f+uv)): q^n + 2 * sum_{j=1}^{q-1} dim f^j A.
 
     The count of trivial (f,1) summands of (M(f^k,e), M(f^{q-k},e)) is the
     rank of M(f^{q-k},e) at the origin, which is dim f^{q-k} A.  A block of
     size s adds max(s-j, 0) to dim f^j A, so 2 * (s-1)s/2 to the sum.
+    ``plan`` is as for ``jordan_type``.
     """
-    lam = jordan_type(f, basis)
+    lam = jordan_type(f, basis, plan)
     return basis.size + sum(count * s * (s - 1) for s, count in lam.items())
 
 
-def free_rank_z2(f: SparsePoly, basis: FrobBasis) -> int:
+def free_rank_z2(f: SparsePoly, basis: FrobBasis, plan: Plan | None = None) -> int:
     """Free rank of F_*^e(S[[z]]/(f+z^2)): dim f^{(q-1)/2} A + dim f^{(q+1)/2} A.
 
     Equals t + r for the pair (M(f^{(q-1)/2},e), M(f^{(q+1)/2},e)): the
     sum of their ranks at the origin, read from the Jordan type of f.  When
-    f is one component that needs the chain, g = f^{(q-1)/2} is instead
-    formed in A by squaring, and one more step gives f^{(q+1)/2} A: that is
-    cheaper than walking (q+1)/2 chain steps, each an elimination over all
-    of f^{j-1} A.
+    the plan squares, g = f^{(q-1)/2} is instead formed in A, and one more
+    step gives f^{(q+1)/2} A: that is cheaper than walking (q+1)/2 chain
+    steps, each an elimination over all of f^{j-1} A.  ``plan`` is f's
+    z2 ``Plan`` at basis's p and e, made here when None.
     """
     check_target("z2", basis.p)
     check_local(f, basis)
+    if plan is None:
+        plan = Plan(f, basis.p, basis.e, "z2")
     half = (basis.q - 1) // 2
-    parts, unused = _components(f, basis)
-    if len(parts) == 1 and _closed_form_exponents(parts[0][0]) is None:
+    if plan.squaring:
         # on the component's own variables; each unused one multiplies by q
-        comp, sub = parts[0]
-        ring = _Artinian(sub)
-        f_a = ring.element(comp)
-        g_span = ring.image(ring.monomials(), ring.power(f_a, half))
-        return (len(g_span) + len(ring.image(g_span.values(), f_a))) * basis.q ** unused
-    lam = _jordan_type_of_parts(parts, unused, basis)
+        ((g, _),) = plan.parts
+        ring = _Artinian(FrobBasis(basis.p, basis.e, g.n))
+        g_span = ring.image(ring.monomials(), ring.power(g, half))
+        f_span = ring.image(g_span.values(), ring.element(g))
+        return (len(g_span) + len(f_span)) * basis.q ** plan.unused
+    lam = jordan_type(f, basis, plan)
     return sum(
         count * (max(s - half, 0) + max(s - half - 1, 0)) for s, count in lam.items()
     )

@@ -199,8 +199,9 @@ def test_e_and_emax_bounded(argv, want):
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
     else:
-        assert result.stderr.startswith("note: truncating sweep to e <= 4")
-        assert [r["e"] for r in json.loads(result.stdout)["empirical"]] == [1, 2, 3, 4]
+        # x1^2 is a closed form, priced 3^e + 2 units at e
+        assert result.stderr.startswith("note: truncating sweep to e <= 12")
+        assert [r["e"] for r in json.loads(result.stdout)["empirical"]] == list(range(1, 13))
 
 
 def test_fsignature_closed_form_many_variables():
@@ -445,24 +446,135 @@ def test_frobbasis_loads_only_ring():
 
 
 def test_freerank_prices_the_chain_like_fsignature(capsys):
-    # both walk the chain f^j A: at the default bound freerank reaches the
-    # e = 3 that the fsignature sweep reaches, s_3 = 5/9 = 10935 / 3^9
+    # both read the price of f's plan: x1^2 + x2^3 is two closed forms and a
+    # pair step, so each reaches e = 8, where s_8 = 5/9 = 5 * 3^22 / 3^(3*8),
+    # and not e = 9; neither walks the q^4-priced chain
     code, out, err = run(capsys, "freerank", "--type", "uv", "--f", "x1^2+x2^3",
-                         "--p", "3", "--e", "3")
+                         "--p", "3", "--e", "8")
     assert (code, err) == (0, "")
-    assert json.loads(out)["free_rank"] == 10935
-    code, out, _ = run(capsys, "fsignature", "--type", "uv", "--f", "x1^2+x2^3",
-                       "--p", "3", "--emax", "3")
+    assert json.loads(out)["free_rank"] == 5 * 3 ** 22
+    code, out, err = run(capsys, "fsignature", "--type", "uv", "--f", "x1^2+x2^3",
+                         "--p", "3", "--emax", "9")
     assert code == 0
-    assert json.loads(out)["empirical"][2] == {"e": 3, "s": "5/9"}
+    assert json.loads(out)["empirical"][7] == {"e": 8, "s": "5/9"}
+    assert err == "note: truncating sweep to e <= 8 (size bound 1000000)\n"
     # the refusal names the route's unit, not matrix cells
     code, _, err = run(capsys, "freerank", "--type", "uv", "--f", "x1^2+x2^3",
-                       "--p", "3", "--e", "4")
+                       "--p", "3", "--e", "9")
     assert code == 3
     assert err.strip() == (
-        "error: requested computation needs 43046721 units of chain work, "
+        "error: requested computation needs 1614008 units of free-rank work, "
         "over the bound 1000000"
     )
+
+
+# FOUND 18's f: it splits into a chain on {x1, x2} and one on {x3, x4, x5}
+_SPLIT_5 = "x1^2+x2^2+x3^2+x4^2+x5^2+x1*x2+x3*x4+x4*x5"
+_CONNECTED_4 = "x1^2+x2^2+x3^2+x4^2+x1*x2+x2*x3+x3*x4"
+
+
+@pytest.mark.parametrize(
+    "argv, rank",
+    [
+        ("--type uv --f x1^2+x2^3 --p 3 --e 4", 295245),
+        ("--type uv --f x1^2+x1*x2+x2^3 --p 5 --e 2", 10425),
+        (f"--type uv --f {_SPLIT_5} --p 7 --e 1", 107601),
+    ],
+)
+def test_gate_admits_what_runs_fast(capsys, argv, rank):
+    # each is priced by the route it runs, not by q^(n+2)
+    code, out, err = run(capsys, "freerank", *argv.split())
+    assert (code, err) == (0, "")
+    assert json.loads(out)["free_rank"] == rank
+
+
+def test_gate_does_not_truncate_a_split_sweep(capsys):
+    code, out, err = run(capsys, "fsignature", "--type", "uv", "--f", "x1^2+x2^3",
+                         "--p", "3", "--emax", "8")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["empirical"] == [{"e": e, "s": "5/9"} for e in range(1, 9)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"freerank --type uv --f {_CONNECTED_4} --p 3 --e 2",
+        "freerank --type uv --f x1^2+x2^2+x3^2+x4^2 --p 5 --e 4",
+        # squaring in A, then two eliminations that ran past 8 minutes
+        "freerank --type z2 --f x1^2+x1*x2+x2^3+2*x1^2*x2+x1*x2^2+3*x1^3+x1^4+x2^4 "
+        "--p 13 --e 2",
+    ],
+    ids=["connected-4", "sum-of-4-squares", "z2-squaring"],
+)
+def test_gate_refuses_what_runs_slow(argv):
+    _assert_one_line_refusal(_cli(*argv.split()), 3)
+
+
+def test_matrix_refuses_what_it_would_print():
+    # 30375 cells, each entry a sum of terms with exponents of 4300 digits:
+    # it printed 183 MB in 15.6 s, and is now refused before frobenius loads
+    big, twice = "1" + "0" * (_LIMIT - 2), "2" + "0" * (_LIMIT - 2)
+    f = f"x1^{big}+x1^{twice}+x2^{big}+x2^{twice}+x1^{big}*x2^{big}"
+    argv = ["matrix", "--f", f, "--p", "3", "--e", "2", "--power", "100"]
+    _assert_one_line_refusal(_cli(*argv), 3)
+    printed, loaded = _modules_after(f"import frobsig.cli\nprint(frobsig.cli.main({argv!r}))")
+    assert printed[-1] == "3"
+    assert "frobsig.frobenius" not in loaded
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matrix_prints_within_its_bound(capsys, seed):
+    # a matrix call admitted at --max-size B prints at most B characters: one
+    # character less than it prints is refused
+    rng = random.Random(seed)
+    for _ in range(12):
+        f = rng.choice(["x1", "x1^2+x2^3", "x1^2+x1*x2+x2^3", "2*x1^5*x2+x2^7",
+                        "x1^3+x2^2+x3^2+x1*x3", "x1^100+x2"])
+        argv = ["matrix", "--f", f, "--p", str(rng.choice([2, 3, 5])),
+                "--e", str(rng.randint(1, 2)), "--power", str(rng.randint(1, 60)),
+                "--format", rng.choice(["json", "csv"])]
+        code, out, err = run(capsys, *argv, "--max-size", str(10 ** 12))
+        assert (code, err) == (0, ""), argv
+        assert run(capsys, *argv, "--max-size", str(len(out) - 1))[0] == 3, argv
+
+
+def test_free_rank_past_the_digit_limit_refused_in_one_line(capsys):
+    # a monomial in 9100 variables is a cheap closed form whose free rank,
+    # above 3^9100, has more digits than int() converts
+    f = "*".join(f"x{i}" for i in range(1, 9101))
+    code, out, err = run(capsys, "freerank", "--type", "uv", "--f", f, "--p", "3",
+                         "--e", "1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: the free rank has too many digits to print "
+                   f"(limit {_LIMIT})\n")
+
+
+_FREE_RANK_F = ["x1^2", "x1^2+x2^3", "x1^3+x2^5", "x1*x2+x3^2", "x1^2*x2+x3^3",
+                "x1^2+x2^2+x3^2+x4^2", "x1^2+x1*x2+x2^3", "x1^3+x2^2+x3^2+x1*x3",
+                "x1^2+x2^2+x3^2+x1*x2+x2*x3", "x1*x2+x2*x3+x3*x4+x4^2+x1^3",
+                "x1^2+x2^2+x3^2+x1*x2+x2*x3+x1*x3+x1^3", _CONNECTED_4, _SPLIT_5]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_admitted_free_ranks_end_in_bounded_time(capsys, seed):
+    # seeded freerank and fsignature --f calls at the default --max-size, with
+    # e and emax up to 4: every call the gate admits ends within 2 s
+    rng = random.Random(seed)
+    admitted = 0
+    for _ in range(40):
+        command, flag = rng.choice([("freerank", "--e"), ("fsignature", "--emax")])
+        argv = [command, "--type", rng.choice(["uv", "z2"]),
+                "--f", rng.choice(_FREE_RANK_F), "--p", str(rng.choice([3, 5, 7, 11, 13])),
+                flag, str(rng.randint(1, 4))]
+        start = time.monotonic()
+        code = main(argv)
+        elapsed = time.monotonic() - start
+        capsys.readouterr()
+        assert code in (0, 3), argv
+        if code == 0:
+            admitted += 1
+            assert elapsed < 2.0, (argv, elapsed)
+    assert admitted >= 20
 
 
 def test_large_power_runs_in_bounded_time():
@@ -476,13 +588,22 @@ def test_large_power_runs_in_bounded_time():
 def test_power_gate_counts_the_terms_of_f_to_the_k(capsys):
     # (x1 + x2)^k over F_3 has at most 3 terms per base-3 digit of k; each of
     # the 9 columns of M(f^k, 1) holds that many once it exceeds q^n = 9
-    argv = ("matrix", "--f", "x1+x2", "--p", "3", "--e", "1", "--max-size", "100")
-    assert run(capsys, *argv, "--power", "8")[0] == 0
-    code, out, err = run(capsys, *argv, "--power", "26")
+    argv = ("matrix", "--f", "x1+x2", "--p", "3", "--e", "1", "--power")
+    code, out, err = run(capsys, *argv, "26", "--max-size", "100")
     assert (code, out) == (3, "")
     assert err.strip() == (
         "error: requested computation needs 243 matrix cells, over the bound 100"
     )
+    # (x1 + x2)^8 fits in 81 cells, and is then priced by what it prints: 9
+    # columns of 9 terms, each up to "2*x1^3*x2^3 + " in an entry [r, c, ""]
+    code, out, err = run(capsys, *argv, "8", "--max-size", "1000")
+    assert (code, out) == (3, "")
+    assert err.strip() == (
+        "error: requested computation needs 2144 printed characters, over the bound 1000"
+    )
+    code, out, err = run(capsys, *argv, "8", "--max-size", "2144")
+    assert (code, err) == (0, "")
+    assert len(out) <= 2144
 
 
 @pytest.mark.parametrize(

@@ -162,18 +162,19 @@ def test_empirical_gaps_shrink():
 
 def test_empirical_resource_bound(capsys):
     # the size gate is the CLI's: the sweep stops at the last e that fits,
-    # and refuses when even e = 1 does not
+    # and refuses when even e = 1 does not.  x1 is a closed form, priced
+    # q + 2 units: 5 at e = 1 and 11 at e = 2
     argv = ["fsignature", "--type", "uv", "--f", "x1", "--p", "3", "--emax", "19"]
-    assert main(argv + ["--max-size", "100"]) == 0
+    assert main(argv + ["--max-size", "10"]) == 0
     out, err = capsys.readouterr()
     assert [row["e"] for row in json.loads(out)["empirical"]] == [1]
-    assert err == "note: truncating sweep to e <= 1 (size bound 100)\n"
-    assert main(argv + ["--max-size", "10"]) == 3
+    assert err == "note: truncating sweep to e <= 1 (size bound 10)\n"
+    assert main(argv + ["--max-size", "4"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "error: requested computation needs 27 units of chain work, "
-        "over the bound 10\n"
+        "error: requested computation needs 5 units of free-rank work, "
+        "over the bound 4\n"
     )
 
 

@@ -231,16 +231,38 @@ def _refusal(*args):
     return None
 
 
+def _connected(n, p):
+    """x1 + x1*x2 + ... + x_{n-1}*x_n: a closed form for n = 1, else n terms
+    on n variables that need the chain, whatever q is."""
+    terms = {tuple(1 if i == 0 else 0 for i in range(n)): 1}
+    for i in range(n - 1):
+        terms[tuple(1 if j in (i, i + 1) else 0 for j in range(n))] = 1
+    return SparsePoly(p, n, terms)
+
+
 @pytest.mark.parametrize("route", ["matrix", "free-rank", "decompose"])
 def test_early_refusal_implies_exact_refusal(route):
     # a call is refused, early or exactly, iff its work exceeds the bound;
     # the early refusal, made before p^e is formed, says "at least 2^bits".
-    # The work of each route, written out independently of ROUTE_WORK:
+    # The work of each route, written out independently of its pairs: the
+    # cells of a matrix and the printed characters of its q^n columns of
+    # ``terms`` terms, the eta terms of decompose, and the price of a free
+    # rank of _connected(n), a closed form and its blocks' lookups for
+    # n = 1, else the chain and the lookups of its blocks, at most nq long
     def work(p, e, n, terms):
         q = p ** e
         if route == "matrix":
-            return q ** n * max(q ** n, terms)
-        return q ** (n + 2) if route == "free-rank" else q * 2 ** n
+            return q ** (2 * n) + q ** n * terms
+        if route == "decompose":
+            return q * 2 ** n
+        return q + 2 if n == 1 else (n - 1) ** 3 * q ** (n + 2) + n * q
+
+    def pairs(p, e, n, terms):
+        if route == "matrix":
+            return ((2 * n, 1), (n, terms))
+        if route == "decompose":
+            return ((1, 2 ** n),)
+        return hypersurface.Plan(_connected(n, p), p, e).price
 
     early_count = 0
     for bound in (1, 10, 1000, 10 ** 6, 10 ** 12):
@@ -248,7 +270,7 @@ def test_early_refusal_implies_exact_refusal(route):
             for n in range(1, 7):
                 for p in (2, 3, 5, 97):
                     for terms in (1, 50, 10 ** 4):
-                        refusal = _refusal(route, bound, e, n, p, terms)
+                        refusal = _refusal(route, pairs(p, e, n, terms), bound, e, p)
                         exact = work(p, e, n, terms) > bound
                         assert (refusal is not None) == exact
                         early_count += exact and "at least 2^" in refusal
@@ -401,14 +423,14 @@ def test_jordan_type_matches_the_chain_random():
             half = (b.q - 1) // 2
             padded = dims + [0] * b.q
             assert free_rank_z2(f, b) == padded[half] + padded[half + 1]
-        parts, unused = hypersurface._components(f, b)
-        chains = [g for g, _ in parts if _closed_form_exponents(g) is None]
-        routes["unused variable"] += unused > 0
-        routes["one variable"] += sum(g.n == 1 for g, _ in parts)
-        routes["monomial"] += sum(g.n > 1 and g.is_monomial() for g, _ in parts)
+        plan = hypersurface.Plan(f, p, e, "z2" if p > 2 else "uv")
+        chains = [g for g, gamma in plan.parts if gamma is None]
+        routes["unused variable"] += plan.unused > 0
+        routes["one variable"] += sum(g.n == 1 for g, _ in plan.parts)
+        routes["monomial"] += sum(g.n > 1 and g.is_monomial() for g, _ in plan.parts)
         routes["chain"] += len(chains)
-        routes["split"] += len(parts) > 1
-        routes["z2 by squaring"] += p > 2 and len(parts) == 1 and len(chains) == 1
+        routes["split"] += len(plan.parts) > 1
+        routes["z2 by squaring"] += plan.squaring
     assert len(routes) == 6 and min(routes.values()) > 0, routes
 
 
@@ -508,13 +530,14 @@ def test_results_live_in_the_ring_of_f(names):
     [("x1^2+x2^3", 2), ("x1^2*x2", 2), ("x1^2+x1*x2+x2^3", 2), ("x1^2", 1)],
     ids=["split", "closed-form", "single-chain", "one-variable"],
 )
-def test_free_ranks_split_f_once(monkeypatch, text, n):
+def test_free_ranks_split_f_once(monkeypatch, capsys, text, n):
+    # the library and the CLI, whose price is read from the same plan
     calls = []
     split = hypersurface._components
 
-    def counted(f, basis):
+    def counted(f, *args):
         calls.append(f)
-        return split(f, basis)
+        return split(f, *args)
 
     monkeypatch.setattr(hypersurface, "_components", counted)
     f, b = parse_poly(text, 3, n), FrobBasis(3, 2, n)
@@ -522,3 +545,86 @@ def test_free_ranks_split_f_once(monkeypatch, text, n):
         calls.clear()
         free_rank(f, b)
         assert len(calls) == 1, free_rank.__name__
+    for target in ("uv", "z2"):
+        calls.clear()
+        argv = ["--type", target, "--f", text, "--p", "3"]
+        assert cli.main(["freerank", *argv, "--e", "2"]) == 0
+        assert len(calls) == 1, target
+        # once for each e of a sweep
+        calls.clear()
+        assert cli.main(["fsignature", *argv, "--emax", "2"]) == 0
+        assert len(calls) == 2, target
+    capsys.readouterr()
+
+
+def _random_connected(rng, p, k):
+    """Random f on k >= 2 variables that needs the chain: a path of products
+    x_i*x_{i+1} and up to three more terms of degree 2 to 4."""
+    terms = {_term(k, {i: 1, i + 1: 1}): rng.randint(1, p - 1) for i in range(k - 1)}
+    for _ in range(rng.randint(1, 3)):
+        powers = {}
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(k)
+            powers[i] = powers.get(i, 0) + rng.randint(1, 2)
+        terms[_term(k, powers)] = rng.randint(1, p - 1)
+    return SparsePoly(p, k, terms)
+
+
+def test_price_bounds_the_work(monkeypatch):
+    # every echelon row and every colength by Han's formula that a free
+    # rank runs is counted, and their sum is at most the plan's price
+    count = Counter()
+
+    def rows(rows, p):
+        rows = list(rows)
+        count["rows"] += len(rows)
+        return echelon(rows, p)
+
+    def han(*args):
+        count["han"] += 1
+        return colength(*args)
+
+    colength = hypersurface._han_colength
+    monkeypatch.setattr(hypersurface, "echelon", rows)
+    monkeypatch.setattr(hypersurface, "_han_colength", han)
+    rng = random.Random(18)
+    cases = [(parse_poly(text, p, n), p, e) for text, p, e, n in [
+        ("x1^2+x2^3", 5, 3, 2), ("x1^2+x2^2+x3^2", 5, 2, 3),
+        ("x1^2+x1*x2+x2^3+x3^2", 5, 2, 3)]]
+    for p, e, n in [(3, 1, 3), (3, 2, 3), (5, 1, 3), (5, 2, 2), (7, 1, 4), (3, 3, 2)] * 4:
+        if rng.random() < 0.5:
+            f = rand_split(rng, p, n)
+        else:
+            k = rng.randint(2, min(n, 3))
+            g = _random_connected(rng, p, k)
+            f = SparsePoly(p, n, {exps + (0,) * (n - k): c for exps, c in g.terms.items()})
+        cases.append((f, p, e))
+    seen = Counter()
+    for f, p, e in cases:
+        b = FrobBasis(p, e, f.n)
+        for target in ("uv", "z2")[: 1 + (p > 2)]:
+            plan = hypersurface.Plan(f, p, e, target)
+            price = sum(b.q ** a * c for a, c in plan.price)
+            _pair.cache_clear()
+            count.clear()
+            (free_rank_uv if target == "uv" else free_rank_z2)(f, b, plan)
+            assert count["rows"] + count["han"] <= price, (str(f), p, e, target)
+            seen.update(name for name in count if count[name])
+    assert seen["rows"] and seen["han"], seen
+
+
+def test_power_in_a_by_base_p_digits():
+    # g^m in A is the product of g(x^(p^i))^(m_i), each factor reduced mod
+    # x^q before it multiplies; it equals g^m formed in S and then reduced.
+    # Squaring through all of m took seconds on this 8-term g at q = 169
+    g = parse_poly("x1^2+x1*x2+x2^3+2*x1^2*x2+x1*x2^2+3*x1^3+x1^4+x2^4", 13, 2)
+    ring = hypersurface._Artinian(FrobBasis(13, 2, 2))
+    start = time.monotonic()
+    assert ring.power(g, 84) == ring.element(g ** 84)
+    assert time.monotonic() - start < 1.0
+    rng = random.Random(37)
+    for p, e in [(3, 2), (5, 1), (5, 2), (7, 1)]:
+        ring = hypersurface._Artinian(FrobBasis(p, e, 2))
+        g = _random_connected(rng, p, 2)
+        for m in (0, 1, p - 1, p, (p ** e - 1) // 2, p ** e - 1, p ** e, 3 * p ** e):
+            assert ring.power(g, m) == ring.element(g ** m), (str(g), p, e, m)
