@@ -36,9 +36,16 @@ EXIT_RESOURCE = 3
 DEFAULT_MAX_SIZE = 10 ** 6
 
 # The work of a route, in its unit, is the sum of q^a * c over pairs (a, c)
-# for q = p^e: M(g, e) has q^n columns of q^n cells; decompose sums eta over
-# 2^n labels for each k < q; hypersurface.Plan prices a free rank.
-CELLS = "matrix cells"
+# for q = p^e; hypersurface.Plan prices a free rank from f.  The other two
+# routes read n, and a matrix the terms of f^power: M(f^power, e) has q^n
+# columns of q^n cells, each column holding at most ``terms`` terms, so
+# q^n * max(q^n, terms) is checked as its cells and then its terms;
+# decompose sums eta over 2^n labels for each k < q.
+ROUTE_WORK = {
+    "matrix": ("matrix cells", lambda n, terms: (((2 * n, 1),), ((n, terms),))),
+    "decompose": ("eta terms", lambda n, terms: (((1, 2 ** n),),)),
+}
+FREE_RANK = "units of free-rank work"
 
 
 def check_work(unit: str, pairs, max_size: int, e: int, p: int) -> None:
@@ -49,13 +56,21 @@ def check_work(unit: str, pairs, max_size: int, e: int, p: int) -> None:
     bits = max(e * a + c.bit_length() - 1 for a, c in pairs)
     work = f"at least 2^{bits}"
     if bits < max_size.bit_length():
-        q = p ** e
-        work = sum(q ** a * c for a, c in pairs)
+        # q^0 = 1 without forming q, which a pair of power 0 does not bound
+        work = sum(p ** (e * a) * c for a, c in pairs)
         if work <= max_size:
             return
     raise ResourceWarning(
         f"requested computation needs {work} {unit}, over the bound {max_size}"
     )
+
+
+def check_route(route: str, max_size: int, e: int, n: int, p: int, terms=1) -> None:
+    """Raise ResourceWarning when a matrix or decompose call's work exceeds
+    ``max_size``."""
+    unit, checks = ROUTE_WORK[route]
+    for pairs in checks(n, terms):
+        check_work(unit, pairs, max_size, e, p)
 
 
 def _int(text: str) -> int:
@@ -111,7 +126,8 @@ FLAGS = {
 
 def _parse_f(args, e: int, cells: bool) -> SparsePoly:
     """f from --f or --dvec; with ``cells``, once the q^(2n) cells of a
-    matrix over its n variables fit."""
+    matrix over its n variables fit, and otherwise once the parser's work
+    on --f fits the free-rank bound."""
     if args.f is None:
         n = len(args.dvec)
     else:
@@ -124,7 +140,12 @@ def _parse_f(args, e: int, cells: bool) -> SparsePoly:
             raise ValueError("cannot infer variable count; pass --n")
         n = args.n or n
     if cells:
-        check_work(CELLS, ((2 * n, 1),), args.max_size, e, args.p)
+        check_route("matrix", args.max_size, e, n, args.p)
+    elif args.f is not None:
+        # the parser reads each term of --f as n exponents, and every term
+        # after the first follows a + or -
+        terms = 1 + args.f.count("+") + args.f.count("-")
+        check_work(FREE_RANK, ((0, n * terms),), args.max_size, e, args.p)
     if args.f is None:
         return SparsePoly.monomial(args.dvec, args.p, n)
     return parse_poly(args.f, args.p, n)
@@ -133,7 +154,7 @@ def _parse_f(args, e: int, cells: bool) -> SparsePoly:
 def _free_rank_plan(f: SparsePoly, args, e: int) -> Plan:
     """f's free-rank plan at e, once its price fits."""
     plan = Plan(f, args.p, e, args.target)
-    check_work("units of free-rank work", plan.price, args.max_size, e, args.p)
+    check_work(FREE_RANK, plan.price, args.max_size, e, args.p)
     return plan
 
 
@@ -142,7 +163,7 @@ def cmd_matrix(args) -> str:
     basis = FrobBasis(args.p, args.e, f.n)
     # each column of M(f^power, e) holds as many terms as f^power
     terms = f.power_terms_bound(args.power)
-    check_work(CELLS, ((f.n, max(basis.size, terms)),), args.max_size, args.e, args.p)
+    check_route("matrix", args.max_size, args.e, f.n, args.p, terms)
     # x^j f^power with j_i = q-1 and deg_i f^power = power * deg_i f puts
     # x_i^ceil(power * deg_i f / q) in some entry: the widest exponent printed
     degree = max((a for exps in f.terms for a in exps), default=0)
@@ -183,7 +204,7 @@ def cmd_fsignature(args) -> str:
             plans.append(_free_rank_plan(f, args, e))
         except ResourceWarning:
             break
-    report = empirical_sequence(f, args.p, range(1, len(plans) + 1), args.target, plans)
+    report = empirical_sequence(f, args.p, plans, args.target)
     # noted once f is accepted, so that a refusal stays one line
     if len(plans) < emax:
         print(f"note: truncating sweep to e <= {len(plans)} "
@@ -194,7 +215,7 @@ def cmd_fsignature(args) -> str:
 def cmd_decompose(args) -> str:
     from .monomial import MonomialData, decomposition_report
 
-    check_work("eta terms", ((1, 2 ** len(args.dvec)),), args.max_size, args.e, args.p)
+    check_route("decompose", args.max_size, args.e, len(args.dvec), args.p)
     return decomposition_report(MonomialData(args.dvec), args.p, args.e).to_json()
 
 

@@ -342,7 +342,7 @@ def frobenius_decompose(g: SparsePoly, basis: FrobBasis) -> dict[int, SparsePoly
     """
     basis.check(g)
     q = basis.q
-    radix = basis._radix
+    radix = basis.radix
     out: dict[int, dict[tuple[int, ...], int]] = {}
     for exps, coeff in g.terms.items():
         idx = 0
@@ -373,7 +373,7 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
     basis.check(f)
     q = basis.q
     n = basis.n
-    radix = basis._radix
+    radix = basis.radix
     size = basis.size
     data: list[dict[int, SparsePoly]] = [dict() for _ in range(size)]
     # one entry object per distinct (quotient exponents, coefficient)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .hypersurface import (TARGETS, check_nonunit, check_target, free_rank_uv,
-                           free_rank_z2)
+from .hypersurface import (TARGETS, Plan, check_nonunit, check_target,
+                           free_rank_uv, free_rank_z2)
 from .ring import FrobBasis, SparsePoly, check_digits
 
 
@@ -220,15 +220,14 @@ def _monomial_exponents(f: SparsePoly) -> tuple[int, ...] | None:
     return exps if all(exps) else None
 
 
-def empirical_sequence(
-    f: SparsePoly, p: int, e_range, target: str, plans=None
-) -> SignatureReport:
+def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> SignatureReport:
     """Exact signature approximants s_e for e in e_range.
 
     s_e is the target's free rank over p^(e*D), where D is the dimension of
     its hypersurface: n+1 for f+uv and n for f+z^2.  Every e given is
-    computed; bounding the work is the caller's choice.  ``plans`` holds
-    the ``hypersurface.Plan`` of each e, when the caller has made them.
+    computed; bounding the work is the caller's choice.  An item of
+    ``e_range`` is an e, or f's ``hypersurface.Plan`` at its e when the
+    caller has made it to check its price.
     """
     check_target(target, p)
     check_nonunit(f)
@@ -237,7 +236,9 @@ def empirical_sequence(
     n = f.n
     free_rank = free_rank_uv if target == "uv" else free_rank_z2
     report = SignatureReport(target=target, dvec=dvec, closed_form=closed)
-    for i, e in enumerate(e_range):
-        rank = free_rank(f, FrobBasis(p, e, n), plans[i] if plans else None)
+    for item in e_range:
+        plan = item if isinstance(item, Plan) else None
+        e = plan.e if plan else item
+        rank = free_rank(f, FrobBasis(p, e, n), plan)
         report.empirical.append((e, Fraction(rank, p ** (e * (n + TARGETS[target])))))
     return report

@@ -293,19 +293,23 @@ class Plan:
     A, f being one component that needs the chain.  ``price`` bounds the
     work as pairs (a, c), the sum of c * q^a, formed without q.  Its units,
     about a microsecond each, were fitted to measured times: k q for a
-    closed form on k variables; (k-1)^2 (t-1) q^(k+2) for the chain, or
-    the squaring, of t terms; D D' (A + A') (e+1) for a pair step, with D
-    the distinct block sizes and A the longest block of a side, each of
-    A + A' colengths a loop over e+1 powers of p; and q^u for u unused
-    variables, whose blocks are counted, never walked, so that thousands
-    of them are refused before any basis is built.
+    closed form on k variables; (k-1) t (t-1) q^(k+2) / 6 for the chain of
+    t terms on k variables, halved when g is homogeneous (each row then
+    stays in one degree) and halved again for the squaring, both rounded
+    up; D D' (A + A') (e+1) for a pair step, with D the distinct block
+    sizes and A the longest block of a side, each of A + A' colengths a
+    loop over e+1 powers of p.  u unused variables are priced q^u, a
+    policy rather than a measurement: they only multiply the type's counts
+    by q^u, but a free rank past about 13 of them is refused as the size
+    gate always refused it.
     """
 
-    __slots__ = ("parts", "unused", "squaring", "price")
+    __slots__ = ("f", "p", "e", "target", "parts", "unused", "squaring", "price")
 
     def __init__(self, f: SparsePoly, p: int, e: int, target: str = "uv"):
         check_target(target, p)
         check_nonunit(f)
+        self.f, self.p, self.e, self.target = f, p, e, target
         parts, self.unused = _components(f, p, e)
         self.parts = [(g, _closed_form_exponents(g)) for g in parts]
         self.squaring = (
@@ -316,14 +320,14 @@ class Plan:
         def add(a: int, c: int) -> None:
             price[a] = price.get(a, 0) + c
 
-        if self.unused:
-            add(self.unused, 1)
         # D and A of the type so far, each as (a, c) for c * q^a
         sides = None
         for g, gamma in self.parts:
             k = g.n
             if gamma is None:
-                add(k + 2, (k - 1) ** 2 * (len(g.terms) - 1))
+                t = len(g.terms)
+                halves = (len({sum(exps) for exps in g.terms}) == 1) + self.squaring
+                add(k + 2, -(-(k - 1) * t * (t - 1) // (6 << halves)))
                 # g^(k(q-1)+1) = 0 in A, so no block is longer
                 distinct = longest = (1, k)
             else:
@@ -331,7 +335,7 @@ class Plan:
                 # x^m on F_p[x]/(x^q) has blocks of two sizes
                 distinct, longest = (0, 2) if k == 1 else (1, 1), (1, 1)
             if sides is None:
-                # the unused variables' blocks of size 1 pair at once
+                # lam's one block of size 1 pairs with each block at once
                 add(*distinct)
             else:
                 (d, d_c), (a, a_c) = sides
@@ -341,7 +345,19 @@ class Plan:
                     d_c * distinct[1] * longest[1] * (e + 1))
                 distinct = longest
             sides = distinct, longest
+        if self.unused:
+            add(self.unused, 1)
         self.price = tuple(price.items())
+
+    def check(self, f: SparsePoly, basis: FrobBasis, target: str | None = None) -> None:
+        """Refuse this plan for f at basis's p and e, unless it was made
+        for them (and for ``target``, when given)."""
+        if (
+            (self.p, self.e) != (basis.p, basis.e)
+            or self.f != f
+            or target not in (None, self.target)
+        ):
+            raise ValueError("the plan was made for another f, p, e or target")
 
 
 def jordan_type(
@@ -350,17 +366,19 @@ def jordan_type(
     """Jordan type of multiplication by f on A, as {block size: count}.
 
     Each component of f gives its type from d_j = dim g^j A, a closed form
-    or the chain on its own variables; a variable f does not use gives q
-    blocks of size 1.  A = A_I (x) A_J for disjoint I and J, and f = g + h
-    acts as g(x)1 + 1(x)h, so the types combine by summing the type of
-    x+y on F_p[x,y]/(x^a, y^b) over pairs of blocks (a, b).  ``plan`` is
-    f's ``Plan`` at basis's p and e, made here when None.
+    or the chain on its own variables.  A = A_I (x) A_J for disjoint I and
+    J, and f = g + h acts as g(x)1 + 1(x)h, so the types combine by summing
+    the type of x+y on F_p[x,y]/(x^a, y^b) over pairs of blocks (a, b).  A
+    variable f does not use gives q blocks of size 1, and x+y on (a, 1) is
+    one block of size a: it multiplies every count by q.  ``plan`` is f's
+    ``Plan`` at basis's p and e, made here when None.
     """
     check_local(f, basis)
     if plan is None:
         plan = Plan(f, basis.p, basis.e)
+    plan.check(f, basis)
     q = basis.q
-    lam = {1: q ** plan.unused}
+    lam = {1: 1}
     for g, gamma in plan.parts:
         if gamma is None:
             dims = chain_dims(g, FrobBasis(basis.p, basis.e, g.n))
@@ -375,7 +393,8 @@ def jordan_type(
                 for size, count in _pair(a, b, basis.p):
                     out[size] = out.get(size, 0) + count_a * count_b * count
         lam = out
-    return lam
+    scale = q ** plan.unused
+    return {size: count * scale for size, count in lam.items()}
 
 
 def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
@@ -401,8 +420,11 @@ def free_rank_uv(f: SparsePoly, basis: FrobBasis, plan: Plan | None = None) -> i
     The count of trivial (f,1) summands of (M(f^k,e), M(f^{q-k},e)) is the
     rank of M(f^{q-k},e) at the origin, which is dim f^{q-k} A.  A block of
     size s adds max(s-j, 0) to dim f^j A, so 2 * (s-1)s/2 to the sum.
-    ``plan`` is as for ``jordan_type``.
+    ``plan`` is f's ``Plan`` at basis's p and e, made here when None.
     """
+    if plan is None:
+        plan = Plan(f, basis.p, basis.e)
+    plan.check(f, basis, "uv")
     lam = jordan_type(f, basis, plan)
     return basis.size + sum(count * s * (s - 1) for s, count in lam.items())
 
@@ -421,6 +443,7 @@ def free_rank_z2(f: SparsePoly, basis: FrobBasis, plan: Plan | None = None) -> i
     check_local(f, basis)
     if plan is None:
         plan = Plan(f, basis.p, basis.e, "z2")
+    plan.check(f, basis, "z2")
     half = (basis.q - 1) // 2
     if plan.squaring:
         # on the component's own variables; each unused one multiplies by q

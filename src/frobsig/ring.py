@@ -384,7 +384,7 @@ class FrobBasis:
         self.n = n
         self.q = p ** e
         self.size = self.q ** n
-        self._radix = tuple(self.q ** i for i in range(n))
+        self._radix = None
         self._tuples = None
 
     def check(self, f: SparsePoly) -> None:
@@ -395,7 +395,7 @@ class FrobBasis:
     def index_of(self, exps) -> int:
         if len(exps) != self.n or any(not 0 <= a < self.q for a in exps):
             raise ValueError(f"{tuple(exps)} is not a basis exponent tuple")
-        return sum(a * r for a, r in zip(exps, self._radix))
+        return sum(a * r for a, r in zip(exps, self.radix))
 
     def tuple_of(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.size:
@@ -405,6 +405,14 @@ class FrobBasis:
             index, a = divmod(index, self.q)
             out.append(a)
         return tuple(out)
+
+    @property
+    def radix(self) -> tuple[int, ...]:
+        """q^0, ..., q^(n-1), the place values of an index, formed on first
+        use: a basis read only for q and q^n never forms them."""
+        if self._radix is None:
+            self._radix = tuple(self.q ** i for i in range(self.n))
+        return self._radix
 
     @property
     def tuples(self) -> list[tuple[int, ...]]:

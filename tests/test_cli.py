@@ -479,6 +479,8 @@ _CONNECTED_4 = "x1^2+x2^2+x3^2+x4^2+x1*x2+x2*x3+x3*x4"
         ("--type uv --f x1^2+x2^3 --p 3 --e 4", 295245),
         ("--type uv --f x1^2+x1*x2+x2^3 --p 5 --e 2", 10425),
         (f"--type uv --f {_SPLIT_5} --p 7 --e 1", 107601),
+        # a homogeneous chain on 3 variables, about 0.3 s
+        ("--type uv --f x1^2+x2^2+x3^2+x1*x2+x2*x3 --p 11 --e 1", 11601),
     ],
 )
 def test_gate_admits_what_runs_fast(capsys, argv, rank):
@@ -500,11 +502,13 @@ def test_gate_does_not_truncate_a_split_sweep(capsys):
     [
         f"freerank --type uv --f {_CONNECTED_4} --p 3 --e 2",
         "freerank --type uv --f x1^2+x2^2+x3^2+x4^2 --p 5 --e 4",
+        # seven terms and two degrees on 3 variables: about 2.6 s
+        "freerank --type uv --f x1^2+x2^2+x3^2+x1*x2+x2*x3+x1*x3+x1^3 --p 11 --e 1",
         # squaring in A, then two eliminations that ran past 8 minutes
         "freerank --type z2 --f x1^2+x1*x2+x2^3+2*x1^2*x2+x1*x2^2+3*x1^3+x1^4+x2^4 "
         "--p 13 --e 2",
     ],
-    ids=["connected-4", "sum-of-4-squares", "z2-squaring"],
+    ids=["connected-4", "sum-of-4-squares", "seven-terms", "z2-squaring"],
 )
 def test_gate_refuses_what_runs_slow(argv):
     _assert_one_line_refusal(_cli(*argv.split()), 3)
@@ -536,6 +540,14 @@ def test_matrix_prints_within_its_bound(capsys, seed):
         code, out, err = run(capsys, *argv, "--max-size", str(10 ** 12))
         assert (code, err) == (0, ""), argv
         assert run(capsys, *argv, "--max-size", str(len(out) - 1))[0] == 3, argv
+
+
+def test_free_rank_refuses_a_huge_n_before_parsing():
+    # the parser would form 10^8 exponents for the one term of x1^2
+    result = _cli("freerank", "--type", "uv", "--f", "x1^2", "--n", str(10 ** 8),
+                  "--p", "3", "--e", "1")
+    _assert_one_line_refusal(result, 3)
+    assert "at least 2^26 units of free-rank work" in result.stderr
 
 
 def test_free_rank_past_the_digit_limit_refused_in_one_line(capsys):

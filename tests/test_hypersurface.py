@@ -34,6 +34,7 @@ from frobsig.matfac import (
     verify_matfac,
     z2_presentation,
 )
+from frobsig.fsig import empirical_sequence
 from frobsig.monomial import MonomialData, free_rank_formula
 from frobsig.oracle import invariant_factors_univariate
 from frobsig.ring import SparsePoly, default_names, echelon, parse_poly
@@ -223,9 +224,9 @@ def test_free_rank_uv_reaches_e4():
     assert free_rank_uv(md.poly(3), b) == want
 
 
-def _refusal(*args):
+def _refusal(check, *args):
     try:
-        cli.check_work(*args)
+        check(*args)
     except ResourceWarning as exc:
         return str(exc)
     return None
@@ -244,25 +245,24 @@ def _connected(n, p):
 def test_early_refusal_implies_exact_refusal(route):
     # a call is refused, early or exactly, iff its work exceeds the bound;
     # the early refusal, made before p^e is formed, says "at least 2^bits".
-    # The work of each route, written out independently of its pairs: the
-    # cells of a matrix and the printed characters of its q^n columns of
-    # ``terms`` terms, the eta terms of decompose, and the price of a free
-    # rank of _connected(n), a closed form and its blocks' lookups for
-    # n = 1, else the chain and the lookups of its blocks, at most nq long
+    # The work of each route, written out independently of ROUTE_WORK and
+    # of hypersurface.Plan: the cells of M(f^k, e), whose q^n columns hold
+    # at most ``terms`` terms each, the eta terms of decompose, and the
+    # price of a free rank of _connected(n), a closed form and its blocks'
+    # lookups for n = 1, else the chain and the lookups of its blocks
     def work(p, e, n, terms):
         q = p ** e
         if route == "matrix":
-            return q ** (2 * n) + q ** n * terms
+            return q ** n * max(q ** n, terms)
         if route == "decompose":
             return q * 2 ** n
-        return q + 2 if n == 1 else (n - 1) ** 3 * q ** (n + 2) + n * q
+        return q + 2 if n == 1 else -(-(n - 1) ** 2 * n // 6) * q ** (n + 2) + n * q
 
-    def pairs(p, e, n, terms):
-        if route == "matrix":
-            return ((2 * n, 1), (n, terms))
-        if route == "decompose":
-            return ((1, 2 ** n),)
-        return hypersurface.Plan(_connected(n, p), p, e).price
+    def refusal(bound, e, n, p, terms):
+        if route == "free-rank":
+            price = hypersurface.Plan(_connected(n, p), p, e).price
+            return _refusal(cli.check_work, cli.FREE_RANK, price, bound, e, p)
+        return _refusal(cli.check_route, route, bound, e, n, p, terms)
 
     early_count = 0
     for bound in (1, 10, 1000, 10 ** 6, 10 ** 12):
@@ -270,10 +270,10 @@ def test_early_refusal_implies_exact_refusal(route):
             for n in range(1, 7):
                 for p in (2, 3, 5, 97):
                     for terms in (1, 50, 10 ** 4):
-                        refusal = _refusal(route, pairs(p, e, n, terms), bound, e, p)
+                        refused = refusal(bound, e, n, p, terms)
                         exact = work(p, e, n, terms) > bound
-                        assert (refusal is not None) == exact
-                        early_count += exact and "at least 2^" in refusal
+                        assert (refused is not None) == exact
+                        early_count += exact and "at least 2^" in refused
     assert early_count > 0
 
 
@@ -555,6 +555,26 @@ def test_free_ranks_split_f_once(monkeypatch, capsys, text, n):
         assert cli.main(["fsignature", *argv, "--emax", "2"]) == 0
         assert len(calls) == 2, target
     capsys.readouterr()
+
+
+def test_a_plan_serves_only_its_f_p_e_and_target():
+    # a plan handed on is checked against the call: one made for another
+    # e drops other terms, and would give another free rank
+    f = parse_poly("x1^2+x1*x2+x2^4", 3, 2)
+    b = FrobBasis(3, 2, 2)
+    others = [hypersurface.Plan(f, 3, 1), hypersurface.Plan(f, 5, 2),
+              hypersurface.Plan(parse_poly("x1^2+x1*x2", 3, 2), 3, 2)]
+    for fn, plans in [(jordan_type, others), (free_rank_uv, others),
+                      (free_rank_uv, [hypersurface.Plan(f, 3, 2, "z2")]),
+                      (free_rank_z2, [hypersurface.Plan(f, 3, 2)])]:
+        for plan in plans:
+            with pytest.raises(ValueError, match="made for another f, p, e or target"):
+                fn(f, b, plan)
+    assert free_rank_uv(f, b, hypersurface.Plan(f, 3, 2)) == free_rank_uv(f, b)
+    # a sweep reads each e from its plan
+    plans = [hypersurface.Plan(f, 3, e, "z2") for e in (1, 2)]
+    assert (empirical_sequence(f, 3, plans, "z2").empirical
+            == empirical_sequence(f, 3, range(1, 3), "z2").empirical)
 
 
 def _random_connected(rng, p, k):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from frobsig.frobenius import PolyMatrix
-from frobsig.ring import SparsePoly, is_prime, parse_poly, ring_names
+from frobsig.ring import FrobBasis, SparsePoly, is_prime, parse_poly, ring_names
 
 
 def rand_poly(rng, p, n, max_deg=4, max_terms=4):
@@ -177,3 +177,12 @@ def test_ring_names_defaults_and_keeps_given_names():
     assert ring_names(2, ["a", "b"]) == ("a", "b")
     assert SparsePoly.one(3, 2, ("a", "b")).names == ("a", "b")
     assert PolyMatrix(1, 1, 3, 2).names == ("x1", "x2")
+
+
+def test_basis_forms_its_place_values_on_first_use():
+    # a free rank reads only q and q^n of its basis; the n place values
+    # q^0..q^(n-1), 0.25 s at n = 10000, are formed when an index is
+    b = FrobBasis(3, 1, 10000)
+    assert (b.q, b.size) == (3, 3 ** 10000) and b._radix is None
+    assert b.index_of((0, 1) + (0,) * 9997 + (2,)) == 3 + 2 * 3 ** 9999
+    assert b.radix[:3] == (1, 3, 9) and len(b.radix) == 10000
