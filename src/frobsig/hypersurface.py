@@ -14,7 +14,8 @@ blocks, each read from rules on base-p digits and Han's formula for
 dim F_p[x,y]/(x^a, y^b, (x+y)^c).  A component is a closed form when it is
 a monomial or has one variable, and otherwise the chain f^j A is walked on
 its own variables.  ``Plan`` alone splits f, decides these routes and
-prices them; a caller that checks the price hands the plan on.
+prices them; a caller that checks the price hands the plan on, and
+the free ranks refuse a plan made for another f, p, e or target.
 Only ``ring`` is imported with this module; ``presentation_fk`` imports
 ``frobenius`` and ``matfac`` when it runs.  The free ranks load neither:
 the one piece of the pushforward they need, ``FrobBasis``, is in ``ring``.
@@ -292,7 +293,8 @@ class Plan:
     component uses.  ``squaring``: the f+z^2 free rank forms g^((q-1)/2) in
     A, f being one component that needs the chain.  ``price`` bounds the
     work as pairs (a, c), the sum of c * q^a, formed without q.  Its units,
-    about a microsecond each, were fitted to measured times: k q for a
+    about a microsecond each (0.04 to 3 on the f measured), were fitted to
+    measured times: k q for a
     closed form on k variables; (k-1) t (t-1) q^(k+2) / 6 for the chain of
     t terms on k variables, halved when g is homogeneous (each row then
     stays in one degree) and halved again for the squaring, both rounded
@@ -300,8 +302,7 @@ class Plan:
     sizes and A the longest block of a side, each of A + A' colengths a
     loop over e+1 powers of p.  u unused variables are priced q^u, a
     policy rather than a measurement: they only multiply the type's counts
-    by q^u, but a free rank past about 13 of them is refused as the size
-    gate always refused it.
+    by q^u, and the price keeps thousands of them refused.
     """
 
     __slots__ = ("f", "p", "e", "target", "parts", "unused", "squaring", "price")

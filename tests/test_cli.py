@@ -324,12 +324,15 @@ def test_usage_errors_exit_2_in_one_line(argv):
     [
         "freerank --type uv --f x1^2 --p 3 --e 1 --n 10000",
         "freerank --type uv --f x1^2 --p 3 --e 1 --n 30000",
+        "freerank --type uv --f x1^2 --p 3 --e 1 --n 100000000",
         f"decompose --dvec {','.join(['1'] * 20000)} --p 3 --e 1",
     ],
-    ids=["n-10000", "n-30000", "decompose-20000-ones"],
+    ids=["n-10000", "n-30000", "n-10^8", "decompose-20000-ones"],
 )
 def test_oversized_variable_count_refused_before_any_ring(argv):
-    # 2^(e*n) cells already exceed --max-size: refused before parsing f
+    # the work of n variables exceeds --max-size: decompose's 2^n labels
+    # before any ring, a free rank's q^u for u unused variables before its
+    # basis, and the parser's n exponents a term before f is parsed
     _assert_one_line_refusal(_cli(*argv.split()), 3)
 
 
@@ -540,14 +543,6 @@ def test_matrix_prints_within_its_bound(capsys, seed):
         code, out, err = run(capsys, *argv, "--max-size", str(10 ** 12))
         assert (code, err) == (0, ""), argv
         assert run(capsys, *argv, "--max-size", str(len(out) - 1))[0] == 3, argv
-
-
-def test_free_rank_refuses_a_huge_n_before_parsing():
-    # the parser would form 10^8 exponents for the one term of x1^2
-    result = _cli("freerank", "--type", "uv", "--f", "x1^2", "--n", str(10 ** 8),
-                  "--p", "3", "--e", "1")
-    _assert_one_line_refusal(result, 3)
-    assert "at least 2^26 units of free-rank work" in result.stderr
 
 
 def test_free_rank_past_the_digit_limit_refused_in_one_line(capsys):
