@@ -12,9 +12,12 @@ uses.
 The size gate is this module's alone: ``check_work`` refuses a call whose
 route is priced over ``--max-size`` before the work starts, and the library
 functions compute whatever they are given.  A matrix is priced from p, e
-and n, then from the terms of f^power and the characters it would print; a
-free rank by ``hypersurface.Plan``, the route that the call then runs.  How
-``--f`` reads (its variable count too) and Python's digit limit are ``ring``'s.
+and n, then from the terms of f^power and the characters it would print;
+verify from the terms of f^k and f^(q-k) that its product multiplies; a
+free rank by the ``hypersurface.Plan`` of f, which the free rank then makes
+again from the same f, p, e and target and runs; the uv closed form by its
+W recursion.  How ``--f`` reads (its variable count too) and Python's digit
+limit are ``ring``'s.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import sys
 
 # ring and hypersurface load with the CLI; every other module is imported
 # by the subcommand that uses it
-from .hypersurface import TARGETS, Plan, check_target, free_rank_uv, free_rank_z2
+from .hypersurface import (TARGETS, Plan, check_exponents, check_power_index,
+                           check_target, free_rank_uv, free_rank_z2)
 from .ring import (FrobBasis, SparsePoly, check_digits, check_prime, parse_int,
                    parse_poly, variable_count)
 
@@ -36,20 +40,27 @@ EXIT_RESOURCE = 3
 DEFAULT_MAX_SIZE = 10 ** 6
 
 # The work of a route, in its unit, is the sum of q^a * c over pairs (a, c)
-# for q = p^e; hypersurface.Plan prices a free rank from f.  The other two
+# for q = p^e; hypersurface.Plan prices a free rank from f.  The other
 # routes read n, and a matrix the terms of f^power: M(f^power, e) has q^n
 # columns of q^n cells, each column holding at most ``terms`` terms, so
-# q^n * max(q^n, terms) is checked as its cells and then its terms;
-# decompose sums eta over 2^n labels for each k < q.
+# q^n * max(q^n, terms) is checked as its cells and then its terms; verify
+# multiplies each term of a column of M(f^(q-k), e) by each term of a column
+# of M(f^k, e), ``terms`` the product of their counts, in each of q^n
+# columns; decompose sums eta over 2^n labels for each k < q.
 ROUTE_WORK = {
     "matrix": ("matrix cells", lambda n, terms: (((2 * n, 1),), ((n, terms),))),
+    "verify": ("term products", lambda n, terms: (((n, terms),),)),
     "decompose": ("eta terms", lambda n, terms: (((1, 2 ** n),),)),
 }
 FREE_RANK = "units of free-rank work"
+CLOSED_FORM = "units of closed-form work"
 
 
-def check_work(unit: str, pairs, max_size: int, e: int, p: int) -> None:
-    """Raise ResourceWarning when the work of ``pairs`` exceeds ``max_size``."""
+def check_work(unit: str, pairs, max_size: int, e: int = 0, p: int = 2) -> None:
+    """Raise ResourceWarning when the work of ``pairs`` exceeds ``max_size``.
+
+    A route priced without q, each of its pairs of power 0, leaves out e and p.
+    """
     check_prime(p)
     # a prime p is at least 2 and c >= 2^(bitlen(c) - 1), so the work is at
     # least 2^bits: a huge e or n is refused before p^e is formed
@@ -66,11 +77,28 @@ def check_work(unit: str, pairs, max_size: int, e: int, p: int) -> None:
 
 
 def check_route(route: str, max_size: int, e: int, n: int, p: int, terms=1) -> None:
-    """Raise ResourceWarning when a matrix or decompose call's work exceeds
-    ``max_size``."""
+    """Raise ResourceWarning when a matrix, verify or decompose call's work
+    exceeds ``max_size``."""
     unit, checks = ROUTE_WORK[route]
     for pairs in checks(n, terms):
         check_work(unit, pairs, max_size, e, p)
+
+
+def check_closed_form(dvec, target: str, max_size: int) -> None:
+    """Raise ResourceWarning when the closed form of ``dvec`` exceeds
+    ``max_size``.
+
+    The uv closed form's W recursion makes about n^2 multiply-adds of a W of
+    up to n * bitlen(2d) bits by an exponent of up to bitlen(2d) bits; with
+    w and v those sizes in 64-bit words, each is priced (64 + w v) / 256
+    units, fitted to measured times like the free-rank units.  The z2
+    closed form reads no W and is not priced.
+    """
+    if target != "uv":
+        return
+    n, bits = len(dvec), (2 * max(dvec)).bit_length()
+    words = -(-n * bits // 64) * -(-bits // 64)
+    check_work(CLOSED_FORM, ((0, -(-n * n * (64 + words) // 256)),), max_size)
 
 
 def _int(text: str) -> int:
@@ -100,9 +128,10 @@ def _parse_dvec(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"bad exponent vector {text!r}; expected e.g. 2,1"
         )
-    if not dvec or any(d < 1 for d in dvec):
-        raise argparse.ArgumentTypeError("exponent vector entries must be >= 1")
-    return dvec
+    try:
+        return check_exponents(dvec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 FLAGS = {
@@ -118,9 +147,11 @@ FLAGS = {
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
     "max-size": dict(type=_positive, default=DEFAULT_MAX_SIZE,
                      help="refuse calls whose work exceeds this: matrix cells for "
-                     "matrix and verify, and printed characters for matrix; "
-                     "units of free-rank work, priced from the route f runs, "
-                     "for freerank and fsignature --f; eta terms for decompose"),
+                     "matrix and verify, printed characters for matrix, and "
+                     "term products for verify; units of free-rank work, priced "
+                     "from the route f runs, for freerank and fsignature --f; "
+                     "units of closed-form work for the uv closed form of "
+                     "fsignature; eta terms for decompose"),
 }
 
 
@@ -151,11 +182,11 @@ def _parse_f(args, e: int, cells: bool) -> SparsePoly:
     return parse_poly(args.f, args.p, n)
 
 
-def _free_rank_plan(f: SparsePoly, args, e: int) -> Plan:
-    """f's free-rank plan at e, once its price fits."""
+def _check_free_rank(f: SparsePoly, args, e: int) -> None:
+    """Raise ResourceWarning when the price of f's free-rank plan at e, the
+    route the free rank will run, exceeds ``--max-size``."""
     plan = Plan(f, args.p, e, args.target)
     check_work(FREE_RANK, plan.price, args.max_size, e, args.p)
-    return plan
 
 
 def cmd_matrix(args) -> str:
@@ -189,25 +220,33 @@ def cmd_matrix(args) -> str:
 
 
 def cmd_fsignature(args) -> str:
-    from .fsig import SignatureReport, closed_form, empirical_sequence
+    from .fsig import (SignatureReport, closed_form, empirical_sequence,
+                       monomial_exponents)
 
     if args.f is None:
+        check_closed_form(args.dvec, args.target, args.max_size)
         closed = closed_form(args.dvec, args.target)
         return SignatureReport(args.target, args.dvec, closed).to_json()
     if args.p is None:
         raise ValueError("--p is required")
     f = _parse_f(args, 1, cells=False)
     # the work grows with e: the sweep stops before the first e over the bound
-    emax, plans = args.emax or 1, [_free_rank_plan(f, args, 1)]
+    emax, last = args.emax or 1, 1
+    _check_free_rank(f, args, 1)
     for e in range(2, emax + 1):
         try:
-            plans.append(_free_rank_plan(f, args, e))
+            _check_free_rank(f, args, e)
         except ResourceWarning:
             break
-    report = empirical_sequence(f, args.p, plans, args.target)
+        last = e
+    # a monomial f with every exponent >= 1 also has its closed form
+    dvec = monomial_exponents(f)
+    if dvec is not None:
+        check_closed_form(dvec, args.target, args.max_size)
+    report = empirical_sequence(f, args.p, range(1, last + 1), args.target)
     # noted once f is accepted, so that a refusal stays one line
-    if len(plans) < emax:
-        print(f"note: truncating sweep to e <= {len(plans)} "
+    if last < emax:
+        print(f"note: truncating sweep to e <= {last} "
               f"(size bound {args.max_size})", file=sys.stderr)
     return report.to_json()
 
@@ -221,12 +260,10 @@ def cmd_decompose(args) -> str:
 
 def cmd_freerank(args) -> str:
     f = _parse_f(args, args.e, cells=False)
-    plan = _free_rank_plan(f, args, args.e)
+    _check_free_rank(f, args, args.e)
     basis = FrobBasis(args.p, args.e, f.n)
-    if args.target == "uv":
-        rank = free_rank_uv(f, basis, plan)
-    else:
-        rank = free_rank_z2(f, basis, plan)
+    free_rank = free_rank_uv if args.target == "uv" else free_rank_z2
+    rank = free_rank(f, basis)
     check_digits(rank, "the free rank has too many digits to print")
     return json.dumps(
         {"target": args.target, "f": str(f), "q": basis.q, "free_rank": rank}
@@ -234,11 +271,15 @@ def cmd_freerank(args) -> str:
 
 
 def cmd_verify(args) -> str:
+    f = _parse_f(args, args.e, cells=True)
+    basis = FrobBasis(args.p, args.e, f.n)
+    check_power_index(args.k, basis.q)
+    terms = f.power_terms_bound(args.k) * f.power_terms_bound(basis.q - args.k)
+    check_route("verify", args.max_size, args.e, f.n, args.p, terms)
+    # imported only once the pair is priced, so that a refusal loads nothing more
     from .hypersurface import presentation_fk
     from .matfac import verify_matfac
 
-    f = _parse_f(args, args.e, cells=True)
-    basis = FrobBasis(args.p, args.e, f.n)
     mf = presentation_fk(f, args.k, basis)
     if not verify_matfac(mf.phi, mf.psi, f):
         raise ValueError("the pair is not a matrix factorization of f")

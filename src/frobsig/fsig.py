@@ -5,11 +5,12 @@ from the symmetric quantities W_j; the signature of S[[z]]/(x^dvec + z^2)
 is 1/2^{n-1} when all exponents are 1 and 0 otherwise.  Empirical
 sequences s_e divide exact free ranks by the matching power of p so the
 convergence toward the closed form can be checked at small e; every e
-given is computed, and choosing the e that fit a size bound is the CLI's
-gate.  ``closed_form`` picks a target's formula; the target names, the
-z2 rule for p and each target's dimension are ``hypersurface``'s.  All
-arithmetic is exact rational, and a fraction too long to print is refused
-(``ring.check_digits``).
+given is computed, each free rank making its own plan, and choosing the e
+that fit a size bound, like pricing the uv closed form, is the CLI's gate.
+``closed_form`` picks a target's formula; the target names, the z2 rule
+for p, the rule for an exponent vector and each target's dimension are
+``hypersurface``'s.  All arithmetic is exact rational, and a fraction too
+long to print is refused (``ring.check_digits``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .hypersurface import (TARGETS, Plan, check_nonunit, check_target,
+from .hypersurface import (TARGETS, check_exponents, check_nonunit, check_target,
                            free_rank_uv, free_rank_z2)
 from .ring import FrobBasis, SparsePoly, check_digits
 
@@ -43,14 +44,6 @@ class WTable(namedtuple("WTable", "dvec values")):
         return max(self.dvec)
 
 
-def _exponents(dvec) -> tuple[int, ...]:
-    """dvec as a tuple, refused unless non-empty with every exponent >= 1."""
-    dvec = tuple(dvec)
-    if not dvec or any(d < 1 for d in dvec):
-        raise ValueError("dvec must be non-empty with all exponents >= 1")
-    return dvec
-
-
 def w_values(dvec) -> WTable:
     """W_0..W_n, by adding one variable at a time in O(n^2) steps.
 
@@ -58,7 +51,7 @@ def w_values(dvec) -> WTable:
     when variable m joins.  ``oracle.w_values_by_subsets`` sums the 2^n subsets
     directly and is the tests' reference.
     """
-    dvec = _exponents(dvec)
+    dvec = check_exponents(dvec)
     d = max(dvec)
     values = [1]
     for dm in dvec:
@@ -89,7 +82,7 @@ def fsignature_uv_closed(dvec) -> Fraction:
 
 def fsignature_z2_closed(dvec) -> Fraction:
     """Closed-form F-signature of S[[z]]/(x^dvec + z^2): 1/2^{n-1} or 0."""
-    dvec = _exponents(dvec)
+    dvec = check_exponents(dvec)
     n = len(dvec)
     if all(d == 1 for d in dvec):
         return Fraction(1, 2 ** (n - 1))
@@ -212,7 +205,7 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _monomial_exponents(f: SparsePoly) -> tuple[int, ...] | None:
+def monomial_exponents(f: SparsePoly) -> tuple[int, ...] | None:
     """The exponents of f = c*x^dvec with every exponent >= 1, else None."""
     if not f.is_monomial():
         return None
@@ -225,20 +218,16 @@ def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> Signature
 
     s_e is the target's free rank over p^(e*D), where D is the dimension of
     its hypersurface: n+1 for f+uv and n for f+z^2.  Every e given is
-    computed; bounding the work is the caller's choice.  An item of
-    ``e_range`` is an e, or f's ``hypersurface.Plan`` at its e when the
-    caller has made it to check its price.
+    computed; bounding the work is the caller's choice.
     """
     check_target(target, p)
     check_nonunit(f)
-    dvec = _monomial_exponents(f)
+    dvec = monomial_exponents(f)
     closed = None if dvec is None else closed_form(dvec, target)
     n = f.n
     free_rank = free_rank_uv if target == "uv" else free_rank_z2
     report = SignatureReport(target=target, dvec=dvec, closed_form=closed)
-    for item in e_range:
-        plan = item if isinstance(item, Plan) else None
-        e = plan.e if plan else item
-        rank = free_rank(f, FrobBasis(p, e, n), plan)
+    for e in e_range:
+        rank = free_rank(f, FrobBasis(p, e, n))
         report.empirical.append((e, Fraction(rank, p ** (e * (n + TARGETS[target])))))
     return report

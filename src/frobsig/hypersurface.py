@@ -14,8 +14,8 @@ blocks, each read from rules on base-p digits and Han's formula for
 dim F_p[x,y]/(x^a, y^b, (x+y)^c).  A component is a closed form when it is
 a monomial or has one variable, and otherwise the chain f^j A is walked on
 its own variables.  ``Plan`` alone splits f, decides these routes and
-prices them; a caller that checks the price hands the plan on, and
-the free ranks refuse a plan made for another f, p, e or target.
+prices them; each free rank makes its own, and a caller that checks the
+price makes the same plan from the same f, p, e and target.
 Only ``ring`` is imported with this module; ``presentation_fk`` imports
 ``frobenius`` and ``matfac`` when it runs.  The free ranks load neither:
 the one piece of the pushforward they need, ``FrobBasis``, is in ``ring``.
@@ -50,6 +50,16 @@ def check_power_index(k: int, q: int) -> None:
     """Refuse a power index k outside 1 <= k <= q-1."""
     if not 1 <= k <= q - 1:
         raise ValueError(f"k must satisfy 1 <= k <= q-1 = {q - 1}")
+
+
+def check_exponents(dvec) -> tuple[int, ...]:
+    """dvec as a tuple, refused unless non-empty with every exponent >= 1."""
+    dvec = tuple(dvec)
+    if not dvec:
+        raise ValueError("exponent vector must be non-empty")
+    if any(d < 1 for d in dvec):
+        raise ValueError("exponent vector entries must be >= 1")
+    return dvec
 
 
 def check_nonunit(f: SparsePoly) -> None:
@@ -305,12 +315,11 @@ class Plan:
     by q^u, and the price keeps thousands of them refused.
     """
 
-    __slots__ = ("f", "p", "e", "target", "parts", "unused", "squaring", "price")
+    __slots__ = ("parts", "unused", "squaring", "price")
 
     def __init__(self, f: SparsePoly, p: int, e: int, target: str = "uv"):
         check_target(target, p)
         check_nonunit(f)
-        self.f, self.p, self.e, self.target = f, p, e, target
         parts, self.unused = _components(f, p, e)
         self.parts = [(g, _closed_form_exponents(g)) for g in parts]
         self.squaring = (
@@ -350,20 +359,8 @@ class Plan:
             add(self.unused, 1)
         self.price = tuple(price.items())
 
-    def check(self, f: SparsePoly, basis: FrobBasis, target: str | None = None) -> None:
-        """Refuse this plan for f at basis's p and e, unless it was made
-        for them (and for ``target``, when given)."""
-        if (
-            (self.p, self.e) != (basis.p, basis.e)
-            or self.f != f
-            or target not in (None, self.target)
-        ):
-            raise ValueError("the plan was made for another f, p, e or target")
 
-
-def jordan_type(
-    f: SparsePoly, basis: FrobBasis, plan: Plan | None = None
-) -> dict[int, int]:
+def jordan_type(f: SparsePoly, basis: FrobBasis) -> dict[int, int]:
     """Jordan type of multiplication by f on A, as {block size: count}.
 
     Each component of f gives its type from d_j = dim g^j A, a closed form
@@ -371,13 +368,14 @@ def jordan_type(
     J, and f = g + h acts as g(x)1 + 1(x)h, so the types combine by summing
     the type of x+y on F_p[x,y]/(x^a, y^b) over pairs of blocks (a, b).  A
     variable f does not use gives q blocks of size 1, and x+y on (a, 1) is
-    one block of size a: it multiplies every count by q.  ``plan`` is f's
-    ``Plan`` at basis's p and e, made here when None.
+    one block of size a: it multiplies every count by q.
     """
     check_local(f, basis)
-    if plan is None:
-        plan = Plan(f, basis.p, basis.e)
-    plan.check(f, basis)
+    return _plan_type(Plan(f, basis.p, basis.e), basis)
+
+
+def _plan_type(plan: Plan, basis: FrobBasis) -> dict[int, int]:
+    """The Jordan type of f on A from f's ``plan`` at basis's p and e."""
     q = basis.q
     lam = {1: 1}
     for g, gamma in plan.parts:
@@ -415,36 +413,29 @@ def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
     return MatFac(phi, psi, f)
 
 
-def free_rank_uv(f: SparsePoly, basis: FrobBasis, plan: Plan | None = None) -> int:
+def free_rank_uv(f: SparsePoly, basis: FrobBasis) -> int:
     """Free rank of F_*^e(S[[u,v]]/(f+uv)): q^n + 2 * sum_{j=1}^{q-1} dim f^j A.
 
     The count of trivial (f,1) summands of (M(f^k,e), M(f^{q-k},e)) is the
     rank of M(f^{q-k},e) at the origin, which is dim f^{q-k} A.  A block of
     size s adds max(s-j, 0) to dim f^j A, so 2 * (s-1)s/2 to the sum.
-    ``plan`` is f's ``Plan`` at basis's p and e, made here when None.
     """
-    if plan is None:
-        plan = Plan(f, basis.p, basis.e)
-    plan.check(f, basis, "uv")
-    lam = jordan_type(f, basis, plan)
+    lam = jordan_type(f, basis)
     return basis.size + sum(count * s * (s - 1) for s, count in lam.items())
 
 
-def free_rank_z2(f: SparsePoly, basis: FrobBasis, plan: Plan | None = None) -> int:
+def free_rank_z2(f: SparsePoly, basis: FrobBasis) -> int:
     """Free rank of F_*^e(S[[z]]/(f+z^2)): dim f^{(q-1)/2} A + dim f^{(q+1)/2} A.
 
     Equals t + r for the pair (M(f^{(q-1)/2},e), M(f^{(q+1)/2},e)): the
     sum of their ranks at the origin, read from the Jordan type of f.  When
     the plan squares, g = f^{(q-1)/2} is instead formed in A, and one more
     step gives f^{(q+1)/2} A: that is cheaper than walking (q+1)/2 chain
-    steps, each an elimination over all of f^{j-1} A.  ``plan`` is f's
-    z2 ``Plan`` at basis's p and e, made here when None.
+    steps, each an elimination over all of f^{j-1} A.
     """
     check_target("z2", basis.p)
     check_local(f, basis)
-    if plan is None:
-        plan = Plan(f, basis.p, basis.e, "z2")
-    plan.check(f, basis, "z2")
+    plan = Plan(f, basis.p, basis.e, "z2")
     half = (basis.q - 1) // 2
     if plan.squaring:
         # on the component's own variables; each unused one multiplies by q
@@ -453,7 +444,7 @@ def free_rank_z2(f: SparsePoly, basis: FrobBasis, plan: Plan | None = None) -> i
         g_span = ring.image(ring.monomials(), ring.power(g, half))
         f_span = ring.image(g_span.values(), ring.element(g))
         return (len(g_span) + len(f_span)) * basis.q ** plan.unused
-    lam = jordan_type(f, basis, plan)
+    lam = _plan_type(plan, basis)
     return sum(
         count * (max(s - half, 0) + max(s - half - 1, 0)) for s, count in lam.items()
     )

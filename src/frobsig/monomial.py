@@ -18,7 +18,7 @@ import json
 from collections import Counter, namedtuple
 from typing import TYPE_CHECKING
 
-from .hypersurface import check_power_index, monomial_dim
+from .hypersurface import check_exponents, check_power_index, monomial_dim
 from .ring import FrobBasis, SparsePoly
 
 if TYPE_CHECKING:
@@ -31,12 +31,7 @@ class MonomialData(namedtuple("MonomialData", "dvec")):
     __slots__ = ()
 
     def __new__(cls, dvec):
-        dvec = tuple(dvec)
-        if not dvec:
-            raise ValueError("dvec must be non-empty")
-        if any(d < 1 for d in dvec):
-            raise ValueError("all exponents must be >= 1")
-        return super().__new__(cls, dvec)
+        return super().__new__(cls, check_exponents(dvec))
 
     @property
     def n(self) -> int:

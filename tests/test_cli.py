@@ -346,6 +346,33 @@ def test_fsignature_closed_form_thousand_entries():
     assert json.loads(result.stdout)["closed_form"] == str(want)
 
 
+# an 8-term f whose powers have many terms: verify's product multiplies
+# each term of a column of M(f^(q-k), e) by each term of a column of M(f^k, e)
+_F8 = "x1^2+x1*x2+x2^3+2*x1^2*x2+x1*x2^2+3*x1^3+x1^4+x2^4"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--f", _F8, "--p", "5", "--e", "2", "--k", "12"],
+        ["verify", "--f", _F8, "--p", "31", "--e", "1", "--k", "15"],
+        ["fsignature", "--type", "uv", "--dvec", ",".join(["1,2"] * 4000)],
+        ["fsignature", "--type", "uv", "--p", "3",
+         "--f", "*".join(f"x{i}" for i in range(1, 4001))],
+    ],
+    ids=["verify-p5-e2", "verify-p31-e1", "closed-form-dvec", "closed-form-monomial-f"],
+)
+def test_slow_products_and_closed_forms_refused_in_one_line(capsys, argv):
+    # each ran for seconds to minutes at the default --max-size, admitted by
+    # its q^(2n) cells alone or not priced at all
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: requested computation needs ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_readme_command_line_examples_run():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```")[0]

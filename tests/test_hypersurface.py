@@ -34,7 +34,6 @@ from frobsig.matfac import (
     verify_matfac,
     z2_presentation,
 )
-from frobsig.fsig import empirical_sequence
 from frobsig.monomial import MonomialData, free_rank_formula
 from frobsig.oracle import invariant_factors_univariate
 from frobsig.ring import SparsePoly, default_names, echelon, parse_poly
@@ -241,27 +240,42 @@ def _connected(n, p):
     return SparsePoly(p, n, terms)
 
 
-@pytest.mark.parametrize("route", ["matrix", "free-rank", "decompose"])
+@pytest.mark.parametrize(
+    "route", ["matrix", "free-rank", "decompose", "verify", "closed-form"]
+)
 def test_early_refusal_implies_exact_refusal(route):
     # a call is refused, early or exactly, iff its work exceeds the bound;
     # the early refusal, made before p^e is formed, says "at least 2^bits".
-    # The work of each route, written out independently of ROUTE_WORK and
-    # of hypersurface.Plan: the cells of M(f^k, e), whose q^n columns hold
-    # at most ``terms`` terms each, the eta terms of decompose, and the
-    # price of a free rank of _connected(n), a closed form and its blocks'
-    # lookups for n = 1, else the chain and the lookups of its blocks
+    # The work of each route, written out independently of ROUTE_WORK, of
+    # hypersurface.Plan and of cli.check_closed_form: the cells of M(f^k, e),
+    # whose q^n columns hold at most ``terms`` terms each, the eta terms of
+    # decompose, the price of a free rank of _connected(n), a closed form
+    # and its blocks' lookups for n = 1, else the chain and the lookups of
+    # its blocks, the term products of verify's phi * psi, ``terms`` the
+    # product of the terms of a column of each, and the uv closed form of
+    # n * terms exponents up to q: n * terms squared multiply-adds of words
+    # of W by words of the largest exponent, each 1/4 + words * words / 256
     def work(p, e, n, terms):
         q = p ** e
         if route == "matrix":
             return q ** n * max(q ** n, terms)
         if route == "decompose":
             return q * 2 ** n
+        if route == "verify":
+            return q ** n * terms
+        if route == "closed-form":
+            size, bits = n * terms, (2 * q).bit_length()
+            w_words, d_words = -(-size * bits // 64), -(-bits // 64)
+            return -(-size * size * (64 + w_words * d_words) // 256)
         return q + 2 if n == 1 else -(-(n - 1) ** 2 * n // 6) * q ** (n + 2) + n * q
 
     def refusal(bound, e, n, p, terms):
         if route == "free-rank":
             price = hypersurface.Plan(_connected(n, p), p, e).price
             return _refusal(cli.check_work, cli.FREE_RANK, price, bound, e, p)
+        if route == "closed-form":
+            dvec = (p ** e,) + (1,) * (n * terms - 1)
+            return _refusal(cli.check_closed_form, dvec, "uv", bound)
         return _refusal(cli.check_route, route, bound, e, n, p, terms)
 
     early_count = 0
@@ -530,8 +544,7 @@ def test_results_live_in_the_ring_of_f(names):
     [("x1^2+x2^3", 2), ("x1^2*x2", 2), ("x1^2+x1*x2+x2^3", 2), ("x1^2", 1)],
     ids=["split", "closed-form", "single-chain", "one-variable"],
 )
-def test_free_ranks_split_f_once(monkeypatch, capsys, text, n):
-    # the library and the CLI, whose price is read from the same plan
+def test_free_ranks_split_f_once(monkeypatch, text, n):
     calls = []
     split = hypersurface._components
 
@@ -545,36 +558,47 @@ def test_free_ranks_split_f_once(monkeypatch, capsys, text, n):
         calls.clear()
         free_rank(f, b)
         assert len(calls) == 1, free_rank.__name__
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("x1^2+x2^3", 2), ("x1^2*x2", 2), ("x1^2+x1*x2+x2^3", 2), ("x1^2", 1)],
+    ids=["split", "closed-form", "single-chain", "one-variable"],
+)
+def test_cli_prices_the_plan_that_runs(monkeypatch, capsys, text, n):
+    # every Plan the CLI makes to check a price, and every Plan a free rank
+    # makes to run, is recorded as (f, p, e, target): each admitted e has
+    # one of each, with equal arguments, and a refused e is priced only
+    made = {"priced": [], "run": []}
+    plan = hypersurface.Plan
+
+    def recorder(side):
+        def make(f, p, e, target="uv"):
+            made[side].append((f, p, e, target))
+            return plan(f, p, e, target)
+        return make
+
+    monkeypatch.setattr(cli, "Plan", recorder("priced"))
+    monkeypatch.setattr(hypersurface, "Plan", recorder("run"))
+    f = parse_poly(text, 3, n)
     for target in ("uv", "z2"):
-        calls.clear()
+        # the price of e = 2 admits it and refuses e = 3
+        bound = sum(9 ** a * c for a, c in plan(f, 3, 2, target).price)
         argv = ["--type", target, "--f", text, "--p", "3"]
-        assert cli.main(["freerank", *argv, "--e", "2"]) == 0
-        assert len(calls) == 1, target
-        # once for each e of a sweep
-        calls.clear()
-        assert cli.main(["fsignature", *argv, "--emax", "2"]) == 0
-        assert len(calls) == 2, target
+        for call, priced, run in [
+            (["freerank", *argv, "--e", "2"], [2], [2]),
+            (["fsignature", *argv, "--emax", "2"], [1, 2], [1, 2]),
+            (["fsignature", *argv, "--emax", "3", "--max-size", str(bound)],
+             [1, 2, 3], [1, 2]),
+        ]:
+            made["priced"].clear()
+            made["run"].clear()
+            assert cli.main(call) == 0, call
+            assert made == {
+                "priced": [(f, 3, e, target) for e in priced],
+                "run": [(f, 3, e, target) for e in run],
+            }, call
     capsys.readouterr()
-
-
-def test_a_plan_serves_only_its_f_p_e_and_target():
-    # a plan handed on is checked against the call: one made for another
-    # e drops other terms, and would give another free rank
-    f = parse_poly("x1^2+x1*x2+x2^4", 3, 2)
-    b = FrobBasis(3, 2, 2)
-    others = [hypersurface.Plan(f, 3, 1), hypersurface.Plan(f, 5, 2),
-              hypersurface.Plan(parse_poly("x1^2+x1*x2", 3, 2), 3, 2)]
-    for fn, plans in [(jordan_type, others), (free_rank_uv, others),
-                      (free_rank_uv, [hypersurface.Plan(f, 3, 2, "z2")]),
-                      (free_rank_z2, [hypersurface.Plan(f, 3, 2)])]:
-        for plan in plans:
-            with pytest.raises(ValueError, match="made for another f, p, e or target"):
-                fn(f, b, plan)
-    assert free_rank_uv(f, b, hypersurface.Plan(f, 3, 2)) == free_rank_uv(f, b)
-    # a sweep reads each e from its plan
-    plans = [hypersurface.Plan(f, 3, e, "z2") for e in (1, 2)]
-    assert (empirical_sequence(f, 3, plans, "z2").empirical
-            == empirical_sequence(f, 3, range(1, 3), "z2").empirical)
 
 
 def _random_connected(rng, p, k):
@@ -627,7 +651,7 @@ def test_price_bounds_the_work(monkeypatch):
             price = sum(b.q ** a * c for a, c in plan.price)
             _pair.cache_clear()
             count.clear()
-            (free_rank_uv if target == "uv" else free_rank_z2)(f, b, plan)
+            (free_rank_uv if target == "uv" else free_rank_z2)(f, b)
             assert count["rows"] + count["han"] <= price, (str(f), p, e, target)
             seen.update(name for name in count if count[name])
     assert seen["rows"] and seen["han"], seen
