@@ -11,12 +11,12 @@ uses.
 
 The size gate is this module's alone: ``check_work`` refuses a call whose
 route is priced over ``--max-size`` before the work starts, and the library
-functions compute whatever they are given.  A matrix is priced from p, e
-and n, then from the terms of f^power and the characters it would print;
-verify from the terms of f^k and f^(q-k) that its product multiplies; a
-free rank by the ``hypersurface.Plan`` of f, which the free rank then makes
-again from the same f, p, e and target and runs; the uv closed form by its
-W recursion.  How ``--f`` reads (its variable count too) and Python's digit
+functions compute whatever they are given.  Each route is priced by what it
+forms: a matrix by what it prints and verify by its pair and their product,
+each first by its q^n columns so that a huge e or n is refused before q^n
+is formed; decompose by its eta terms and report; a free rank by the
+``hypersurface.Plan`` of f, which the free rank makes again and runs; the
+uv closed form by its W recursion.  How ``--f`` reads and Python's digit
 limit are ``ring``'s.
 """
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 
 # ring and hypersurface load with the CLI; every other module is imported
 # by the subcommand that uses it
@@ -40,26 +41,19 @@ EXIT_RESOURCE = 3
 DEFAULT_MAX_SIZE = 10 ** 6
 
 # The work of a route, in its unit, is the sum of q^a * c over pairs (a, c)
-# for q = p^e; hypersurface.Plan prices a free rank from f.  The other
-# routes read n, and a matrix the terms of f^power: M(f^power, e) has q^n
-# columns of q^n cells, each column holding at most ``terms`` terms, so
-# q^n * max(q^n, terms) is checked as its cells and then its terms; verify
-# multiplies each term of a column of M(f^(q-k), e) by each term of a column
-# of M(f^k, e), ``terms`` the product of their counts, in each of q^n
-# columns; decompose sums eta over 2^n labels for each k < q.
-ROUTE_WORK = {
-    "matrix": ("matrix cells", lambda n, terms: (((2 * n, 1),), ((n, terms),))),
-    "verify": ("term products", lambda n, terms: (((n, terms),),)),
-    "decompose": ("eta terms", lambda n, terms: (((1, 2 ** n),),)),
-}
+# for q = p^e; hypersurface.Plan prices a free rank from f.
 FREE_RANK = "units of free-rank work"
 CLOSED_FORM = "units of closed-form work"
+PRINTED = "printed characters"
+TERM_PRODUCTS = "term products"
+ETA_TERMS = "eta terms"
 
 
 def check_work(unit: str, pairs, max_size: int, e: int = 0, p: int = 2) -> None:
     """Raise ResourceWarning when the work of ``pairs`` exceeds ``max_size``.
 
-    A route priced without q, each of its pairs of power 0, leaves out e and p.
+    A route priced without q, each of its pairs of power 0, leaves out e;
+    pairs left at p = 2 bound the work at every prime p below, as q >= 2^e.
     """
     check_prime(p)
     # a prime p is at least 2 and c >= 2^(bitlen(c) - 1), so the work is at
@@ -74,14 +68,6 @@ def check_work(unit: str, pairs, max_size: int, e: int = 0, p: int = 2) -> None:
     raise ResourceWarning(
         f"requested computation needs {work} {unit}, over the bound {max_size}"
     )
-
-
-def check_route(route: str, max_size: int, e: int, n: int, p: int, terms=1) -> None:
-    """Raise ResourceWarning when a matrix, verify or decompose call's work
-    exceeds ``max_size``."""
-    unit, checks = ROUTE_WORK[route]
-    for pairs in checks(n, terms):
-        check_work(unit, pairs, max_size, e, p)
 
 
 def check_closed_form(dvec, target: str, max_size: int) -> None:
@@ -99,6 +85,68 @@ def check_closed_form(dvec, target: str, max_size: int) -> None:
     n, bits = len(dvec), (2 * max(dvec)).bit_length()
     words = -(-n * bits // 64) * -(-bits // 64)
     check_work(CLOSED_FORM, ((0, -(-n * n * (64 + words) // 256)),), max_size)
+
+
+def _check_matrix(f: SparsePoly, power: int, max_size: int, e: int, p: int) -> None:
+    """Raise ResourceWarning when M(f^power, e) would print more than
+    ``max_size`` characters, ValueError when an exponent would not print."""
+    n = f.n
+    # each of the q^n columns prints at least one character, and q >= 2^e
+    check_work(PRINTED, ((n, 1),), max_size, e)
+    q = p ** e
+    # x^j f^power with j_i = q-1 and deg_i f^power = power * deg_i f puts
+    # x_i^ceil(power * deg_i f / q) in some entry: the widest exponent printed
+    degree = max((a for exps in f.terms for a in exps), default=0)
+    widest = -(-power * degree // q)
+    check_digits(widest, f"M(f^{power}, {e}) has exponents with too many digits to print")
+    # a column holds the terms of f^power, at most ``terms``, each printed as
+    # c*x1^a*...*xn^a with c < p and a <= widest, joined by " + ", in an
+    # entry [row, col, "..."] of indices below q^n; the JSON writer prints
+    # more around them than the CSV writer
+    terms = f.power_terms_bound(power)
+    digits = len(str(q ** n))
+    term = len(str(p)) + n * len(f"*x{n}^{widest}") + len(" + ")
+    entry = 2 * digits + len('[, , ""], ')
+    head = 2 * digits + len('{"rows": , "cols": , "entries": []}\n')
+    check_work(PRINTED, ((0, head), (n, terms * (term + entry))), max_size, e, p)
+
+
+def _check_verify(f: SparsePoly, k: int, max_size: int, e: int, p: int) -> None:
+    """Raise ResourceWarning when verify's work exceeds ``max_size``: in each
+    of q^n columns, the products of the terms of M(f^k, e) and M(f^(q-k), e)
+    in phi * psi and the n exponents of the column and of each of those
+    terms, or 11 if that is more."""
+    # each of the q^n columns costs at least one unit, and q >= 2^e
+    check_work(TERM_PRODUCTS, ((f.n, 1),), max_size, e)
+    q = p ** e
+    check_power_index(k, q)
+    lk, lqk = f.power_terms_bound(k), f.power_terms_bound(q - k)
+    # a column costs 11 to 15 microseconds however little it holds:
+    # M(x1, 1) and its product take 1.67 s at p = 99991
+    column = max(lk * lqk + f.n * (1 + lk + lqk), 11)
+    check_work(TERM_PRODUCTS, ((f.n, column),), max_size, e, p)
+
+
+def _check_decompose(dvec, max_size: int, e: int, p: int) -> None:
+    """Raise ResourceWarning when the decomposition report of x^dvec at e
+    exceeds ``max_size``.
+
+    For each k < q its eta loop takes at most 2^n labels c, each eta_k(c) a
+    product of the n per-variable eta terms eta_k(c_j).  It reports at most
+    min(q 2^n, prod(d_j + 1)) labels, each printed as {"c": [c_1, ...],
+    "multiplicity": m} with c_j <= d_j and m, like the free rank, below
+    3 q^(n+1), of at most (n+1) len(str(q)) + 1 digits.
+    """
+    n = len(dvec)
+    check_work(ETA_TERMS, ((1, n << n),), max_size, e, p)
+    q = p ** e
+    labels = min(q << n, prod(d + 1 for d in dvec))
+    count = (n + 1) * len(str(q)) + 1
+    label = sum(len(str(d)) + len(", ") for d in dvec) + count
+    label += len('{"c": [], "multiplicity": }, ')
+    head = len(str(q)) + len(str(e)) + count
+    head += len('{"q": , "e": , "free_rank": , "summands": [], "threshold_ok": false}\n')
+    check_work(PRINTED, ((0, head + labels * label),), max_size)
 
 
 def _int(text: str) -> int:
@@ -146,39 +194,33 @@ FLAGS = {
     "type": dict(choices=tuple(TARGETS), dest="target", help="f+uv or f+z^2"),
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
     "max-size": dict(type=_positive, default=DEFAULT_MAX_SIZE,
-                     help="refuse calls whose work exceeds this: matrix cells for "
-                     "matrix and verify, printed characters for matrix, and "
-                     "term products for verify; units of free-rank work, priced "
-                     "from the route f runs, for freerank and fsignature --f; "
+                     help="refuse calls whose work exceeds this: printed "
+                     "characters for matrix and the decompose report, term "
+                     "products for verify, eta terms for decompose; units of "
+                     "free-rank work, priced from the route f runs, for "
+                     "freerank and fsignature --f, and for parsing any --f; "
                      "units of closed-form work for the uv closed form of "
-                     "fsignature; eta terms for decompose"),
+                     "fsignature"),
 }
 
 
-def _parse_f(args, e: int, cells: bool) -> SparsePoly:
-    """f from --f or --dvec; with ``cells``, once the q^(2n) cells of a
-    matrix over its n variables fit, and otherwise once the parser's work
-    on --f fits the free-rank bound."""
+def _parse_f(args) -> SparsePoly:
+    """f from --dvec, or from --f once the parser's work on it fits
+    ``--max-size``."""
     if args.f is None:
-        n = len(args.dvec)
-    else:
-        n = variable_count(args.f)
-        if args.n is not None and n > args.n:
-            raise ValueError(f"--n {args.n} is smaller than highest variable index {n}")
-        if args.n is None and not n:
-            # malformed text is refused in the parser's words, a constant here
-            parse_poly(args.f, args.p, 1)
-            raise ValueError("cannot infer variable count; pass --n")
-        n = args.n or n
-    if cells:
-        check_route("matrix", args.max_size, e, n, args.p)
-    elif args.f is not None:
-        # the parser reads each term of --f as n exponents, and every term
-        # after the first follows a + or -
-        terms = 1 + args.f.count("+") + args.f.count("-")
-        check_work(FREE_RANK, ((0, n * terms),), args.max_size, e, args.p)
-    if args.f is None:
-        return SparsePoly.monomial(args.dvec, args.p, n)
+        return SparsePoly.monomial(args.dvec, args.p, len(args.dvec))
+    n = variable_count(args.f)
+    if args.n is not None and n > args.n:
+        raise ValueError(f"--n {args.n} is smaller than highest variable index {n}")
+    if args.n is None and not n:
+        # malformed text is refused in the parser's words, a constant here
+        parse_poly(args.f, args.p, 1)
+        raise ValueError("cannot infer variable count; pass --n")
+    n = args.n or n
+    # the parser reads each term of --f as n exponents, and every term after
+    # the first follows a + or -
+    terms = 1 + args.f.count("+") + args.f.count("-")
+    check_work(FREE_RANK, ((0, n * terms),), args.max_size, p=args.p)
     return parse_poly(args.f, args.p, n)
 
 
@@ -190,32 +232,12 @@ def _check_free_rank(f: SparsePoly, args, e: int) -> None:
 
 
 def cmd_matrix(args) -> str:
-    f = _parse_f(args, args.e, cells=True)
-    basis = FrobBasis(args.p, args.e, f.n)
-    # each column of M(f^power, e) holds as many terms as f^power
-    terms = f.power_terms_bound(args.power)
-    check_route("matrix", args.max_size, args.e, f.n, args.p, terms)
-    # x^j f^power with j_i = q-1 and deg_i f^power = power * deg_i f puts
-    # x_i^ceil(power * deg_i f / q) in some entry: the widest exponent printed
-    degree = max((a for exps in f.terms for a in exps), default=0)
-    widest = -(-args.power * degree // basis.q)
-    check_digits(
-        widest,
-        f"M(f^{args.power}, {args.e}) has exponents with too many digits to print",
-    )
-    # each of those terms prints as c*x1^a*...*xn^a with c < p and a <= widest,
-    # joined by " + ", in an entry [row, col, "..."] of indices below q^n;
-    # the JSON writer prints more around them than the CSV writer
-    digits = len(str(basis.size))
-    term = len(str(args.p)) + f.n * len(f"*x{f.n}^{widest}") + len(" + ")
-    entry = 2 * digits + len('[, , ""], ')
-    head = 2 * digits + len('{"rows": , "cols": , "entries": []}\n')
-    check_work("printed characters", ((0, head), (f.n, terms * (term + entry))),
-               args.max_size, args.e, args.p)
+    f = _parse_f(args)
+    _check_matrix(f, args.power, args.max_size, args.e, args.p)
     # imported only once f is accepted, so that a refusal loads nothing more
     from .frobenius import matrix_power
 
-    m = matrix_power(f, args.power, basis)
+    m = matrix_power(f, args.power, FrobBasis(args.p, args.e, f.n))
     return m.to_csv() if args.format == "csv" else m.to_json()
 
 
@@ -229,7 +251,7 @@ def cmd_fsignature(args) -> str:
         return SignatureReport(args.target, args.dvec, closed).to_json()
     if args.p is None:
         raise ValueError("--p is required")
-    f = _parse_f(args, 1, cells=False)
+    f = _parse_f(args)
     # the work grows with e: the sweep stops before the first e over the bound
     emax, last = args.emax or 1, 1
     _check_free_rank(f, args, 1)
@@ -254,12 +276,12 @@ def cmd_fsignature(args) -> str:
 def cmd_decompose(args) -> str:
     from .monomial import MonomialData, decomposition_report
 
-    check_route("decompose", args.max_size, args.e, len(args.dvec), args.p)
+    _check_decompose(args.dvec, args.max_size, args.e, args.p)
     return decomposition_report(MonomialData(args.dvec), args.p, args.e).to_json()
 
 
 def cmd_freerank(args) -> str:
-    f = _parse_f(args, args.e, cells=False)
+    f = _parse_f(args)
     _check_free_rank(f, args, args.e)
     basis = FrobBasis(args.p, args.e, f.n)
     free_rank = free_rank_uv if args.target == "uv" else free_rank_z2
@@ -271,15 +293,13 @@ def cmd_freerank(args) -> str:
 
 
 def cmd_verify(args) -> str:
-    f = _parse_f(args, args.e, cells=True)
-    basis = FrobBasis(args.p, args.e, f.n)
-    check_power_index(args.k, basis.q)
-    terms = f.power_terms_bound(args.k) * f.power_terms_bound(basis.q - args.k)
-    check_route("verify", args.max_size, args.e, f.n, args.p, terms)
+    f = _parse_f(args)
+    _check_verify(f, args.k, args.max_size, args.e, args.p)
     # imported only once the pair is priced, so that a refusal loads nothing more
     from .hypersurface import presentation_fk
     from .matfac import verify_matfac
 
+    basis = FrobBasis(args.p, args.e, f.n)
     mf = presentation_fk(f, args.k, basis)
     if not verify_matfac(mf.phi, mf.psi, f):
         raise ValueError("the pair is not a matrix factorization of f")

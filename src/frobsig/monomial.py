@@ -173,12 +173,9 @@ def ffrt_witness(md: MonomialData, p: int, e_max: int) -> set:
     """Labels c with eta_k(c) > 0 for some e <= e_max, k < p^e.
 
     Always a subset of the finite box Gamma: the computational witness that
-    only finitely many summand classes ever occur.
+    only finitely many summand classes ever occur.  The window of k' at q' =
+    q/p^i is the window of k = p^i k' at q = p^e_max, since k'd/q' = kd/q,
+    so the labels at q alone are all of them.
     """
     q = FrobBasis(p, e_max, md.n).q
-    out = set()
-    while q > 1:
-        for k in range(1, q):
-            out.update(_window(k, md, q))
-        q //= p
-    return out
+    return {c for k in range(1, q) for c in _window(k, md, q)}

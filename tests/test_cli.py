@@ -216,7 +216,8 @@ def test_fsignature_closed_form_many_variables():
 
 
 def test_resource_exit_code(capsys):
-    code, _, err = run(capsys, "matrix", "--f", "x1", "--p", "3", "--e", "9")
+    # M(x1, 13) has 3^13 columns, a character or more each: about 40 MB
+    code, _, err = run(capsys, "matrix", "--f", "x1", "--p", "3", "--e", "13")
     assert code == 3
     assert "bound" in err
 
@@ -320,20 +321,22 @@ def test_usage_errors_exit_2_in_one_line(argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, exit_code",
     [
-        "freerank --type uv --f x1^2 --p 3 --e 1 --n 10000",
-        "freerank --type uv --f x1^2 --p 3 --e 1 --n 30000",
-        "freerank --type uv --f x1^2 --p 3 --e 1 --n 100000000",
-        f"decompose --dvec {','.join(['1'] * 20000)} --p 3 --e 1",
+        ("freerank --type uv --f x1^2 --p 3 --e 1 --n 10000", 2),
+        ("freerank --type uv --f x1^2 --p 3 --e 1 --n 30000", 2),
+        ("freerank --type uv --f x1^2 --p 3 --e 1 --n 100000000", 3),
+        (f"decompose --dvec {','.join(['1'] * 20000)} --p 3 --e 1", 3),
     ],
     ids=["n-10000", "n-30000", "n-10^8", "decompose-20000-ones"],
 )
-def test_oversized_variable_count_refused_before_any_ring(argv):
+def test_oversized_variable_count_refused_before_any_ring(argv, exit_code):
     # the work of n variables exceeds --max-size: decompose's 2^n labels
-    # before any ring, a free rank's q^u for u unused variables before its
-    # basis, and the parser's n exponents a term before f is parsed
-    _assert_one_line_refusal(_cli(*argv.split()), 3)
+    # before any ring, and the parser's n exponents a term before f is
+    # parsed; unused variables only scale a free rank's counts by q^u, so
+    # x1^2 in 10^4 variables is cheap, but its free rank has more digits
+    # than Python prints
+    _assert_one_line_refusal(_cli(*argv.split()), exit_code)
 
 
 def test_fsignature_closed_form_thousand_entries():
@@ -406,16 +409,17 @@ def test_malformed_f_gets_the_parser_message(capsys, f, reason, extra):
 
 
 def test_decompose_gate_counts_eta_terms(capsys):
-    # the report sums eta over at most 2^n labels for each k < q: q * 2^n = 200
+    # the report multiplies n per-variable eta terms for each of at most 2^n
+    # labels for each k < q: n * q * 2^n = 600
     argv = ("decompose", "--dvec", "24,24,24", "--p", "5", "--e", "2")
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert run(capsys, *argv, "--max-size", str(10 ** 12)) == (0, out, "")
-    # q * 2^n = 3^12 * 4 passes the bit-length check and fails the gate
+    # n * q * 2^n = 2 * 3^12 * 4 passes the bit-length check and fails the gate
     code, out, err = run(capsys, "decompose", "--dvec", "2,1", "--p", "3", "--e", "12")
     assert (code, out) == (3, "")
     assert err.strip() == (
-        "error: requested computation needs 2125764 eta terms, over the bound 1000000"
+        "error: requested computation needs 4251528 eta terms, over the bound 1000000"
     )
 
 
@@ -572,6 +576,85 @@ def test_matrix_prints_within_its_bound(capsys, seed):
         assert run(capsys, *argv, "--max-size", str(len(out) - 1))[0] == 3, argv
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_decompose_prints_within_its_bound(capsys, seed):
+    # a decompose call admitted at --max-size B prints at most B characters
+    rng = random.Random(seed)
+    for _ in range(12):
+        dvec = ",".join(str(rng.randint(1, 30)) for _ in range(rng.randint(1, 4)))
+        argv = ["decompose", "--dvec", dvec, "--p", str(rng.choice([2, 3, 5, 7])),
+                "--e", str(rng.randint(1, 2))]
+        code, out, err = run(capsys, *argv, "--max-size", str(10 ** 12))
+        assert (code, err) == (0, ""), argv
+        assert run(capsys, *argv, "--max-size", str(len(out) - 1))[0] == 3, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "matrix --f x1^2+x2^3 --p 7 --e 2",
+        "matrix --f x1 --n 3 --p 11 --e 1",
+        "verify --f x1^2+x2^3 --p 7 --e 2 --k 1",
+    ],
+)
+def test_gate_admits_matrices_by_what_they_form(capsys, argv):
+    # each was refused for the q^(2n) cells of a dense matrix no route forms
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv.split(), "--max-size", str(10 ** 12)) == (0, out, "")
+
+
+def test_unused_variables_only_scale_the_counts(capsys):
+    # x1^2 in 14 variables: the free rank of x1^2 at q = 3, which is 5, times
+    # 3^13, once refused for a price of 3^13
+    code, out, err = run(capsys, "freerank", "--type", "uv", "--f", "x1^2",
+                         "--n", "14", "--p", "3", "--e", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["free_rank"] == 5 * 3 ** 13
+    # s_e = free rank / q^(n+1) does not depend on n: 2000 variables give the
+    # sweep of one, once refused at any --max-size below 3^1999
+    argv = ["fsignature", "--type", "uv", "--f", "x1^2", "--p", "3", "--emax", "3"]
+    code, out, err = run(capsys, *argv, "--n", "2000")
+    assert (code, err) == (0, "")
+    _, one, _ = run(capsys, *argv)
+    assert json.loads(out)["empirical"] == json.loads(one)["empirical"]
+    assert [r["s"] for r in json.loads(one)["empirical"]] == ["5/9", "41/81", "365/729"]
+    # but the counts are scaled by q^u, of b = u e bitlen(p) bits, and s_e is
+    # reduced in time quadratic in b: with 333333 unused variables, e = 3 is
+    # priced over the bound and the sweep stops at e = 2
+    code, out, err = run(capsys, *argv, "--n", "333334")
+    assert err == "note: truncating sweep to e <= 2 (size bound 1000000)\n"
+    assert json.loads(out)["empirical"] == json.loads(one)["empirical"][:2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # columns of M(x1, 1) without a product: 1.67 s
+        "verify --f x1 --p 99991 --e 1 --k 1",
+        "verify --f x1*x2 --p 7 --e 3 --k 1",  # 1.9 s
+        # 18 exponents a term in 2^18 columns: 5.6 s and 451 MB
+        "verify --f x1 --n 18 --p 2 --e 1 --k 1",
+        "matrix --f x1 --n 18 --p 2 --e 1",  # 5.9 MB in 2.3 s
+        # 13 factors for each of 925696 eta terms: 7.5 s
+        f"decompose --dvec {','.join(['1'] * 13)} --p 113 --e 1",
+        # 393216 eta terms of 17 factors, printing 21.3 and 10.7 MB
+        f"decompose --dvec {','.join(['2'] * 17)} --p 3 --e 1",
+        f"decompose --dvec {','.join(['1'] * 17)} --p 3 --e 1",
+    ],
+    ids=["verify-columns", "verify-x1x2", "verify-n18", "matrix-n18",
+         "decompose-13-ones", "decompose-17-twos", "decompose-17-ones"],
+)
+def test_gate_refuses_by_what_a_call_forms(capsys, argv):
+    # each takes seconds when admitted
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv.split())
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: requested computation needs ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_free_rank_past_the_digit_limit_refused_in_one_line(capsys):
     # a monomial in 9100 variables is a cheap closed form whose free rank,
     # above 3^9100, has more digits than int() converts
@@ -620,16 +703,19 @@ def test_large_power_runs_in_bounded_time():
 
 
 def test_power_gate_counts_the_terms_of_f_to_the_k(capsys):
-    # (x1 + x2)^k over F_3 has at most 3 terms per base-3 digit of k; each of
-    # the 9 columns of M(f^k, 1) holds that many once it exceeds q^n = 9
+    # (x1 + x2)^k over F_3 has at most 3 terms per base-3 digit of k, 27 for
+    # k = 26, in each of the 9 columns of M(f^k, 1); with 25 characters a
+    # term and its entry, they are priced at least 2^(1 * 2) * 2^9 characters,
+    # over 100 before q is formed
     argv = ("matrix", "--f", "x1+x2", "--p", "3", "--e", "1", "--power")
     code, out, err = run(capsys, *argv, "26", "--max-size", "100")
     assert (code, out) == (3, "")
     assert err.strip() == (
-        "error: requested computation needs 243 matrix cells, over the bound 100"
+        "error: requested computation needs at least 2^11 printed characters, "
+        "over the bound 100"
     )
-    # (x1 + x2)^8 fits in 81 cells, and is then priced by what it prints: 9
-    # columns of 9 terms, each up to "2*x1^3*x2^3 + " in an entry [r, c, ""]
+    # (x1 + x2)^8 is priced by what it prints: 9 columns of 9 terms, each up
+    # to "2*x1^3*x2^3 + " in an entry [r, c, ""]
     code, out, err = run(capsys, *argv, "8", "--max-size", "1000")
     assert (code, out) == (3, "")
     assert err.strip() == (

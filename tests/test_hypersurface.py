@@ -2,6 +2,7 @@ import json
 import random
 import time
 from collections import Counter
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -240,29 +241,48 @@ def _connected(n, p):
     return SparsePoly(p, n, terms)
 
 
+@lru_cache(maxsize=None)
+def _terms(n, t, p):
+    """x1^i * x2 * ... * xn for i = 1..t: t terms on n variables, of largest
+    exponent t."""
+    return SparsePoly(p, n, {(i,) + (1,) * (n - 1): 1 for i in range(1, t + 1)})
+
+
 @pytest.mark.parametrize(
     "route", ["matrix", "free-rank", "decompose", "verify", "closed-form"]
 )
 def test_early_refusal_implies_exact_refusal(route):
     # a call is refused, early or exactly, iff its work exceeds the bound;
     # the early refusal, made before p^e is formed, says "at least 2^bits".
-    # The work of each route, written out independently of ROUTE_WORK, of
-    # hypersurface.Plan and of cli.check_closed_form: the cells of M(f^k, e),
-    # whose q^n columns hold at most ``terms`` terms each, the eta terms of
-    # decompose, the price of a free rank of _connected(n), a closed form
-    # and its blocks' lookups for n = 1, else the chain and the lookups of
-    # its blocks, the term products of verify's phi * psi, ``terms`` the
-    # product of the terms of a column of each, and the uv closed form of
-    # n * terms exponents up to q: n * terms squared multiply-adds of words
-    # of W by words of the largest exponent, each 1/4 + words * words / 256
+    # The work of each route, written out independently of the CLI's checks,
+    # of hypersurface.Plan and of cli.check_closed_form: the characters
+    # M(g, e) prints for g = _terms(n, terms) in its q^n columns of at most
+    # ``terms`` terms each; the eta terms of decompose for dvec = (terms,)*n,
+    # n for each of 2^n labels and each k, or the characters of its report;
+    # the price of a free rank of _connected(n), a closed form and its
+    # blocks' lookups for n = 1, else the chain and the lookups of its
+    # blocks; verify's products of the terms of a column of M(g, e) and of
+    # M(g^(q-1), e) and the n exponents of the column and of each of those
+    # terms, at least 11 a column; and the uv closed form of n * terms
+    # exponents up to q: n * terms squared multiply-adds of words of W by
+    # words of the largest exponent, each 1/4 + words * words / 256
     def work(p, e, n, terms):
         q = p ** e
         if route == "matrix":
-            return q ** n * max(q ** n, terms)
+            digits, widest = len(str(q ** n)), -(-terms // q)
+            term = len(str(p)) + n * len(f"*x{n}^{widest}") + len(" + ")
+            head = 2 * digits + len('{"rows": , "cols": , "entries": []}\n')
+            return head + q ** n * terms * (term + 2 * digits + len('[, , ""], '))
         if route == "decompose":
-            return q * 2 ** n
+            count = (n + 1) * len(str(q)) + 1
+            label = n * (len(str(terms)) + 2) + count + len('{"c": [], "multiplicity": }, ')
+            head = len(f'{{"q": {q}, "e": {e}, "free_rank": , "summands": [], '
+                       f'"threshold_ok": false}}\n') + count
+            return max(n * q * 2 ** n, head + min(q * 2 ** n, (terms + 1) ** n) * label)
         if route == "verify":
-            return q ** n * terms
+            # g^(q-1) has at most C(p-1 + terms-1, terms-1) terms per digit p-1
+            last = comb(p + terms - 2, terms - 1) ** e
+            return q ** n * max(terms * last + n * (1 + terms + last), 11)
         if route == "closed-form":
             size, bits = n * terms, (2 * q).bit_length()
             w_words, d_words = -(-size * bits // 64), -(-bits // 64)
@@ -276,17 +296,22 @@ def test_early_refusal_implies_exact_refusal(route):
         if route == "closed-form":
             dvec = (p ** e,) + (1,) * (n * terms - 1)
             return _refusal(cli.check_closed_form, dvec, "uv", bound)
-        return _refusal(cli.check_route, route, bound, e, n, p, terms)
+        if route == "decompose":
+            return _refusal(cli._check_decompose, (terms,) * n, bound, e, p)
+        check = cli._check_matrix if route == "matrix" else cli._check_verify
+        return _refusal(check, _terms(n, terms, p), 1, bound, e, p)
 
     early_count = 0
-    for bound in (1, 10, 1000, 10 ** 6, 10 ** 12):
-        for e in range(1, 13):
-            for n in range(1, 7):
-                for p in (2, 3, 5, 97):
-                    for terms in (1, 50, 10 ** 4):
+    for e in range(1, 13):
+        for n in range(1, 7):
+            for p in (2, 3, 5, 97):
+                for terms in (1, 50, 10 ** 4):
+                    # the work itself is admitted, and one less refused
+                    need = work(p, e, n, terms)
+                    for bound in (1, 10, 1000, 10 ** 6, 10 ** 12, need, need - 1):
                         refused = refusal(bound, e, n, p, terms)
-                        exact = work(p, e, n, terms) > bound
-                        assert (refused is not None) == exact
+                        exact = need > bound
+                        assert (refused is not None) == exact, (bound, e, n, p, terms)
                         early_count += exact and "at least 2^" in refused
     assert early_count > 0
 

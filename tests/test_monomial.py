@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -195,3 +196,19 @@ def test_ffrt_witness():
     wxy = ffrt_witness(MonomialData((1, 1)), 3, 2)
     assert wxy <= {(a, b) for a in (0, 1) for b in (0, 1)}
     assert len(ffrt_witness(MonomialData((3, 2)), 3, 2)) <= 12
+
+
+def test_ffrt_witness_is_the_union_over_every_level():
+    # the labels c with eta_k(c) > 0 for some e <= e_max and k < p^e, found
+    # by testing every label of the box at every level
+    rng = random.Random(20)
+    for _ in range(100):
+        md = MonomialData([rng.randint(1, 4) for _ in range(rng.randint(1, 3))])
+        p = rng.choice([2, 3, 5, 7])
+        e_max = rng.randint(1, 3 if p < 5 else 2)
+        union = set()
+        for e in range(1, e_max + 1):
+            q = p ** e
+            for k in range(1, q):
+                union.update(c for c in md.gamma() if eta(k, c, md, q) > 0)
+        assert ffrt_witness(md, p, e_max) == union, (md.dvec, p, e_max)
