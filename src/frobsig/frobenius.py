@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import json
 
-from .ring import FrobBasis, SparsePoly, ring_names
+from .ring import FrobBasis, SparsePoly, ring_names, tick
 from .ring import check_same_ring, extended_names, same_ring
 
 
@@ -174,8 +174,10 @@ class PolyMatrix:
         for bcol in other.data:
             acc: dict[int, int] = {}
             get = acc.get
+            products = 0
             for i, poly in bcol.items():
                 a_terms = a_cols[i]
+                products += len(a_terms) * len(poly.terms)
                 for e, cb in poly.terms.items():
                     pb = pack[e]
                     for ka, ca in a_terms:
@@ -192,6 +194,9 @@ class PolyMatrix:
                         exps_of[packed] = exps
                     rows.setdefault(k >> offset, {})[exps] = c
             data.append({r: SparsePoly._raw(p, n, names, t) for r, t in rows.items()})
+            # the column's term products and the terms they sum to, and its
+            # own 10 us however few they are
+            tick(24 + products + len(acc))
         return PolyMatrix(self.rows, other.cols, p, n, names, data)
 
     def matrix_pow(self, k: int) -> "PolyMatrix":
@@ -298,12 +303,19 @@ class PolyMatrix:
 
         A matrix of relations shares one entry object among many cells.
         """
+        # the characters printed: the JSON around the entries, and each entry's
+        # [row, col, "..."], at least width + 1 of them counted before the sort
+        digits = len(str(max(self.rows, self.cols)))
+        width = 2 * digits + len('[, , ""], ')
+        head = width + len('{"rows": , "cols": , "entries": []}\n')
+        tick(head + self.entry_count() * (width + 1))
         text: dict[int, str] = {}
         out = []
         for i, j, poly in self.sorted_entries():
             s = text.get(id(poly))
             if s is None:
                 s = text[id(poly)] = str(poly)
+            tick(len(s) - 1)
             out.append([i, j, s])
         return out
 
@@ -373,8 +385,10 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
     basis.check(f)
     q = basis.q
     n = basis.n
-    radix = basis.radix
     size = basis.size
+    # the q^n columns and their tuples, before they are formed: about 1.2 us each
+    tick(4 * size)
+    radix = basis.radix
     data: list[dict[int, SparsePoly]] = [dict() for _ in range(size)]
     # one entry object per distinct (quotient exponents, coefficient)
     entries: dict[tuple[tuple[int, ...], int], SparsePoly] = {}
@@ -393,6 +407,7 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
                 qt.append(c)
             row_tab.append(rt)
             quo_tab.append(qt)
+        sums = 0
         for j in range(size):
             beta = tuples[j]
             row = 0
@@ -411,11 +426,16 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
             if cur is None:
                 col[row] = entry
             else:
+                sums += 1
                 s = cur + entry
                 if s.is_zero():
                     del col[row]
                 else:
                     col[row] = s
+        # the term's n tables of q entries, its entry in each column from n
+        # lookups at about 0.6 + 0.2 n us, and 3.5 us for each sum with an
+        # entry already there
+        tick(n * q + size * (n + 4) // 2 + 10 * sums)
     return PolyMatrix(size, size, f.p, n, f.names, data)
 
 

@@ -5,8 +5,8 @@ from the symmetric quantities W_j; the signature of S[[z]]/(x^dvec + z^2)
 is 1/2^{n-1} when all exponents are 1 and 0 otherwise.  Empirical
 sequences s_e divide exact free ranks by the matching power of p so the
 convergence toward the closed form can be checked at small e; every e
-given is computed, each free rank making its own plan, and choosing the e
-that fit a size bound, like pricing the uv closed form, is the CLI's gate.
+given is computed, and the CLI's budget for each e decides where its sweep
+stops.
 ``closed_form`` picks a target's formula; the target names, the z2 rule
 for p, the rule for an exponent vector and each target's dimension are
 ``hypersurface``'s.  All arithmetic is exact rational, and a fraction too
@@ -23,7 +23,7 @@ from math import comb
 
 from .hypersurface import (TARGETS, check_exponents, check_nonunit, check_target,
                            free_rank_uv, free_rank_z2)
-from .ring import FrobBasis, SparsePoly, check_digits
+from .ring import FrobBasis, SparsePoly, check_digits, tick
 
 
 class WTable(namedtuple("WTable", "dvec values")):
@@ -53,8 +53,13 @@ def w_values(dvec) -> WTable:
     """
     dvec = check_exponents(dvec)
     d = max(dvec)
+    d_words = 1 + d.bit_length() // 64
     values = [1]
     for dm in dvec:
+        # half a unit (0.2 us) a multiply-add, three quarters unless dm = d,
+        # and one for each 64 products of words of W and of d
+        bits = sum(v.bit_length() for v in values)
+        tick((len(values) * (2 + (dm < d)) + d_words * bits // 1024) // 4)
         padded = [0, *values, 0]
         values = [
             (d - dm) * padded[j] + dm * padded[j + 1] for j in range(len(values) + 1)
@@ -216,18 +221,21 @@ def monomial_exponents(f: SparsePoly) -> tuple[int, ...] | None:
 def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> SignatureReport:
     """Exact signature approximants s_e for e in e_range.
 
-    s_e is the target's free rank over p^(e*D), where D is the dimension of
-    its hypersurface: n+1 for f+uv and n for f+z^2.  Every e given is
-    computed; bounding the work is the caller's choice.
+    Every e given is computed; bounding the work is the caller's choice.
     """
     check_target(target, p)
     check_nonunit(f)
     dvec = monomial_exponents(f)
     closed = None if dvec is None else closed_form(dvec, target)
-    n = f.n
-    free_rank = free_rank_uv if target == "uv" else free_rank_z2
     report = SignatureReport(target=target, dvec=dvec, closed_form=closed)
     for e in e_range:
-        rank = free_rank(f, FrobBasis(p, e, n))
-        report.empirical.append((e, Fraction(rank, p ** (e * (n + TARGETS[target])))))
+        report.empirical.append((e, approximant(f, p, e, target)))
     return report
+
+
+def approximant(f: SparsePoly, p: int, e: int, target: str) -> Fraction:
+    """s_e, the target's free rank at q = p^e over p^(e*D), where D is the
+    dimension of its hypersurface: n+1 for f+uv and n for f+z^2."""
+    free_rank = free_rank_uv if target == "uv" else free_rank_z2
+    rank = free_rank(f, FrobBasis(p, e, f.n))
+    return Fraction(rank, p ** (e * (f.n + TARGETS[target])))

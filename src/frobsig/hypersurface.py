@@ -13,21 +13,20 @@ product of their rings, and the Jordan type into a sum over pairs of
 blocks, each read from rules on base-p digits and Han's formula for
 dim F_p[x,y]/(x^a, y^b, (x+y)^c).  A component is a closed form when it is
 a monomial or has one variable, and otherwise the chain f^j A is walked on
-its own variables.  ``Plan`` alone splits f, decides these routes and
-prices them; each free rank makes its own, and a caller that checks the
-price makes the same plan from the same f, p, e and target.
+its own variables.  ``_Plan`` alone splits f and decides these routes,
+once for each free rank.
 Only ``ring`` is imported with this module; ``presentation_fk`` imports
 ``frobenius`` and ``matfac`` when it runs.  The free ranks load neither:
 the one piece of the pushforward they need, ``FrobBasis``, is in ``ring``.
-Nothing here refuses a computation by its size: that gate is the CLI's.
+The loops here tick ``ring``'s work meter, which refuses only inside a
+budget that a caller opened.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
-from .ring import FrobBasis, SparsePoly, echelon
+from .ring import FrobBasis, SparsePoly, echelon, memo_per_budget, tick
 
 if TYPE_CHECKING:
     from .matfac import MatFac
@@ -89,6 +88,8 @@ class _Artinian:
         self.basis = basis
         self.p = basis.p
         q = basis.q
+        # the table's 2 q^n digit sums, before it is formed: 0.15 us each
+        tick(2 * basis.size)
         digit_sums = [0] * (2 * basis.size - 1)
         for m in range(1, len(digit_sums)):
             digit_sums[m] = digit_sums[m // q] + m % q
@@ -104,6 +105,8 @@ class _Artinian:
         }
 
     def times(self, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+        # about 0.3 us for each product of terms, and for the call itself
+        tick(len(u) * len(v) + 2)
         ds = self.digit_sums
         v_terms = [(j, c, ds[j]) for j, c in v.items()]
         out: dict[int, int] = {}
@@ -149,6 +152,8 @@ def monomial_dim(gamma, q: int, j: int) -> int:
 
     (x^gamma)^j A is spanned by the x^a with j*gamma_i <= a_i < q for all i.
     """
+    # 0.3 us for the call and for each variable, for each 64-bit word of q
+    tick((1 + len(gamma)) * (1 + q.bit_length() // 64))
     total = 1
     for g in gamma:
         factor = q - j * g
@@ -175,17 +180,14 @@ def chain_dims(f: SparsePoly, basis: FrobBasis) -> list[int]:
     return dims
 
 
-def _components(f: SparsePoly, p: int, e: int):
+def _components(f: SparsePoly, q: int):
     """f's terms in A grouped by connected sets of variables, and the rest.
 
     Two variables are joined when some term holds both; a term with an
-    exponent of at least q = p^e is 0 in A and is dropped.  Returns each
+    exponent of at least q is 0 in A and is dropped.  Returns each
     component as a polynomial in its own variables, and the count of
-    variables that no component uses.  q is formed only when some exponent
-    could reach it, so a huge e costs nothing here.
+    variables that no component uses.
     """
-    top = max(max(exps) for exps in f.terms)
-    q = p ** e if e < top.bit_length() else top + 1
     groups: list[tuple[set[int], dict]] = []
     for exps, c in f.terms.items():
         if max(exps) >= q:
@@ -224,6 +226,8 @@ def _closed_form_exponents(g: SparsePoly):
 
 def _blocks(dims) -> dict[int, int]:
     """Jordan type from d_j = dim T^j: d_{s-1} - 2d_s + d_{s+1} blocks of size s."""
+    # about 0.2 us for each d_j
+    tick(len(dims))
     d = [*dims, 0, 0]
     lam = {}
     for s in range(1, len(dims) + 1):
@@ -245,7 +249,7 @@ def _han_colength(r: int, s: int, c: int, p: int) -> int:
     """
     t = (r, s, c)
     top = max(t)
-    delta = 2 * top - r - s - c
+    delta, loops = 2 * top - r - s - c, 0
     if delta < 0:
         delta, m = 0, 1
         while m < 2 * top:
@@ -256,10 +260,13 @@ def _han_colength(r: int, s: int, c: int, p: int) -> int:
             dist = sum(g) + (0 if sum(n) % 2 else min(m - 2 * x for x in g))
             delta = max(delta, m - dist)
             m *= p
+            loops += 1
+    # a call costs about 1.2 us, and each loop about 3.3 more
+    tick(4 + 10 * loops)
     return (2 * (r * s + s * c + c * r) - r * r - s * s - c * c + delta * delta) // 4
 
 
-@lru_cache(maxsize=None)
+@memo_per_budget
 def _pair(r: int, s: int, p: int) -> tuple[tuple[int, int], ...]:
     """Jordan type of x+y on F_p[x,y]/(x^r, y^s), as sorted (size, count).
 
@@ -294,72 +301,24 @@ def _pair(r: int, s: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-class Plan:
-    """How a free rank of f at q = p^e runs, and its price, fixed before it runs.
+class _Plan:
+    """How a free rank of f on the A of ``basis`` runs, fixed before it runs.
 
     ``parts`` are f's components on disjoint sets of variables, each
     ``(g, gamma)``: g in its own variables and gamma its closed form's
     exponents, or None for the chain.  ``unused`` counts the variables no
     component uses.  ``squaring``: the f+z^2 free rank forms g^((q-1)/2) in
-    A, f being one component that needs the chain.  ``price`` bounds the
-    work as pairs (a, c), the sum of c * q^a, formed without q.  Its units,
-    about a microsecond each (0.04 to 3 on the f measured), were fitted to
-    measured times: k q for a
-    closed form on k variables; (k-1) t (t-1) q^(k+2) / 6 for the chain of
-    t terms on k variables, halved when g is homogeneous (each row then
-    stays in one degree) and halved again for the squaring, both rounded
-    up; D D' (A + A') (e+1) for a pair step, with D the distinct block
-    sizes and A the longest block of a side, each of A + A' colengths a
-    loop over e+1 powers of p.  u unused variables multiply the type's
-    counts by q^u, of at most b = u e bitlen(p) bits, and a sweep reduces a
-    fraction of that size in time quadratic in b: b/4 + b^2/2^22, fitted
-    on up to 400000 unused variables.
+    A, f being one component that needs the chain.
     """
 
-    __slots__ = ("parts", "unused", "squaring", "price")
+    __slots__ = ("parts", "unused", "squaring")
 
-    def __init__(self, f: SparsePoly, p: int, e: int, target: str = "uv"):
-        check_target(target, p)
-        check_nonunit(f)
-        parts, self.unused = _components(f, p, e)
+    def __init__(self, f: SparsePoly, basis: FrobBasis, target: str = "uv"):
+        parts, self.unused = _components(f, basis.q)
         self.parts = [(g, _closed_form_exponents(g)) for g in parts]
         self.squaring = (
             target == "z2" and len(parts) == 1 and self.parts[0][1] is None
         )
-        price: dict[int, int] = {}
-
-        def add(a: int, c: int) -> None:
-            price[a] = price.get(a, 0) + c
-
-        # D and A of the type so far, each as (a, c) for c * q^a
-        sides = None
-        for g, gamma in self.parts:
-            k = g.n
-            if gamma is None:
-                t = len(g.terms)
-                halves = (len({sum(exps) for exps in g.terms}) == 1) + self.squaring
-                add(k + 2, -(-(k - 1) * t * (t - 1) // (6 << halves)))
-                # g^(k(q-1)+1) = 0 in A, so no block is longer
-                distinct = longest = (1, k)
-            else:
-                add(1, k)
-                # x^m on F_p[x]/(x^q) has blocks of two sizes
-                distinct, longest = (0, 2) if k == 1 else (1, 1), (1, 1)
-            if sides is None:
-                # lam's one block of size 1 pairs with each block at once
-                add(*distinct)
-            else:
-                (d, d_c), (a, a_c) = sides
-                # x+y on (r, s) has blocks shorter than r + s
-                longest = (max(a, longest[0]), a_c + longest[1])
-                add(d + distinct[0] + longest[0],
-                    d_c * distinct[1] * longest[1] * (e + 1))
-                distinct = longest
-            sides = distinct, longest
-        if self.unused:
-            bits = self.unused * e * p.bit_length()
-            add(0, -(-bits * (bits + (1 << 20)) >> 22))
-        self.price = tuple(price.items())
 
 
 def jordan_type(f: SparsePoly, basis: FrobBasis) -> dict[int, int]:
@@ -373,10 +332,10 @@ def jordan_type(f: SparsePoly, basis: FrobBasis) -> dict[int, int]:
     one block of size a: it multiplies every count by q.
     """
     check_local(f, basis)
-    return _plan_type(Plan(f, basis.p, basis.e), basis)
+    return _plan_type(_Plan(f, basis), basis)
 
 
-def _plan_type(plan: Plan, basis: FrobBasis) -> dict[int, int]:
+def _plan_type(plan: _Plan, basis: FrobBasis) -> dict[int, int]:
     """The Jordan type of f on A from f's ``plan`` at basis's p and e."""
     q = basis.q
     lam = {1: 1}
@@ -388,6 +347,8 @@ def _plan_type(plan: Plan, basis: FrobBasis) -> dict[int, int]:
             last = (q - 1) // max(gamma)
             dims = [monomial_dim(gamma, q, j) for j in range(last + 1)]
         mu = _blocks(dims)
+        # a lookup of _pair for each pair of blocks
+        tick(len(lam) * len(mu))
         out: dict[int, int] = {}
         for a, count_a in lam.items():
             for b, count_b in mu.items():
@@ -437,7 +398,7 @@ def free_rank_z2(f: SparsePoly, basis: FrobBasis) -> int:
     """
     check_target("z2", basis.p)
     check_local(f, basis)
-    plan = Plan(f, basis.p, basis.e, "z2")
+    plan = _Plan(f, basis, "z2")
     half = (basis.q - 1) // 2
     if plan.squaring:
         # on the component's own variables; each unused one multiplies by q

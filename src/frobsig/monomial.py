@@ -19,7 +19,7 @@ from collections import Counter, namedtuple
 from typing import TYPE_CHECKING
 
 from .hypersurface import check_exponents, check_power_index, monomial_dim
-from .ring import FrobBasis, SparsePoly
+from .ring import FrobBasis, SparsePoly, check_digits, tick
 
 if TYPE_CHECKING:
     from .frobenius import PolyMatrix
@@ -118,14 +118,21 @@ class DecompositionReport(namedtuple(
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
+        check_digits(max([self.free_rank, *self.summands.values()]),
+                     "the report has too many digits to print")
+        # the characters printed: the head, then each summand's, which
+        # prints c as str(c) does, or one shorter
+        tick(len(f'{{"q": {self.q}, "e": {self.e}, "free_rank": {self.free_rank}, '
+                 f'"summands": [], "threshold_ok": false}}\n'))
+        summands = []
+        for c, m in sorted(self.summands.items()):
+            tick(len(f'{{"c": {c}, "multiplicity": {m}}}, '))
+            summands.append({"c": list(c), "multiplicity": m})
         return {
             "q": self.q,
             "e": self.e,
             "free_rank": self.free_rank,
-            "summands": [
-                {"c": list(c), "multiplicity": m}
-                for c, m in sorted(self.summands.items())
-            ],
+            "summands": summands,
             "threshold_ok": self.threshold_ok,
         }
 
@@ -134,7 +141,8 @@ class DecompositionReport(namedtuple(
 
 
 def _window(k: int, md: MonomialData, q: int):
-    """The labels c with eta_k(c) > 0, at most 2^n of them.
+    """The choices of each c_j for the labels c with eta_k(c) > 0, their
+    product at most 2^n labels.
 
     eta_k(c_j) = q - |c_j*q - k*d_j| is positive exactly when c_j is
     floor(k*d_j/q) or ceil(k*d_j/q).
@@ -143,7 +151,7 @@ def _window(k: int, md: MonomialData, q: int):
     for dj in md.dvec:
         lo, rem = divmod(k * dj, q)
         choices.append((lo, lo + 1) if rem else (lo,))
-    return itertools.product(*choices)
+    return choices
 
 
 def decomposition_report(md: MonomialData, p: int, e: int) -> DecompositionReport:
@@ -154,9 +162,14 @@ def decomposition_report(md: MonomialData, p: int, e: int) -> DecompositionRepor
     each M(f^k,e) gives the same counts and is the tests' independent check.
     """
     q = FrobBasis(p, e, md.n).q
+    # each label: about 4 us, eta checking its arguments, and a factor for
+    # each of its n variables, for each 64-bit word of q
+    label = (8 + md.n) * (1 + q.bit_length() // 64)
     labels = Counter()
     for k in range(1, q):
-        for c in _window(k, md, q):
+        choices = _window(k, md, q)
+        tick(label << sum(len(c) - 1 for c in choices))
+        for c in itertools.product(*choices):
             labels[c] += eta(k, c, md, q)
     free_rank = q ** md.n + labels.pop((0,) * md.n, 0) + labels.pop(md.dvec, 0)
     return DecompositionReport(
@@ -178,4 +191,4 @@ def ffrt_witness(md: MonomialData, p: int, e_max: int) -> set:
     so the labels at q alone are all of them.
     """
     q = FrobBasis(p, e_max, md.n).q
-    return {c for k in range(1, q) for c in _window(k, md, q)}
+    return {c for k in range(1, q) for c in itertools.product(*_window(k, md, q))}

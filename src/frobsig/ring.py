@@ -9,6 +9,8 @@ the f+uv and f+z^2 constructions and are rejected by the parser.
 Which ring a polynomial or a matrix lives in is decided here alone, by
 ``same_ring`` and by ``extended_names``, the rule for adding variables; so
 are a text's variable count (``variable_count``) and the digit limit (``check_digits``).
+The work meter is here too: every route counts its work with ``tick``,
+which refuses it past the budget a caller opened with ``open_budget``.
 :class:`FrobBasis` is the monomial basis of the Frobenius pushforward
 F_*^e(S); it lives here, not in ``frobenius``, so that the free ranks,
 which need the basis and no matrix, load no more than this module.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import re
 import sys
-from math import comb
+from functools import lru_cache
 from typing import Iterator
 
 RESERVED_NAMES = ("u", "v", "z")
@@ -125,6 +127,57 @@ def check_digits(value: int | None, what: str, error=ValueError) -> None:
         raise error(f"{what} (limit {limit})")
 
 
+# -- the work meter ------------------------------------------------------------
+
+_work = 0  # units ticked since the last budget opened
+_bound = None  # the open budget, or None
+_memos = []  # cache_clear of each memo_per_budget function
+
+
+def tick(units: int) -> None:
+    """Count ``units`` of work; past the open budget, raise ResourceWarning.
+
+    Each site ticks once per call or per row, where it can before the work
+    it counts, with one constant weight that keeps a unit under about 0.6
+    microseconds.  With no budget open nothing is refused.
+    """
+    global _work
+    _work += units
+    if _bound is not None and _work > _bound:
+        raise ResourceWarning(f"computation passed its bound of {_bound} units of work")
+
+
+def open_budget(bound: int) -> None:
+    """Start a new count, refused past ``bound`` units until ``close_budget``.
+
+    The memos of ``memo_per_budget`` are emptied, so that the count depends
+    only on the work done from here, not on what ran before.
+    """
+    global _work, _bound
+    _work, _bound = 0, bound
+    for clear in _memos:
+        clear()
+
+
+def close_budget() -> None:
+    """Refuse nothing more; ``work()`` still reads the count."""
+    global _bound
+    _bound = None
+
+
+def work() -> int:
+    """The units ticked since the last budget opened."""
+    return _work
+
+
+def memo_per_budget(fn):
+    """``fn`` memoised until a budget opens: a hit skips the ticks of the
+    work it saves."""
+    fn = lru_cache(maxsize=None)(fn)
+    _memos.append(fn.cache_clear)
+    return fn
+
+
 def parse_int(text: str, error=ValueError) -> int:
     """int(text); a well-formed integer int() refuses has too many digits."""
     try:
@@ -221,6 +274,8 @@ class SparsePoly:
         if isinstance(other, int):
             return self.scale(other)
         check_same_ring(self, other)
+        # a term product costs about 1 us and 0.2 more for each variable
+        tick(len(self.terms) * len(other.terms) * (self.n + 2))
         p = self.p
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
@@ -253,8 +308,8 @@ class SparsePoly:
 
         Over F_p, g^p = g(x^p): each exponent is multiplied by p and each
         coefficient kept.  Squaring runs only inside one digit m_i < p, so no
-        power formed has more terms than ``power_terms_bound(m)``; squaring
-        through all of m would form powers g^(2^j) far larger than g^m.
+        power formed has more terms than prod_i C(m_i + t - 1, t - 1) for g
+        of t terms; squaring through all of m would form g^(2^j), far larger.
         """
         if m < 0:
             raise ValueError("negative exponent")
@@ -275,20 +330,6 @@ class SparsePoly:
                     tuple(a * p for a in e): c for e, c in frobenius.terms.items()
                 })
         return result
-
-    def power_terms_bound(self, m: int) -> int:
-        """A bound on the terms of self^m: prod_i C(m_i + t - 1, t - 1).
-
-        The m_i are the base-p digits of m and t is the number of terms of
-        self; g^(m_i) has at most C(m_i + t - 1, t - 1) terms, the monomials
-        of degree m_i in t unknowns.
-        """
-        t = max(len(self.terms), 1)
-        bound = 1
-        while m:
-            m, digit = divmod(m, self.p)
-            bound *= comb(digit + t - 1, t - 1)
-        return bound
 
     # -- predicates and views -------------------------------------------
 
@@ -379,6 +420,9 @@ class FrobBasis:
             raise ValueError("e must be >= 1")
         if n < 1:
             raise ValueError("variable count must be >= 1")
+        # q^n has at least e n (bitlen(p) - 1) bits, counted before q is
+        # formed: a sweep reduces a fraction of about that size
+        tick(e * n * (p.bit_length() - 1))
         self.p = p
         self.e = e
         self.n = n
@@ -436,6 +480,9 @@ def echelon(rows, p: int) -> dict[int, dict[int, int]]:
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = dict(row)
+        # about 2 us a row, and 0.2 for each of its entries and of those of
+        # each pivot row it subtracts
+        units = 12 + len(row)
         while row:
             col = min(row)
             piv = pivots.get(col)
@@ -443,6 +490,7 @@ def echelon(rows, p: int) -> dict[int, dict[int, int]]:
                 inv = pow(row[col], -1, p)
                 pivots[col] = {c: (v * inv) % p for c, v in row.items()}
                 break
+            units += len(piv)
             factor = row[col]
             for c, v in piv.items():
                 nv = (row.get(c, 0) - factor * v) % p
@@ -450,6 +498,7 @@ def echelon(rows, p: int) -> dict[int, dict[int, int]]:
                     row[c] = nv
                 else:
                     row.pop(c, None)
+        tick(units // 2)
     return pivots
 
 
@@ -492,6 +541,9 @@ def parse_poly(text: str, p: int, n: int) -> SparsePoly:
     coefficient or a power ``xK^E`` with 1 <= K <= n.
     """
     check_prime(p)
+    # n exponents for each term, every term after the first following a + or
+    # -, and about 1 us for each character's share of a token
+    tick(n * (1 + text.count("+") + text.count("-")) + 2 * len(text))
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty polynomial expression")

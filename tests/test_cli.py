@@ -12,7 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from frobsig import ring
 from frobsig.cli import SUBCOMMANDS, main
+from frobsig.hypersurface import free_rank_uv
+from frobsig.monomial import MonomialData, decomposition_report
+from frobsig.ring import FrobBasis, parse_poly
 
 
 def run(capsys, *argv):
@@ -199,7 +203,7 @@ def test_e_and_emax_bounded(argv, want):
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
     else:
-        # x1^2 is a closed form, priced 3^e + 2 units at e
+        # x1^2 is a closed form whose dims at e = 13 pass the budget
         assert result.stderr.startswith("note: truncating sweep to e <= 12")
         assert [r["e"] for r in json.loads(result.stdout)["empirical"]] == list(range(1, 13))
 
@@ -372,7 +376,7 @@ def test_slow_products_and_closed_forms_refused_in_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - start < 1.0
     assert (code, out) == (3, "")
-    assert err.startswith("error: requested computation needs ")
+    assert err.startswith("error: computation passed its bound of ")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -409,18 +413,15 @@ def test_malformed_f_gets_the_parser_message(capsys, f, reason, extra):
 
 
 def test_decompose_gate_counts_eta_terms(capsys):
-    # the report multiplies n per-variable eta terms for each of at most 2^n
-    # labels for each k < q: n * q * 2^n = 600
+    # the report ticks each of at most 2^n eta labels for each k < q
     argv = ("decompose", "--dvec", "24,24,24", "--p", "5", "--e", "2")
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert run(capsys, *argv, "--max-size", str(10 ** 12)) == (0, out, "")
-    # n * q * 2^n = 2 * 3^12 * 4 passes the bit-length check and fails the gate
+    # 3^12 values of k, each with 2 or 4 labels, pass the default budget
     code, out, err = run(capsys, "decompose", "--dvec", "2,1", "--p", "3", "--e", "12")
     assert (code, out) == (3, "")
-    assert err.strip() == (
-        "error: requested computation needs 4251528 eta terms, over the bound 1000000"
-    )
+    assert err.strip() == "error: computation passed its bound of 1000000 units of work"
 
 
 BASE_MODULES = {"frobsig", "frobsig.cli", "frobsig.hypersurface", "frobsig.ring"}
@@ -480,26 +481,23 @@ def test_frobbasis_loads_only_ring():
 
 
 def test_freerank_prices_the_chain_like_fsignature(capsys):
-    # both read the price of f's plan: x1^2 + x2^3 is two closed forms and a
-    # pair step, so each reaches e = 8, where s_8 = 5/9 = 5 * 3^22 / 3^(3*8),
-    # and not e = 9; neither walks the q^4-priced chain
+    # both count the same work against the same budget: x1^2 + x2^3 is two
+    # closed forms and a pair step, so each reaches e = 11, where s_11 = 5/9
+    # = 5 * 3^31 / 3^(3*11), and not e = 12; neither walks a chain
     code, out, err = run(capsys, "freerank", "--type", "uv", "--f", "x1^2+x2^3",
-                         "--p", "3", "--e", "8")
+                         "--p", "3", "--e", "11")
     assert (code, err) == (0, "")
-    assert json.loads(out)["free_rank"] == 5 * 3 ** 22
+    assert json.loads(out)["free_rank"] == 5 * 3 ** 31
     code, out, err = run(capsys, "fsignature", "--type", "uv", "--f", "x1^2+x2^3",
-                         "--p", "3", "--emax", "9")
+                         "--p", "3", "--emax", "12")
     assert code == 0
-    assert json.loads(out)["empirical"][7] == {"e": 8, "s": "5/9"}
-    assert err == "note: truncating sweep to e <= 8 (size bound 1000000)\n"
-    # the refusal names the route's unit, not matrix cells
+    assert json.loads(out)["empirical"][10] == {"e": 11, "s": "5/9"}
+    assert err == "note: truncating sweep to e <= 11 (size bound 1000000)\n"
+    # the refusal names the budget it passed
     code, _, err = run(capsys, "freerank", "--type", "uv", "--f", "x1^2+x2^3",
-                       "--p", "3", "--e", "9")
+                       "--p", "3", "--e", "12")
     assert code == 3
-    assert err.strip() == (
-        "error: requested computation needs 1614008 units of free-rank work, "
-        "over the bound 1000000"
-    )
+    assert err.strip() == "error: computation passed its bound of 1000000 units of work"
 
 
 # FOUND 18's f: it splits into a chain on {x1, x2} and one on {x3, x4, x5}
@@ -518,7 +516,7 @@ _CONNECTED_4 = "x1^2+x2^2+x3^2+x4^2+x1*x2+x2*x3+x3*x4"
     ],
 )
 def test_gate_admits_what_runs_fast(capsys, argv, rank):
-    # each is priced by the route it runs, not by q^(n+2)
+    # each counts the work of the route it runs, not q^(n+2)
     code, out, err = run(capsys, "freerank", *argv.split())
     assert (code, err) == (0, "")
     assert json.loads(out)["free_rank"] == rank
@@ -550,14 +548,12 @@ def test_gate_refuses_what_runs_slow(argv):
 
 def test_matrix_refuses_what_it_would_print():
     # 30375 cells, each entry a sum of terms with exponents of 4300 digits:
-    # it printed 183 MB in 15.6 s, and is now refused before frobenius loads
+    # it printed 183 MB in 15.6 s, and is now refused once its printed
+    # characters pass the budget
     big, twice = "1" + "0" * (_LIMIT - 2), "2" + "0" * (_LIMIT - 2)
     f = f"x1^{big}+x1^{twice}+x2^{big}+x2^{twice}+x1^{big}*x2^{big}"
     argv = ["matrix", "--f", f, "--p", "3", "--e", "2", "--power", "100"]
     _assert_one_line_refusal(_cli(*argv), 3)
-    printed, loaded = _modules_after(f"import frobsig.cli\nprint(frobsig.cli.main({argv!r}))")
-    assert printed[-1] == "3"
-    assert "frobsig.frobenius" not in loaded
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -619,9 +615,9 @@ def test_unused_variables_only_scale_the_counts(capsys):
     _, one, _ = run(capsys, *argv)
     assert json.loads(out)["empirical"] == json.loads(one)["empirical"]
     assert [r["s"] for r in json.loads(one)["empirical"]] == ["5/9", "41/81", "365/729"]
-    # but the counts are scaled by q^u, of b = u e bitlen(p) bits, and s_e is
-    # reduced in time quadratic in b: with 333333 unused variables, e = 3 is
-    # priced over the bound and the sweep stops at e = 2
+    # but the counts are scaled by q^u, and s_e is reduced in time quadratic
+    # in its bits: with 333333 unused variables the bits of q^n at e = 3
+    # pass the budget and the sweep stops at e = 2
     code, out, err = run(capsys, *argv, "--n", "333334")
     assert err == "note: truncating sweep to e <= 2 (size bound 1000000)\n"
     assert json.loads(out)["empirical"] == json.loads(one)["empirical"][:2]
@@ -651,7 +647,7 @@ def test_gate_refuses_by_what_a_call_forms(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert time.monotonic() - start < 1.0
     assert (code, out) == (3, "")
-    assert err.startswith("error: requested computation needs ")
+    assert err.startswith("error: computation passed its bound of ")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -703,27 +699,22 @@ def test_large_power_runs_in_bounded_time():
 
 
 def test_power_gate_counts_the_terms_of_f_to_the_k(capsys):
-    # (x1 + x2)^k over F_3 has at most 3 terms per base-3 digit of k, 27 for
-    # k = 26, in each of the 9 columns of M(f^k, 1); with 25 characters a
-    # term and its entry, they are priced at least 2^(1 * 2) * 2^9 characters,
-    # over 100 before q is formed
+    # (x1 + x2)^k over F_3 has prod_i (k_i + 1) terms for the base-3 digits
+    # k_i of k, 9 for k = 8 and 27 for k = 26, in each of the 9 columns of
+    # M(f^k, 1): the meter counts each term as it is placed and printed
     argv = ("matrix", "--f", "x1+x2", "--p", "3", "--e", "1", "--power")
-    code, out, err = run(capsys, *argv, "26", "--max-size", "100")
+    counts = {}
+    for k in ("8", "26"):
+        code, out, err = run(capsys, *argv, k, "--max-size", str(10 ** 12))
+        assert (code, err) == (0, "")
+        counts[k] = ring.work()
+        assert len(out) <= counts[k]
+    assert counts["26"] > 2 * counts["8"]
+    code, out, err = run(capsys, *argv, "26", "--max-size", str(counts["8"]))
     assert (code, out) == (3, "")
     assert err.strip() == (
-        "error: requested computation needs at least 2^11 printed characters, "
-        "over the bound 100"
+        f"error: computation passed its bound of {counts['8']} units of work"
     )
-    # (x1 + x2)^8 is priced by what it prints: 9 columns of 9 terms, each up
-    # to "2*x1^3*x2^3 + " in an entry [r, c, ""]
-    code, out, err = run(capsys, *argv, "8", "--max-size", "1000")
-    assert (code, out) == (3, "")
-    assert err.strip() == (
-        "error: requested computation needs 2144 printed characters, over the bound 1000"
-    )
-    code, out, err = run(capsys, *argv, "8", "--max-size", "2144")
-    assert (code, err) == (0, "")
-    assert len(out) <= 2144
 
 
 @pytest.mark.parametrize(
@@ -794,11 +785,8 @@ def test_p_with_dvec_refused_on_fsignature(capsys, argv):
 
 
 # well-formed and malformed values for each flag; "--max" abbreviates and
-# "--bogus" names no flag.  The gates still admit slow calls at the default
-# --max-size, which this test does not cover: the free-rank gate connected f
-# in 4 or more variables (tens of seconds), the matrix and verify gates up to
-# 10^6 cells (2-10 s at e = 3 or --power 200000).  So f has at most 3
-# variables, e is at most 2 and --power at most 26.
+# "--bogus" names no flag.  f has at most 3 variables, e is at most 2 and
+# --power at most 26, which keeps the calls short.
 FUZZ_VALUES = {
     "--f": (["x1", "x1^2", "x1^3", "x1*x2", "x1^2+x2^3", "x1^2+x1*x2+x2^3",
              "x1^3+x2^2+x3^2+x1*x3", "x1^2*x2+x3^4", "-x1^2+x2", "x1^100"],
@@ -977,3 +965,98 @@ def test_variable_count_is_the_parsers(seed):
                 f"variable index {count} out of range 1..{count - 1}"
             ), text
     assert accepted >= 50
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "matrix --f x1^2+x1*x2+x2^3 --p 3 --e 2 --power 4",
+        "verify --f x1^2+x2^3 --p 3 --e 2 --k 4",
+        "decompose --dvec 3,2 --p 5 --e 1",
+        "freerank --type z2 --f x1^2+x1*x2+x2^3 --p 5 --e 1",
+        "fsignature --type uv --f x1^2+x2^3 --p 3 --emax 1",
+        "fsignature --type uv --dvec 3,2,2",
+    ],
+    ids=["matrix", "verify", "decompose", "freerank", "fsignature-f", "fsignature-dvec"],
+)
+def test_budget_boundary_is_exact(capsys, argv):
+    # a budget of the call's own count answers as an unbounded one does, and
+    # one unit less refuses it in one line
+    argv = argv.split()
+    code, out, err = run(capsys, *argv, "--max-size", str(10 ** 12))
+    assert (code, err) == (0, "")
+    count = ring.work()
+    assert run(capsys, *argv, "--max-size", str(count)) == (0, out, "")
+    assert run(capsys, *argv, "--max-size", str(count - 1)) == (
+        3, "", f"error: computation passed its bound of {count - 1} units of work\n")
+
+
+# an admitted and a refused call of each subcommand
+_METERED = [
+    "matrix --f x1^2+x1*x2 --p 3 --e 2",
+    "matrix --f x1^2+x1*x2 --p 3 --e 2 --max-size 1500",
+    "verify --f x1^2+x2^3 --p 3 --e 2 --k 4",
+    "verify --f x1^2+x2^3 --p 3 --e 2 --k 4 --max-size 4000",
+    "decompose --dvec 3,2 --p 5 --e 2",
+    "decompose --dvec 3,2 --p 5 --e 2 --max-size 500",
+    "freerank --type z2 --f x1^2+x1*x2+x2^3 --p 5 --e 2",
+    "freerank --type z2 --f x1^2+x1*x2+x2^3 --p 5 --e 2 --max-size 30000",
+    "fsignature --type uv --f x1^2+x2^3 --p 5 --emax 3",
+    "fsignature --type uv --f x1^2+x2^3 --p 5 --emax 3 --max-size 100",
+]
+
+# runs each argv given as a JSON list and prints its exit code and count
+_COUNT = """
+import contextlib, io, json, sys
+from frobsig import cli, ring
+for line in sys.stdin:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+        code = cli.main(json.loads(line))
+    print(code, ring.work())
+"""
+
+
+def _counts(argvs, **env):
+    result = subprocess.run(
+        [sys.executable, "-c", _COUNT],
+        input="".join(json.dumps(argv) + "\n" for argv in argvs),
+        env=dict(_env_with_src(), **env), capture_output=True, text=True, timeout=30,
+    )
+    assert result.stderr == ""
+    return [tuple(map(int, line.split())) for line in result.stdout.splitlines()]
+
+
+def test_count_depends_only_on_argv(capsys):
+    argvs = [argv.split() for argv in _METERED]
+    # each argv alone in a fresh interpreter
+    fresh = [_counts([argv])[0] for argv in argvs]
+    assert [code for code, _ in fresh] == [0, 3] * 5
+    # all of them in one interpreter, in turn and in reverse, under two hash seeds
+    for seed in ("0", "1"):
+        assert _counts(argvs + argvs[::-1], PYTHONHASHSEED=seed) == fresh + fresh[::-1]
+    # in this process, after free ranks that fill _pair's cache without a budget
+    for text in ("x1^2+x2^3+x3^2+x4^3", "x1^2+x2^3"):
+        for p in (3, 5):
+            free_rank_uv(parse_poly(text, p, 4), FrobBasis(p, 3, 4))
+    for argv, want in zip(argvs, fresh):
+        assert (main(argv), ring.work()) == want, argv
+    capsys.readouterr()
+
+
+def test_budget_does_not_leak(capsys):
+    # a refused call leaves no budget open: a larger --max-size answers, and
+    # direct library calls that do more work than the refused bound complete
+    argv = ["freerank", "--type", "uv", "--f", "x1^2+x2^3", "--p", "3", "--e", "4"]
+    assert main(argv + ["--max-size", "100"]) == 3
+    assert main(argv + ["--max-size", str(10 ** 6)]) == 0
+    assert json.loads(capsys.readouterr().out)["free_rank"] == 295245
+    assert main(argv + ["--max-size", "100"]) == 3
+    before = ring.work()
+    assert free_rank_uv(parse_poly("x1^2+x2^3", 3, 2), FrobBasis(3, 4, 2)) == 295245
+    assert ring.work() - before > 100
+    before = ring.work()
+    report = decomposition_report(MonomialData((2, 1)), 3, 4)
+    assert ring.work() - before > 100
+    assert report.free_rank > 3 ** 8
+    capsys.readouterr()

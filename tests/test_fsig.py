@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobsig import fsig
+from frobsig import fsig, ring
 from frobsig.cli import main
 from frobsig.oracle import w_values_by_subsets
 from frobsig.fsig import (
@@ -161,21 +161,26 @@ def test_empirical_gaps_shrink():
 
 
 def test_empirical_resource_bound(capsys):
-    # the size gate is the CLI's: the sweep stops at the last e that fits,
-    # and refuses when even e = 1 does not.  x1 is a closed form, priced
-    # q + 2 units: 5 at e = 1 and 11 at e = 2
-    argv = ["fsignature", "--type", "uv", "--f", "x1", "--p", "3", "--emax", "19"]
-    assert main(argv + ["--max-size", "10"]) == 0
+    # the budget is the CLI's: the sweep stops at the last e whose own count
+    # fits, and refuses when even e = 1 does not.  After a call the meter
+    # holds the count of its last e
+    argv = ["fsignature", "--type", "uv", "--f", "x1", "--p", "3", "--emax"]
+    counts = []
+    for emax in ("1", "2"):
+        assert main(argv + [emax, "--max-size", str(10 ** 12)]) == 0
+        counts.append(ring.work())
+    capsys.readouterr()
+    first, second = counts
+    assert first < second
+    bound = second - 1
+    assert main(argv + ["19", "--max-size", str(bound)]) == 0
     out, err = capsys.readouterr()
     assert [row["e"] for row in json.loads(out)["empirical"]] == [1]
-    assert err == "note: truncating sweep to e <= 1 (size bound 10)\n"
-    assert main(argv + ["--max-size", "4"]) == 3
+    assert err == f"note: truncating sweep to e <= 1 (size bound {bound})\n"
+    assert main(argv + ["19", "--max-size", str(first - 1)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (
-        "error: requested computation needs 5 units of free-rank work, "
-        "over the bound 4\n"
-    )
+    assert err == f"error: computation passed its bound of {first - 1} units of work\n"
 
 
 def test_empirical_validation():
