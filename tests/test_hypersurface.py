@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from frobsig import cli, hypersurface, matfac
+from frobsig import cli, hypersurface, matfac, ring
 from frobsig.frobenius import (
     FrobBasis,
     PolyMatrix,
@@ -476,9 +476,7 @@ def test_results_live_in_the_ring_of_f(names):
     [("x1^2+x2^3", 2), ("x1^2*x2", 2), ("x1^2+x1*x2+x2^3", 2), ("x1^2", 1)],
     ids=["split", "closed-form", "single-chain", "one-variable"],
 )
-def test_free_ranks_split_f_once(monkeypatch, capsys, text, n):
-    # each free rank splits f once, and so does each e of a CLI call, since
-    # the CLI makes no plan of its own
+def test_free_ranks_split_f_once(monkeypatch, text, n):
     calls = []
     split = hypersurface._components
 
@@ -492,14 +490,43 @@ def test_free_ranks_split_f_once(monkeypatch, capsys, text, n):
         calls.clear()
         free_rank(f, b)
         assert len(calls) == 1, free_rank.__name__
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("x1^2+x2^3", 2), ("x1^2*x2", 2), ("x1^2+x1*x2+x2^3", 2), ("x1^2", 1)],
+    ids=["split", "closed-form", "single-chain", "one-variable"],
+)
+def test_cli_prices_the_plan_that_runs(monkeypatch, capsys, text, n):
+    # the CLI makes no plan of its own: each e of a call makes the one plan
+    # its free rank runs, recorded as (f, q, target), and the work meter
+    # prices that plan; a budget of e = 2's count admits e = 2 of a sweep
+    # and cuts the sweep at e = 3
+    made = []
+    plan = hypersurface._Plan
+
+    def make(f, basis, target="uv"):
+        made.append((f, basis.q, target))
+        return plan(f, basis, target)
+
+    monkeypatch.setattr(hypersurface, "_Plan", make)
+    f = parse_poly(text, 3, n)
     for target in ("uv", "z2"):
         argv = ["--type", target, "--f", text, "--p", "3"]
-        for call, splits in [(["freerank", *argv, "--e", "2"], 1),
-                             (["fsignature", *argv, "--emax", "2"], 2)]:
-            calls.clear()
+        for call, es in [(["freerank", *argv, "--e", "2"], [2]),
+                         (["fsignature", *argv, "--emax", "2"], [1, 2])]:
+            made.clear()
             assert cli.main(call) == 0, call
-            assert calls == [f] * splits, call
-    capsys.readouterr()
+            assert made == [(f, 3 ** e, target) for e in es], call
+            out = capsys.readouterr().out
+        # the sweep's last budget was e = 2's own
+        bound = ring.work()
+        made.clear()
+        call = ["fsignature", *argv, "--emax", "3", "--max-size", str(bound)]
+        assert cli.main(call) == 0, call
+        assert made == [(f, 3 ** e, target) for e in (1, 2, 3)], call
+        assert capsys.readouterr() == (
+            out, f"note: truncating sweep to e <= 2 (size bound {bound})\n")
 
 
 def _random_connected(rng, p, k):
