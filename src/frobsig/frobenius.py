@@ -48,10 +48,8 @@ class PolyMatrix:
     @classmethod
     def scalar(cls, size, poly: SparsePoly) -> "PolyMatrix":
         """poly * identity."""
-        m = cls(size, size, poly.p, poly.n, poly.names)
-        if not poly.is_zero():
-            m.data = [{i: poly} for i in range(size)]
-        return m
+        data = None if poly.is_zero() else [{i: poly} for i in range(size)]
+        return cls(size, size, poly.p, poly.n, poly.names, data)
 
     @classmethod
     def from_entries(cls, rows, cols, entries, p, n, names=None) -> "PolyMatrix":

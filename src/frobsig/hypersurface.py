@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from .ring import FrobBasis, SparsePoly, echelon, memo_per_budget, tick
+from .ring import FrobBasis, SparsePoly, echelon, tick
 
 if TYPE_CHECKING:
     from .matfac import MatFac
@@ -266,8 +266,7 @@ def _han_colength(r: int, s: int, c: int, p: int) -> int:
     return (2 * (r * s + s * c + c * r) - r * r - s * s - c * c + delta * delta) // 4
 
 
-@memo_per_budget
-def _pair(r: int, s: int, p: int) -> tuple[tuple[int, int], ...]:
+def _pair(r: int, s: int, p: int, memo=None) -> tuple[tuple[int, int], ...]:
     """Jordan type of x+y on F_p[x,y]/(x^r, y^s), as sorted (size, count).
 
     The modular Clebsch-Gordan problem (Renaud, J. Algebra 1979; Glasby,
@@ -276,29 +275,36 @@ def _pair(r: int, s: int, p: int) -> tuple[tuple[int, int], ...]:
     shifts the blocks of a smaller pair by multiples of P; below P,
     r+s-P blocks have size P and the rest reflect to the pair (P-s, P-r).
     What is left reads dim (x+y)^c F_p[x,y]/(x^r, y^s) from Han's theorem.
+    ``memo`` maps each (r, s) with r <= s met so far to its type; one
+    Jordan type shares it across its pairs of blocks.
     """
     if r > s:
-        return _pair(s, r, p)
+        r, s = s, r
     if r == 0:
         return ()
     if r == 1:
         return ((s, 1),)
+    if memo is None:
+        memo = {}
+    if (r, s) in memo:
+        return memo[r, s]
     big = p
     while big < r:
         big *= p
     out: dict[int, int] = {}
     if s >= big:
         c, s1 = divmod(s, big)
-        for size, count in _pair(r, s1, p):
+        for size, count in _pair(r, s1, p, memo):
             out[size + c * big] = count
         if r > s1:
             out[c * big] = out.get(c * big, 0) + r - s1
     elif r + s > big:
-        out = dict(_pair(big - s, big - r, p))
+        out = dict(_pair(big - s, big - r, p, memo))
         out[big] = out.get(big, 0) + r + s - big
     else:
         out = _blocks([r * s - _han_colength(r, s, c, p) for c in range(r + s)])
-    return tuple(sorted(out.items()))
+    memo[r, s] = tuple(sorted(out.items()))
+    return memo[r, s]
 
 
 class _Plan:
@@ -339,6 +345,7 @@ def _plan_type(plan: _Plan, basis: FrobBasis) -> dict[int, int]:
     """The Jordan type of f on A from f's ``plan`` at basis's p and e."""
     q = basis.q
     lam = {1: 1}
+    memo = {}
     for g, gamma in plan.parts:
         if gamma is None:
             dims = chain_dims(g, FrobBasis(basis.p, basis.e, g.n))
@@ -352,7 +359,7 @@ def _plan_type(plan: _Plan, basis: FrobBasis) -> dict[int, int]:
         out: dict[int, int] = {}
         for a, count_a in lam.items():
             for b, count_b in mu.items():
-                for size, count in _pair(a, b, basis.p):
+                for size, count in _pair(a, b, basis.p, memo):
                     out[size] = out.get(size, 0) + count_a * count_b * count
         lam = out
     scale = q ** plan.unused

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import lru_cache
 from typing import Iterator
 
 RESERVED_NAMES = ("u", "v", "z")
@@ -131,7 +130,6 @@ def check_digits(value: int | None, what: str, error=ValueError) -> None:
 
 _work = 0  # units ticked since the last budget opened
 _bound = None  # the open budget, or None
-_memos = []  # cache_clear of each memo_per_budget function
 
 
 def tick(units: int) -> None:
@@ -148,15 +146,9 @@ def tick(units: int) -> None:
 
 
 def open_budget(bound: int) -> None:
-    """Start a new count, refused past ``bound`` units until ``close_budget``.
-
-    The memos of ``memo_per_budget`` are emptied, so that the count depends
-    only on the work done from here, not on what ran before.
-    """
+    """Start a new count, refused past ``bound`` units until ``close_budget``."""
     global _work, _bound
     _work, _bound = 0, bound
-    for clear in _memos:
-        clear()
 
 
 def close_budget() -> None:
@@ -168,14 +160,6 @@ def close_budget() -> None:
 def work() -> int:
     """The units ticked since the last budget opened."""
     return _work
-
-
-def memo_per_budget(fn):
-    """``fn`` memoised until a budget opens: a hit skips the ticks of the
-    work it saves."""
-    fn = lru_cache(maxsize=None)(fn)
-    _memos.append(fn.cache_clear)
-    return fn
 
 
 def parse_int(text: str, error=ValueError) -> int:

