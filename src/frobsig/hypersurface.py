@@ -13,8 +13,8 @@ product of their rings, and the Jordan type into a sum over pairs of
 blocks, each read from rules on base-p digits and Han's formula for
 dim F_p[x,y]/(x^a, y^b, (x+y)^c).  A component is a closed form when it is
 a monomial or has one variable, and otherwise the chain f^j A is walked on
-its own variables.  ``_Plan`` alone splits f and decides these routes,
-once for each free rank.
+its own variables.  ``_components`` alone splits f and tags each
+component's route, once for each free rank.
 Only ``ring`` is imported with this module; ``presentation_fk`` imports
 ``frobenius`` and ``matfac`` when it runs.  The free ranks load neither:
 the one piece of the pushforward they need, ``FrobBasis``, is in ``ring``.
@@ -185,8 +185,9 @@ def _components(f: SparsePoly, q: int):
 
     Two variables are joined when some term holds both; a term with an
     exponent of at least q is 0 in A and is dropped.  Returns each
-    component as a polynomial in its own variables, and the count of
-    variables that no component uses.
+    component as ``(g, gamma)``, g a polynomial in its own variables and
+    gamma its closed form's exponents or None for the chain, and the count
+    of variables that no component uses.
     """
     groups: list[tuple[set[int], dict]] = []
     for exps, c in f.terms.items():
@@ -206,7 +207,8 @@ def _components(f: SparsePoly, q: int):
     for used, terms in groups:
         idx = sorted(used)
         sub = {tuple(exps[i] for i in idx): c for exps, c in terms.items()}
-        parts.append(SparsePoly(f.p, len(idx), sub))
+        g = SparsePoly(f.p, len(idx), sub)
+        parts.append((g, _closed_form_exponents(g)))
     return parts, f.n - sum(len(used) for used, _ in groups)
 
 
@@ -307,26 +309,6 @@ def _pair(r: int, s: int, p: int, memo=None) -> tuple[tuple[int, int], ...]:
     return memo[r, s]
 
 
-class _Plan:
-    """How a free rank of f on the A of ``basis`` runs, fixed before it runs.
-
-    ``parts`` are f's components on disjoint sets of variables, each
-    ``(g, gamma)``: g in its own variables and gamma its closed form's
-    exponents, or None for the chain.  ``unused`` counts the variables no
-    component uses.  ``squaring``: the f+z^2 free rank forms g^((q-1)/2) in
-    A, f being one component that needs the chain.
-    """
-
-    __slots__ = ("parts", "unused", "squaring")
-
-    def __init__(self, f: SparsePoly, basis: FrobBasis, target: str = "uv"):
-        parts, self.unused = _components(f, basis.q)
-        self.parts = [(g, _closed_form_exponents(g)) for g in parts]
-        self.squaring = (
-            target == "z2" and len(parts) == 1 and self.parts[0][1] is None
-        )
-
-
 def jordan_type(f: SparsePoly, basis: FrobBasis) -> dict[int, int]:
     """Jordan type of multiplication by f on A, as {block size: count}.
 
@@ -338,15 +320,15 @@ def jordan_type(f: SparsePoly, basis: FrobBasis) -> dict[int, int]:
     one block of size a: it multiplies every count by q.
     """
     check_local(f, basis)
-    return _plan_type(_Plan(f, basis), basis)
+    return _jordan_type(*_components(f, basis.q), basis)
 
 
-def _plan_type(plan: _Plan, basis: FrobBasis) -> dict[int, int]:
-    """The Jordan type of f on A from f's ``plan`` at basis's p and e."""
+def _jordan_type(parts, unused: int, basis: FrobBasis) -> dict[int, int]:
+    """The Jordan type of f on A from f's split ``parts`` and ``unused``."""
     q = basis.q
     lam = {1: 1}
     memo = {}
-    for g, gamma in plan.parts:
+    for g, gamma in parts:
         if gamma is None:
             dims = chain_dims(g, FrobBasis(basis.p, basis.e, g.n))
         else:
@@ -362,7 +344,7 @@ def _plan_type(plan: _Plan, basis: FrobBasis) -> dict[int, int]:
                 for size, count in _pair(a, b, basis.p, memo):
                     out[size] = out.get(size, 0) + count_a * count_b * count
         lam = out
-    scale = q ** plan.unused
+    scale = q ** unused
     return {size: count * scale for size, count in lam.items()}
 
 
@@ -399,22 +381,23 @@ def free_rank_z2(f: SparsePoly, basis: FrobBasis) -> int:
 
     Equals t + r for the pair (M(f^{(q-1)/2},e), M(f^{(q+1)/2},e)): the
     sum of their ranks at the origin, read from the Jordan type of f.  When
-    the plan squares, g = f^{(q-1)/2} is instead formed in A, and one more
-    step gives f^{(q+1)/2} A: that is cheaper than walking (q+1)/2 chain
-    steps, each an elimination over all of f^{j-1} A.
+    f is one component that needs the chain, g = f^{(q-1)/2} is instead
+    formed in A, and one more step gives f^{(q+1)/2} A: that is cheaper
+    than walking (q+1)/2 chain steps, each an elimination over all of
+    f^{j-1} A.
     """
     check_target("z2", basis.p)
     check_local(f, basis)
-    plan = _Plan(f, basis, "z2")
+    parts, unused = _components(f, basis.q)
     half = (basis.q - 1) // 2
-    if plan.squaring:
+    if len(parts) == 1 and parts[0][1] is None:
         # on the component's own variables; each unused one multiplies by q
-        ((g, _),) = plan.parts
+        ((g, _),) = parts
         ring = _Artinian(FrobBasis(basis.p, basis.e, g.n))
         g_span = ring.image(ring.monomials(), ring.power(g, half))
         f_span = ring.image(g_span.values(), ring.element(g))
-        return (len(g_span) + len(f_span)) * basis.q ** plan.unused
-    lam = _plan_type(plan, basis)
+        return (len(g_span) + len(f_span)) * basis.q ** unused
+    lam = _jordan_type(parts, unused, basis)
     return sum(
         count * (max(s - half, 0) + max(s - half - 1, 0)) for s, count in lam.items()
     )

@@ -383,12 +383,19 @@ def test_slow_products_and_closed_forms_refused_in_one_line(capsys, argv):
 def test_readme_command_line_examples_run():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```")[0]
-    calls = [shlex.split(line, comments=True) for line in block.splitlines()
-             if line.startswith("frobsig ")]
-    assert len(calls) >= 7
-    for call in calls:
+    lines = [line for line in block.splitlines() if line.startswith("frobsig ")]
+    assert len(lines) >= 7
+    stated = 0
+    for line in lines:
+        call = shlex.split(line, comments=True)
         result = _cli(*call[1:])
         assert result.returncode == 0, (call, result.stderr)
+        # a trailing comment states the closed form the call prints
+        value = line.partition("#")[2].strip()
+        if value:
+            assert json.loads(result.stdout)["closed_form"] == value, call
+            stated += 1
+    assert stated >= 2
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from frobsig.frobenius import (
 )
 from frobsig.hypersurface import (
     _blocks,
-    _closed_form_exponents,
     _han_colength,
     _pair,
     chain_dims,
@@ -369,14 +368,15 @@ def test_jordan_type_matches_the_chain_random():
             half = (b.q - 1) // 2
             padded = dims + [0] * b.q
             assert free_rank_z2(f, b) == padded[half] + padded[half + 1]
-        plan = hypersurface._Plan(f, b, "z2" if p > 2 else "uv")
-        chains = [g for g, gamma in plan.parts if gamma is None]
-        routes["unused variable"] += plan.unused > 0
-        routes["one variable"] += sum(g.n == 1 for g, _ in plan.parts)
-        routes["monomial"] += sum(g.n > 1 and g.is_monomial() for g, _ in plan.parts)
+        parts, unused = hypersurface._components(f, b.q)
+        chains = [g for g, gamma in parts if gamma is None]
+        routes["unused variable"] += unused > 0
+        routes["one variable"] += sum(g.n == 1 for g, _ in parts)
+        routes["monomial"] += sum(g.n > 1 and g.is_monomial() for g, _ in parts)
         routes["chain"] += len(chains)
-        routes["split"] += len(plan.parts) > 1
-        routes["z2 by squaring"] += plan.squaring
+        routes["split"] += len(parts) > 1
+        # free_rank_z2's fork: one component, and that one needs the chain
+        routes["z2 by squaring"] += p > 2 and len(parts) == len(chains) == 1
     assert len(routes) == 6 and min(routes.values()) > 0, routes
 
 
@@ -491,23 +491,62 @@ def test_free_ranks_split_f_once(monkeypatch, text, n):
 
 
 @pytest.mark.parametrize(
+    "text, n, powers, chains, rank",
+    [
+        ("x1^2+x1*x2+x2^3", 2, 1, 0, 313),
+        ("x1^2+x1*x2", 3, 1, 0, 7825),
+        ("x1^2+x1*x2+x3^2", 3, 0, 1, 10425),
+        ("x1^2*x2", 2, 0, 0, 13),
+        ("x1^2+x2^3", 2, 0, 0, 209),
+    ],
+    ids=["one-chain", "one-chain-unused", "split-chain", "monomial", "split-closed"],
+)
+def test_free_rank_z2_squares_only_one_chain_component(
+    monkeypatch, text, n, powers, chains, rank
+):
+    # free_rank_z2 forms f^((q-1)/2) in A exactly when f is one component
+    # that needs the chain, and otherwise reads the Jordan type, walking a
+    # chain only for each component that has no closed form; free_rank_uv
+    # always reads the Jordan type, so walks the chain that z2 squared
+    calls = Counter()
+    power, walk = hypersurface._Artinian.power, hypersurface.chain_dims
+
+    def counted_power(self, *args):
+        calls["power"] += 1
+        return power(self, *args)
+
+    def counted_walk(*args):
+        calls["chain"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(hypersurface._Artinian, "power", counted_power)
+    monkeypatch.setattr(hypersurface, "chain_dims", counted_walk)
+    f, b = parse_poly(text, 5, n), FrobBasis(5, 2, n)
+    assert free_rank_z2(f, b) == rank
+    assert (calls["power"], calls["chain"]) == (powers, chains)
+    calls.clear()
+    free_rank_uv(f, b)
+    assert (calls["power"], calls["chain"]) == (0, powers + chains)
+
+
+@pytest.mark.parametrize(
     "text, n",
     [("x1^2+x2^3", 2), ("x1^2*x2", 2), ("x1^2+x1*x2+x2^3", 2), ("x1^2", 1)],
     ids=["split", "closed-form", "single-chain", "one-variable"],
 )
 def test_cli_prices_the_plan_that_runs(monkeypatch, capsys, text, n):
-    # the CLI makes no plan of its own: each e of a call makes the one plan
-    # its free rank runs, recorded as (f, q, target), and the work meter
-    # prices that plan; a budget of e = 2's count admits e = 2 of a sweep
-    # and cuts the sweep at e = 3
+    # the CLI makes no split of its own: each e of a call makes the one
+    # split its free rank runs, recorded as (f, q), and the work meter
+    # counts what that split runs; a budget of e = 2's count admits e = 2
+    # of a sweep and cuts the sweep at e = 3
     made = []
-    plan = hypersurface._Plan
+    split = hypersurface._components
 
-    def make(f, basis, target="uv"):
-        made.append((f, basis.q, target))
-        return plan(f, basis, target)
+    def make(f, q):
+        made.append((f, q))
+        return split(f, q)
 
-    monkeypatch.setattr(hypersurface, "_Plan", make)
+    monkeypatch.setattr(hypersurface, "_components", make)
     f = parse_poly(text, 3, n)
     for target in ("uv", "z2"):
         argv = ["--type", target, "--f", text, "--p", "3"]
@@ -515,14 +554,14 @@ def test_cli_prices_the_plan_that_runs(monkeypatch, capsys, text, n):
                          (["fsignature", *argv, "--emax", "2"], [1, 2])]:
             made.clear()
             assert cli.main(call) == 0, call
-            assert made == [(f, 3 ** e, target) for e in es], call
+            assert made == [(f, 3 ** e) for e in es], call
             out = capsys.readouterr().out
         # the sweep's last budget was e = 2's own
         bound = ring.work()
         made.clear()
         call = ["fsignature", *argv, "--emax", "3", "--max-size", str(bound)]
         assert cli.main(call) == 0, call
-        assert made == [(f, 3 ** e, target) for e in (1, 2, 3)], call
+        assert made == [(f, 3 ** e) for e in (1, 2, 3)], call
         assert capsys.readouterr() == (
             out, f"note: truncating sweep to e <= 2 (size bound {bound})\n")
 

@@ -15,7 +15,7 @@ from frobsig.oracle import (
     fedder_membership,
     invariant_factors_univariate,
 )
-from frobsig.ring import SparsePoly, parse_poly
+from frobsig.ring import parse_poly
 
 from test_ring import rand_poly
 
