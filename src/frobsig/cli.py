@@ -92,11 +92,11 @@ def _parse_f(args) -> SparsePoly:
     n = variable_count(args.f)
     if args.n is not None and n > args.n:
         raise ValueError(f"--n {args.n} is smaller than highest variable index {n}")
+    # malformed text is refused in the parser's words, a constant after it
+    f = parse_poly(args.f, args.p, args.n or max(n, 1))
     if args.n is None and not n:
-        # malformed text is refused in the parser's words, a constant here
-        parse_poly(args.f, args.p, 1)
         raise ValueError("cannot infer variable count; pass --n")
-    return parse_poly(args.f, args.p, args.n or n)
+    return f
 
 
 def cmd_matrix(args) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from .ring import FrobBasis, SparsePoly, echelon, tick
+from .ring import FrobBasis, SparsePoly, digit_power, echelon, tick
 
 if TYPE_CHECKING:
     from .matfac import MatFac
@@ -120,23 +120,8 @@ class _Artinian:
         return {m: c % p for m, c in out.items() if c % p}
 
     def power(self, g: SparsePoly, m: int) -> dict[int, int]:
-        """g^m in A, the product of g(x^(p^i))^(m_i) over the base-p digits m_i.
-
-        Over F_p, g^p = g(x^p).  Each twisted factor is reduced mod x^q, and
-        squared only within its digit m_i < p, every product reduced in A.
-        """
-        result, twist = {0: 1}, 1
-        while m:
-            m, digit = divmod(m, self.p)
-            base = self.element(g, twist)
-            while digit:
-                if digit & 1:
-                    result = self.times(result, base)
-                digit >>= 1
-                if digit:
-                    base = self.times(base, base)
-            twist *= self.p
-        return result
+        """g^m in A by ``ring.digit_power``, each twist g(x^(p^i)) reduced mod x^q."""
+        return digit_power(m, self.p, {0: 1}, lambda t: self.element(g, t), self.times)
 
     def image(self, rows, g: dict[int, int]) -> dict[int, dict[int, int]]:
         """Echelon basis of g * V, where the elements ``rows`` span V."""

@@ -9,6 +9,8 @@ the f+uv and f+z^2 constructions and are rejected by the parser.
 Which ring a polynomial or a matrix lives in is decided here alone, by
 ``same_ring`` and by ``extended_names``, the rule for adding variables; so
 are a text's variable count (``variable_count``) and the digit limit (``check_digits``).
+Every power of a polynomial, in S or in a quotient, runs one loop over the
+base-p digits of its exponent, :func:`digit_power`.
 The work meter is here too: every route counts its work with ``tick``,
 which refuses it past the budget a caller opened with ``open_budget``.
 :class:`FrobBasis` is the monomial basis of the Frobenius pushforward
@@ -172,6 +174,30 @@ def parse_int(text: str, error=ValueError) -> int:
     check_digits(None, f"integer {text.strip()[:20]}... has too many digits", error)
 
 
+def digit_power(m: int, p: int, one, factor, times):
+    """``one`` times the product of factor(p^i)^(m_i) over the base-p digits m_i.
+
+    Over F_p, g^p = g(x^p), so g^m is this product for factor(t) = g(x^t);
+    ``SparsePoly.__pow__`` and the free rank's power in A both form it here.
+    Squaring runs only inside one digit m_i < p, so for g of t terms no
+    power formed has more terms than prod_i C(m_i + t - 1, t - 1); squaring
+    through all of m would form g^(2^j), far larger.  ``times`` forms every
+    product, digit by digit from the lowest.
+    """
+    result, twist = one, 1
+    while m:
+        m, digit = divmod(m, p)
+        base = factor(twist)
+        while digit:
+            if digit & 1:
+                result = times(result, base)
+            digit >>= 1
+            if digit:
+                base = times(base, base)
+        twist *= p
+    return result
+
+
 class SparsePoly:
     """Element of F_p[x_1, ..., x_n] in sparse normal form."""
 
@@ -288,32 +314,17 @@ class SparsePoly:
         )
 
     def __pow__(self, m: int) -> "SparsePoly":
-        """self^m, the product of self(x^(p^i))^(m_i) over the base-p digits m_i.
-
-        Over F_p, g^p = g(x^p): each exponent is multiplied by p and each
-        coefficient kept.  Squaring runs only inside one digit m_i < p, so no
-        power formed has more terms than prod_i C(m_i + t - 1, t - 1) for g
-        of t terms; squaring through all of m would form g^(2^j), far larger.
-        """
+        """self^m by ``digit_power``, from the twists self(x^(p^i))."""
         if m < 0:
             raise ValueError("negative exponent")
-        p = self.p
-        result = SparsePoly.one(p, self.n, self.names)
-        frobenius = self
-        while m:
-            m, digit = divmod(m, p)
-            base = frobenius
-            while digit:
-                if digit & 1:
-                    result = result * base
-                digit >>= 1
-                if digit:
-                    base = base * base
-            if m:
-                frobenius = SparsePoly._raw(p, self.n, self.names, {
-                    tuple(a * p for a in e): c for e, c in frobenius.terms.items()
-                })
-        return result
+        p, n, names = self.p, self.n, self.names
+
+        def twist(t):
+            return SparsePoly._raw(p, n, names, {
+                tuple(a * t for a in e): c for e, c in self.terms.items()
+            })
+
+        return digit_power(m, p, SparsePoly.one(p, n, names), twist, SparsePoly.__mul__)
 
     # -- predicates and views -------------------------------------------
 

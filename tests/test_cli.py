@@ -275,13 +275,34 @@ def _env_with_src():
 
 
 def test_cli_import_loads_no_sympy():
-    # start-up cost: importing the CLI must not pull in sympy
-    code = "import sys, frobsig.cli; print('sympy' in sys.modules)"
+    # start-up cost and the no-dependency rule: importing the CLI and running
+    # every subcommand's route loads only frobsig and the standard library.
+    # The diff starts from the child's own modules, which site may extend
+    calls = [
+        "matrix --f x1^2+x2^3 --p 3 --e 1 --format csv",
+        "fsignature --type uv --f x1^2+x1*x2+x2^3 --p 3 --emax 2",
+        "fsignature --type z2 --dvec 2,3",
+        "decompose --dvec 2,3 --p 3 --e 1",
+        "freerank --type uv --f x1^2+x2^3 --p 3 --e 1",
+        "freerank --type z2 --f x1^2+x1*x2+x2^3 --p 3 --e 1",
+        "verify --f x1^2+x2^3 --p 3 --e 1",
+    ]
+    assert {call.split()[0] for call in calls} == set(SUBCOMMANDS)
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "before = set(sys.modules)",
+        "from frobsig import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [cli.main(call.split()) for call in sys.argv[1:]]",
+        "added = set(sys.modules) - before",
+        "print(codes, 'sympy' in sys.modules, sorted(name for name in added",
+        "      if name.split('.')[0] not in ('frobsig', *sys.stdlib_module_names)))",
+    ])
     result = subprocess.run(
-        [sys.executable, "-c", code], env=_env_with_src(), capture_output=True,
-        text=True, check=True,
+        [sys.executable, "-c", code, *calls], env=_env_with_src(),
+        capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout == f"{[0] * len(calls)} False []\n"
 
 
 def _cli(*argv):

@@ -4,6 +4,29 @@ from pathlib import Path
 
 import frobsig
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "frobsig"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names ``source`` imports and never reads, skipping ``__future__``.
+
+    A read is a Name node anywhere, annotations and TYPE_CHECKING blocks
+    included, or a name inside a quoted annotation.
+    """
+    imported, used = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        note = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            used.update(name.id for name in ast.walk(ast.parse(note.value, mode="eval"))
+                        if isinstance(name, ast.Name))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
 
 def test_every_export_resolves_to_its_module():
     # the package imports each public name lazily, so a stale entry in its
@@ -39,3 +62,13 @@ def test_readme_python_example_prints_its_comments():
     assert len(shown) >= 2
     for got, want in shown:
         assert got == want
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # each CLI call compiles and runs every import of the modules it loads
+    found = {path.name: _unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert len(found) >= 8
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _unused_imports("import os\nfrom typing import TYPE_CHECKING\n"
+                           "if TYPE_CHECKING:\n    from x import A\n"
+                           "def g(a: 'A') -> int:\n    return 1\n") == ["line 1: os"]

@@ -594,3 +594,83 @@ def test_power_in_a_by_base_p_digits():
         g = _random_connected(rng, p, 2)
         for m in (0, 1, p - 1, p, (p ** e - 1) // 2, p ** e - 1, p ** e, 3 * p ** e):
             assert ring.power(g, m) == ring.element(g ** m), (str(g), p, e, m)
+
+
+def _d(lam, j):
+    """d_j = dim f^j A read from the Jordan type: a block of size s adds max(s-j, 0)."""
+    return sum(count * max(s - j, 0) for s, count in lam.items())
+
+
+def _contact(rng, f):
+    """u * f(phi(x)) for the unit u = c0 + c1*x1 and phi = L(x) + c*x_n^2 e_1,
+    L a random matrix in GL_n(F_p): a local automorphism, which keeps the
+    ideal (x_1^q, ..., x_n^q) and so the Jordan type of f on A."""
+    p, n = f.p, f.n
+    while True:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if len(echelon(({j: a for j, a in enumerate(r) if a} for r in rows), p)) == n:
+            break
+    x = [SparsePoly.variable(i, p, n) for i in range(1, n + 1)]
+    phi = [sum((a * xj for a, xj in zip(r, x)), SparsePoly(p, n)) for r in rows]
+    phi[0] = phi[0] + x[-1] * x[-1] * rng.randrange(1, p)
+    g = SparsePoly(p, n)
+    for exps, c in f.terms.items():
+        term = SparsePoly.constant(c, p, n)
+        for y, a in zip(phi, exps):
+            term = term * y ** a
+        g = g + term
+    return g * (SparsePoly.constant(rng.randrange(1, p), p, n) + x[0] * rng.randrange(p))
+
+
+def test_identities_hold_across_routes():
+    # three identities that any f satisfies, on inputs no frozen value covers:
+    # - Frobenius self-similarity d_{pj}(e) = p^n d_j(e-1): f^p = f(x^p), and
+    #   A_q is p^n copies of A_{q/p} over F_p[x^p];
+    # - contact invariance lambda(u * f o phi) = lambda(f), which sends a
+    #   split or closed-form f through the chain on all of A;
+    # - the targets agree: free_rank_z2 = d_h + d_{h+1} with h = (q-1)/2, for
+    #   one chain component the squaring fork against lambda
+    start = time.monotonic()
+    texts = [
+        ("x1^3+x1^4", 1), ("x1^2*x2", 2), ("x1^2+x2^3", 2), ("x1*x2+x3^2", 3),
+        ("x1^2+x1*x2+x2^3", 2), ("x1^3+x1*x2^2+x2^3", 2), ("x1*x2+x2*x3", 3),
+        ("x1*x2+x2^3", 3),
+    ]
+    routes = Counter()
+    for text, n in texts:
+        for p in (2, 3, 5):
+            f = parse_poly(text, p, n)
+            parts, unused = hypersurface._components(f, p)
+            routes["split"] += len(parts) > 1
+            routes["chain"] += sum(gamma is None for _, gamma in parts)
+            routes["closed form"] += sum(gamma is not None for _, gamma in parts)
+            routes["unused variable"] += unused > 0
+            lam = jordan_type(f, FrobBasis(p, 1, n))
+            for e in (2, 3):
+                q = p ** e
+                if q ** n > 5000:
+                    break
+                b = FrobBasis(p, e, n)
+                lam, lam_below = jordan_type(f, b), lam
+                for j in range(q // p + 1):
+                    assert _d(lam, p * j) == p ** n * _d(lam_below, j), (text, p, e, j)
+                if p > 2:
+                    h = (q - 1) // 2
+                    assert free_rank_z2(f, b) == _d(lam, h) + _d(lam, h + 1), (text, p, e)
+    assert min(routes.values()) > 0, routes
+    # each f at p = 2, 3, 5 with q < 25 and q^n <= 700, and one at q = 25
+    rng = random.Random(1703)
+    contact = [
+        (text, n, p, max(e for e in (1, 2, 3) if p ** e < 25 and p ** (e * n) <= 700))
+        for text, n in texts for p in (2, 3, 5)
+    ] + [("x1^2*x2", 2, 5, 2)]
+    for text, n, p, e in contact:
+        f = parse_poly(text, p, n)
+        b = FrobBasis(p, e, n)
+        g = _contact(rng, f)
+        lam = jordan_type(f, b)
+        assert jordan_type(g, b) == lam, (text, str(g), p, e)
+        if p > 2:
+            h = (b.q - 1) // 2
+            assert free_rank_z2(g, b) == _d(lam, h) + _d(lam, h + 1), (str(g), p, e)
+    assert time.monotonic() - start < 3.0
