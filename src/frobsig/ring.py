@@ -407,7 +407,7 @@ class FrobBasis:
     It is (p, e, n) alone: what is built on it from f lives in f's ring.
     """
 
-    __slots__ = ("p", "e", "n", "q", "size", "_radix", "_tuples")
+    __slots__ = ("p", "e", "n", "q", "size", "_radix")
 
     def __init__(self, p: int, e: int, n: int):
         check_prime(p)
@@ -424,7 +424,6 @@ class FrobBasis:
         self.q = p ** e
         self.size = self.q ** n
         self._radix = None
-        self._tuples = None
 
     def check(self, f: SparsePoly) -> None:
         """Refuse f unless it is over F_p in n variables."""
@@ -452,12 +451,6 @@ class FrobBasis:
         if self._radix is None:
             self._radix = tuple(self.q ** i for i in range(self.n))
         return self._radix
-
-    @property
-    def tuples(self) -> list[tuple[int, ...]]:
-        if self._tuples is None:
-            self._tuples = [self.tuple_of(i) for i in range(self.size)]
-        return self._tuples
 
     def __repr__(self) -> str:
         return f"FrobBasis(p={self.p}, e={self.e}, n={self.n})"

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from frobsig import ring
+from frobsig import cli, ring
 from frobsig.cli import SUBCOMMANDS, main
 from frobsig.hypersurface import free_rank_uv
 from frobsig.monomial import MonomialData, decomposition_report
@@ -1095,3 +1097,19 @@ def test_budget_does_not_leak(capsys):
     assert ring.work() - before > 100
     assert report.free_rank > 3 ** 8
     capsys.readouterr()
+
+
+def test_argv_corpus_covers_every_subcommand():
+    # tools/argv_corpus.py, which compares two checkouts call by call
+    path = Path(__file__).resolve().parents[1] / "tools" / "argv_corpus.py"
+    spec = importlib.util.spec_from_file_location("argv_corpus", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    calls = tool.corpus()
+    assert calls == tool.corpus()
+    assert {argv[0] for argv in calls} >= set(SUBCOMMANDS)
+    argv = ["freerank", "--type", "uv", "--f", "x1^2", "--p", "3", "--e", "1"]
+    line = tool.record(cli, ring, argv)
+    out = '{"target": "uv", "f": "x1^2", "q": 3, "free_rank": 5}\n'
+    assert line == {"argv": argv, "exit": 0, "stderr": "", "work": ring.work(),
+                    "stdout": hashlib.sha256(out.encode()).hexdigest()}

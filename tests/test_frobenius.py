@@ -11,6 +11,7 @@ from frobsig.frobenius import (
     matrix_of_relations,
     matrix_power,
 )
+from frobsig.oracle import decompose_by_exponents
 from frobsig.ring import SparsePoly, default_names, parse_poly
 
 from test_ring import rand_poly
@@ -50,7 +51,8 @@ def test_basis_indexing():
     # x1 least significant: index(a1, a2) = a1 + 3*a2
     assert b.index_of((2, 0)) == 2
     assert b.index_of((0, 1)) == 3
-    assert [b.tuple_of(i) for i in range(9)] == b.tuples
+    assert b.tuple_of(3) == (0, 1)
+    assert all(b.index_of(b.tuple_of(i)) == i for i in range(9))
     with pytest.raises(ValueError):
         b.index_of((3, 0))
     with pytest.raises(ValueError):
@@ -98,6 +100,31 @@ def test_matrix_worked_example():
     b = FrobBasis(3, 1, 2)
     f = parse_poly("x1^2 + x1*x2", 3, 2)
     assert matrix_of_relations(f, b) == expected_nine_by_nine()
+
+
+def test_columns_match_the_oracle_decomposition():
+    # column j of M(f, e) is x^j * f decomposed term by term by the oracle,
+    # for exponents past q and for terms congruent mod q, which share a
+    # remainder and so a cell
+    rng = random.Random(27)
+    for p in (2, 3, 5):
+        for e in (1, 2):
+            for n in (1, 2, 3):
+                b = FrobBasis(p, e, n)
+                if b.size > 729:
+                    continue
+                for _ in range(3):
+                    f = rand_poly(rng, p, n, max_deg=2 * b.q)
+                    terms = dict(f.terms)
+                    for exps in f.terms:
+                        shifted = tuple(a + b.q * rng.randint(0, 2) for a in exps)
+                        terms.setdefault(shifted, rng.randint(1, p - 1))
+                    f = SparsePoly(p, n, terms)
+                    m = matrix_of_relations(f, b)
+                    for j in range(b.size):
+                        xj = SparsePoly.monomial(b.tuple_of(j), p, n)
+                        assert m.data[j] == decompose_by_exponents(xj * f, b), (f, j)
+                    assert frobenius_decompose(f, b) == m.data[0]
 
 
 def test_matrix_of_one_is_identity():

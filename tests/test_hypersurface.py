@@ -126,10 +126,13 @@ def test_z2_presentation():
 
 def test_z2_presentation_p5():
     b = FrobBasis(5, 1, 1)
-    pres = z2_presentation(parse_poly("x1^2", 5, 1), b)
-    # blocks are A^2 and A^3, each 5x5
-    assert pres.matfac.phi.entry(0, 0).is_zero() or True
+    f = parse_poly("x1^2", 5, 1)
+    pres = z2_presentation(f, b)
+    # blocks are A^2 and A^3, each 5x5; column 0 of A^2 = M(x1^4) is x1^4
+    assert pres.matfac.phi.entry(0, 0).is_zero()
+    assert pres.matfac.phi.entry(4, 0).is_one()
     assert pres.matfac.size == 10
+    assert pres.free_rank_total == free_rank_z2(f, b) == 1
 
 
 def test_free_rank_z2_values():
