@@ -175,27 +175,29 @@ def parse_int(text: str, error=ValueError) -> int:
 
 
 def digit_power(m: int, p: int, one, factor, times):
-    """``one`` times the product of factor(p^i)^(m_i) over the base-p digits m_i.
+    """The product of factor(p^i)^(m_i) over the base-p digits m_i, or ``one``
+    for m = 0.
 
     Over F_p, g^p = g(x^p), so g^m is this product for factor(t) = g(x^t);
     ``SparsePoly.__pow__`` and the free rank's power in A both form it here.
     Squaring runs only inside one digit m_i < p, so for g of t terms no
     power formed has more terms than prod_i C(m_i + t - 1, t - 1); squaring
     through all of m would form g^(2^j), far larger.  ``times`` forms every
-    product, digit by digit from the lowest.
+    product, digit by digit from the lowest, starting from the first factor
+    taken; a zero digit forms no factor.
     """
-    result, twist = one, 1
+    result, twist = None, 1
     while m:
         m, digit = divmod(m, p)
-        base = factor(twist)
+        base = factor(twist) if digit else None
         while digit:
             if digit & 1:
-                result = times(result, base)
+                result = base if result is None else times(result, base)
             digit >>= 1
             if digit:
                 base = times(base, base)
         twist *= p
-    return result
+    return one if result is None else result
 
 
 class SparsePoly:
