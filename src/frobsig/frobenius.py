@@ -41,9 +41,7 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, size, p, n, names=None) -> "PolyMatrix":
-        names = ring_names(n, names)
-        one = SparsePoly.one(p, n, names)
-        return cls(size, size, p, n, names, [{i: one} for i in range(size)])
+        return cls.scalar(size, SparsePoly.one(p, n, names))
 
     @classmethod
     def scalar(cls, size, poly: SparsePoly) -> "PolyMatrix":
@@ -288,14 +286,6 @@ class PolyMatrix:
 
     # -- serialization ---------------------------------------------------------
 
-    def sorted_entries(self) -> list[tuple[int, int, SparsePoly]]:
-        items = []
-        for j, col in enumerate(self.data):
-            for i, poly in col.items():
-                items.append((i, j, poly))
-        items.sort(key=lambda t: (t[0], t[1]))
-        return items
-
     def _text_entries(self) -> list[list]:
         """Sorted [row, col, str(entry)], formatting each entry object once.
 
@@ -309,7 +299,10 @@ class PolyMatrix:
         tick(head + self.entry_count() * (width + 1))
         text: dict[int, str] = {}
         out = []
-        for i, j, poly in self.sorted_entries():
+        cells = [(i, j, poly)
+                 for j, col in enumerate(self.data) for i, poly in col.items()]
+        cells.sort(key=lambda t: (t[0], t[1]))
+        for i, j, poly in cells:
             s = text.get(id(poly))
             if s is None:
                 s = text[id(poly)] = str(poly)
@@ -445,7 +438,7 @@ def block_assemble(coeffs: list[SparsePoly], basis: FrobBasis) -> PolyMatrix:
     t_poly = SparsePoly.variable(len(names), basis.p, len(names), names)
     out = PolyMatrix(r_e * q, r_e * q, basis.p, len(names), names)
     for s, block in enumerate(blocks):
-        if not block.data or all(not col for col in block.data):
+        if not any(block.data):
             continue
         for m in range(q):
             k = m + s

@@ -4,7 +4,10 @@ A matrix factorization of f is a pair (phi, psi) of square matrices with
 phi*psi = psi*phi = f*I.  This module holds such pairs, forms direct sums,
 the block constructions producing factorizations of f+uv and f+z^2, counts
 the trivial summands (f,1) and (1,f) by rank at the origin, and performs the
-constructive companion-block reductions with explicit elementary matrices.
+constructive companion-block reductions with explicit elementary matrices:
+a reduction's certificate is ``left_ops`` and ``right_ops``, the factors
+(i, j, c) of left and right in product order, each the identity with c at
+(i, j), and a swap is recorded as three transvections and a dilation by -1.
 From these it decomposes F_*^e of S[[u,v]]/(f+uv) into a free part plus q-1
 explicit blocks and builds the single-block presentation for S[[z]]/(f+z^2);
 what the two targets are is declared in ``hypersurface``.
@@ -270,9 +273,13 @@ _SHAPES = {
 
 
 class CompanionReduction(namedtuple(
-    "CompanionReduction", "matrix left right reduced row_ops col_ops"
+    "CompanionReduction", "matrix left right reduced left_ops right_ops"
 )):
-    """Result of a companion reduction: left * matrix * right == reduced."""
+    """Result of a companion reduction: left * matrix * right == reduced.
+
+    ``left_ops`` and ``right_ops`` list the elementary factors of left and
+    right in product order, each as (i, j, c): the identity with c at (i, j).
+    """
 
     __slots__ = ()
 
@@ -283,61 +290,35 @@ class CompanionReduction(namedtuple(
         """(left_factors, right_factors): products recover left and right.
 
         Every factor is an elementary matrix: a transvection I + c*E_ij, or a
-        dilation by the unit -1 (swaps are expanded into three transvections
-        and one dilation).
+        dilation by the unit -1.
         """
-        size = self.matrix.rows
-        ring = (self.matrix.p, self.matrix.n, self.matrix.names)
-        left = []
-        for op in self.row_ops:
-            left = [_op_matrix(o, size, ring) for o in _expand_op(op)] + left
-        right = [
-            _op_matrix(o, size, ring)
-            for op in self.col_ops
-            for o in _expand_op(op)
-        ]
-        return left, right
+        m = self.matrix
 
+        def factor(i, j, c):
+            e = PolyMatrix.identity(m.rows, m.p, m.n, m.names)
+            e.set_entry(i, j, c)
+            return e
 
-def _expand_op(op):
-    """Factors whose matrix product, in list order, equals the op's matrix."""
-    kind = op[0]
-    if kind in ("add", "scale"):
-        return [op]
-    # permutation matrix P_ij = E_ij(1) * E_ji(-1) * E_ij(1) * S_i(-1)
-    _, i, j = op
-    return [("add", i, j, 1), ("add", j, i, -1), ("add", i, j, 1), ("scale", i, -1)]
-
-
-def _op_matrix(op, size, ring):
-    p, n, names = ring
-    m = PolyMatrix.identity(size, p, n, names)
-    if op[0] == "add":
-        _, i, j, coeff = op
-        poly = coeff if isinstance(coeff, SparsePoly) else SparsePoly.constant(
-            coeff, p, n, names
-        )
-        m.set_entry(i, j, poly)
-    else:
-        _, i, unit = op
-        m.set_entry(i, i, SparsePoly.constant(unit, p, n, names))
-    return m
+        left, right = self.left_ops, self.right_ops
+        return [factor(*op) for op in left], [factor(*op) for op in right]
 
 
 class _Work:
-    """Dense working matrix A with recorded row/column operations.
+    """Dense working matrix A with its row and column operations recorded.
 
     Each row operation is applied to ``left`` as well and each column
     operation to ``right``, both starting at I, so left * A * right equals
-    the working matrix after every step.
+    the working matrix after every step.  Each operation is recorded once,
+    as the factors (i, j, c) it multiplies by, at the front of ``left_ops``
+    or the end of ``right_ops``, so both stay in product order.
     """
 
     def __init__(self, grid, ring):
         self.grid = grid
         identity = PolyMatrix.identity(len(grid), *ring).to_dense
         self.left, self.right = identity(), identity()
-        self.row_ops = []
-        self.col_ops = []
+        self.one = SparsePoly.one(*ring)
+        self.left_ops, self.right_ops = [], []
 
     def row_add(self, i, j, poly):
         # row_i += poly * row_j
@@ -346,7 +327,7 @@ class _Work:
             for c in range(len(gi)):
                 if not gj[c].is_zero():
                     gi[c] = gi[c] + poly * gj[c]
-        self.row_ops.append(("add", i, j, poly))
+        self.left_ops.insert(0, (i, j, poly))
 
     def col_add(self, j, i, poly):
         # col_j += col_i * poly; as a right factor this is I + poly*E_ij
@@ -354,13 +335,11 @@ class _Work:
             for row in grid:
                 if not row[i].is_zero():
                     row[j] = row[j] + row[i] * poly
-        self.col_ops.append(("add", i, j, poly))
+        self.right_ops.append((i, j, poly))
 
     def permute(self, row_order, col_order):
-        for seq, ops, axis in (
-            (row_order, self.row_ops, "row"),
-            (col_order, self.col_ops, "col"),
-        ):
+        one, neg = self.one, -self.one
+        for seq, axis in ((row_order, "row"), (col_order, "col")):
             perm = list(seq)
             # realize the permutation "new position k holds old index perm[k]"
             # as a sequence of transpositions applied to the working matrix
@@ -369,14 +348,17 @@ class _Work:
                 pos = current.index(want)
                 if pos != k:
                     current[k], current[pos] = current[pos], current[k]
+                    # the transposition P = E_k,pos(1) E_pos,k(-1) E_k,pos(1) S_k(-1)
+                    swap = [(k, pos, one), (pos, k, neg), (k, pos, one), (k, k, neg)]
                     if axis == "row":
                         for grid in (self.grid, self.left):
                             grid[k], grid[pos] = grid[pos], grid[k]
+                        self.left_ops[:0] = swap
                     else:
                         for grid in (self.grid, self.right):
                             for row in grid:
                                 row[k], row[pos] = row[pos], row[k]
-                    ops.append(("swap", k, pos))
+                        self.right_ops += swap
 
 
 def companion_matrix(
@@ -471,6 +453,6 @@ def companion_reduce(
         left=PolyMatrix.from_dense(work.left),
         right=PolyMatrix.from_dense(work.right),
         reduced=PolyMatrix.from_dense(work.grid),
-        row_ops=work.row_ops,
-        col_ops=work.col_ops,
+        left_ops=work.left_ops,
+        right_ops=work.right_ops,
     )

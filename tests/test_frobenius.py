@@ -372,6 +372,17 @@ def test_entry_paths_refuse_a_foreign_ring(build):
         build()
 
 
+def test_matrix_addition_refuses_a_mismatch_and_stores_no_zero():
+    m = matrix_of_relations(parse_poly("x1^2 + x1*x2", 3, 2), FrobBasis(3, 1, 2))
+    with pytest.raises(ValueError, match="size mismatch in matrix addition"):
+        m + PolyMatrix(9, 8, 3, 2)
+    with pytest.raises(ValueError, match="mismatched ambient rings"):
+        m + PolyMatrix(9, 9, 3, 2, ("y1", "y2"))
+    difference = m - m
+    assert not any(difference.data)
+    assert difference == PolyMatrix(9, 9, 3, 2)
+
+
 def test_polymatrix_is_unhashable():
     with pytest.raises(TypeError, match="unhashable type: 'PolyMatrix'"):
         hash(PolyMatrix(2, 2, 3, 1))

@@ -361,3 +361,43 @@ def test_companion_matrix_and_reduce_accept_the_same_arguments():
                 accepted += built
     # chain, split and uv at sizes 2..8, even at 4, 6, 8 and odd at 5, 7
     assert accepted == 3 * 7 + 3 + 2
+
+
+def test_companion_reduce_records_each_factor_once():
+    # uv at size 3: the chain step adds -x1 * row 1 to row 0 and -x1 * col 0
+    # to col 1, then rows 0 and 1 swap, recorded as E_01(1) E_10(-1) E_01(1)
+    # S_0(-1) at the front of the left factors
+    x = SparsePoly.variable(1, 3, 1)
+    one = SparsePoly.one(3, 1)
+    red = companion_reduce(UV, 3, x, corner=x ** 4)
+    assert red.left_ops == [
+        (0, 1, one), (1, 0, -one), (0, 1, one), (0, 0, -one), (0, 1, -x),
+    ]
+    assert red.right_ops == [(0, 1, -x)]
+    assert all(
+        isinstance(c, SparsePoly) and c.names == x.names
+        for _, _, c in red.left_ops + red.right_ops
+    )
+
+
+def test_companion_factors_dilate_only_by_minus_one():
+    x = SparsePoly.variable(1, 5, 2)
+    y = SparsePoly.variable(2, 5, 2)
+    minus_one = -SparsePoly.one(5, 2)
+    shapes = 0
+    for shape, takes in _TAKES.items():
+        for size in range(2, 9):
+            kwargs = {"corner": x * y, "corner2": y, "k": size // 2}
+            try:
+                red = companion_reduce(
+                    shape, size, x, **{name: kwargs[name] for name in takes}
+                )
+            except ValueError:
+                continue
+            shapes += 1
+            lf, rf = red.elementary_factors()
+            assert len(lf) == len(red.left_ops) and len(rf) == len(red.right_ops)
+            for i, j, c in red.left_ops + red.right_ops:
+                assert i != j or c == minus_one
+    # chain, split and uv at sizes 2..8, even at 4, 6, 8 and odd at 5, 7
+    assert shapes == 3 * 7 + 3 + 2

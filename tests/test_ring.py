@@ -117,6 +117,15 @@ def test_ring_axioms_randomized():
         assert (a + b) ** p == a ** p + b ** p
 
 
+def test_difference_with_itself_is_zero():
+    rng = random.Random(29)
+    for _ in range(20):
+        f = rand_poly(rng, rng.choice([2, 3, 5]), rng.randint(1, 3))
+        assert (f - f).is_zero()
+    a = parse_poly("x1^2 + 2*x1*x2", 5, 2)
+    assert a - parse_poly("x1*x2", 5, 2) == parse_poly("x1^2 + x1*x2", 5, 2)
+
+
 def test_mismatched_rings_rejected():
     with pytest.raises(ValueError):
         parse_poly("x1", 3, 1) * parse_poly("x1", 3, 2)
