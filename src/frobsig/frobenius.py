@@ -8,6 +8,9 @@ block assembly of the matrix over a ring with one added variable, each in
 the ring of the polynomials it is built from.  The basis, ``FrobBasis``, is
 (p, e, n) alone; it lives in ``ring``, so the routes that need only the
 basis (the free ranks) never load this module; it is re-exported here.
+Every matrix is stored as sparse columns, with no dense constructor, and
+whatever edits one (``add_block``, the companion reductions of ``matfac``)
+adds into those columns in place, storing no zero.
 """
 
 from __future__ import annotations
@@ -17,6 +20,16 @@ import json
 
 from .ring import FrobBasis, SparsePoly, ring_names, tick
 from .ring import check_same_ring, extended_names, same_ring
+
+
+def _add_into(col: dict[int, SparsePoly], r: int, poly: SparsePoly) -> None:
+    """col[r] += poly in a sparse column, storing no zero."""
+    cur = col.get(r)
+    s = poly if cur is None else cur + poly
+    if s.is_zero():
+        col.pop(r, None)
+    else:
+        col[r] = s
 
 
 class PolyMatrix:
@@ -57,24 +70,6 @@ class PolyMatrix:
             m.set_entry(i, j, poly)
         return m
 
-    @classmethod
-    def from_dense(cls, grid) -> "PolyMatrix":
-        """Build from a non-empty nested list of SparsePoly over one ring."""
-        if not grid or not grid[0]:
-            raise ValueError("a dense matrix needs at least one entry")
-        rows = len(grid)
-        cols = len(grid[0])
-        sample = grid[0][0]
-        m = cls(rows, cols, sample.p, sample.n, sample.names)
-        for i, row in enumerate(grid):
-            if len(row) != cols:
-                raise ValueError("dense grid rows of unequal length")
-            for j, poly in enumerate(row):
-                check_same_ring(sample, poly)
-                if not poly.is_zero():
-                    m.data[j][i] = poly
-        return m
-
     # -- element access ------------------------------------------------------
 
     def _check_index(self, i, j):
@@ -93,35 +88,18 @@ class PolyMatrix:
         else:
             self.data[j][i] = poly
 
-    def to_dense(self) -> list[list[SparsePoly]]:
-        zero = SparsePoly.zero(self.p, self.n, self.names)
-        grid = [[zero] * self.cols for _ in range(self.rows)]
-        for j, col in enumerate(self.data):
-            for i, poly in col.items():
-                grid[i][j] = poly
-        return grid
-
     def entry_count(self) -> int:
         return sum(len(col) for col in self.data)
 
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        check_same_ring(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("size mismatch in matrix addition")
-        data = []
-        for ca, cb in zip(self.data, other.data):
-            col = dict(ca)
-            for i, poly in cb.items():
-                s = col.get(i)
-                s = poly if s is None else s + poly
-                if s.is_zero():
-                    col.pop(i, None)
-                else:
-                    col[i] = s
-            data.append(col)
-        return PolyMatrix(self.rows, self.cols, self.p, self.n, self.names, data)
+        data = [dict(col) for col in self.data]
+        out = PolyMatrix(self.rows, self.cols, self.p, self.n, self.names, data)
+        out.add_block(0, 0, other)
+        return out
 
     def __neg__(self) -> "PolyMatrix":
         data = [{i: -poly for i, poly in col.items()} for col in self.data]
@@ -239,21 +217,16 @@ class PolyMatrix:
 
     # -- block assembly ----------------------------------------------------------
 
-    def add_block(self, row_off, col_off, block: "PolyMatrix", factor=None) -> None:
-        """In-place: add ``factor * block`` at offset (row_off, col_off)."""
+    def add_block(self, row_off, col_off, block: "PolyMatrix") -> None:
+        """In-place: add ``block`` at offset (row_off, col_off), where it fits."""
         check_same_ring(self, block)
-        for j, col in enumerate(block.data):
-            target = self.data[col_off + j]
+        if not (0 <= row_off <= self.rows - block.rows
+                and 0 <= col_off <= self.cols - block.cols):
+            raise ValueError(f"block at ({row_off},{col_off}) does not fit in "
+                             f"{self.rows}x{self.cols}")
+        for col, target in zip(block.data, self.data[col_off:]):
             for i, poly in col.items():
-                if factor is not None:
-                    poly = poly * factor
-                r = row_off + i
-                cur = target.get(r)
-                s = poly if cur is None else cur + poly
-                if s.is_zero():
-                    target.pop(r, None)
-                else:
-                    target[r] = s
+                _add_into(target, row_off + i, poly)
 
     @classmethod
     def block(cls, grid) -> "PolyMatrix":
@@ -440,10 +413,10 @@ def block_assemble(coeffs: list[SparsePoly], basis: FrobBasis) -> PolyMatrix:
     for s, block in enumerate(blocks):
         if not any(block.data):
             continue
-        for m in range(q):
-            k = m + s
-            if k < q:
-                out.add_block(k * r_e, m * r_e, block)
-            else:
-                out.add_block((k - q) * r_e, m * r_e, block, factor=t_poly)
+        for m in range(q - s):
+            out.add_block((m + s) * r_e, m * r_e, block)
+        if s:
+            wrapped = PolyMatrix.scalar(r_e, t_poly) * block
+            for m in range(q - s, q):
+                out.add_block((m + s - q) * r_e, m * r_e, wrapped)
     return out

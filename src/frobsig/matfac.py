@@ -7,7 +7,8 @@ the trivial summands (f,1) and (1,f) by rank at the origin, and performs the
 constructive companion-block reductions with explicit elementary matrices:
 a reduction's certificate is ``left_ops`` and ``right_ops``, the factors
 (i, j, c) of left and right in product order, each the identity with c at
-(i, j), and a swap is recorded as three transvections and a dilation by -1.
+(i, j), and a swap is recorded as three transvections and a dilation by -1
+(over F_2, where -1 = 1, the transvections alone).
 From these it decomposes F_*^e of S[[u,v]]/(f+uv) into a free part plus q-1
 explicit blocks and builds the single-block presentation for S[[z]]/(f+z^2);
 what the two targets are is declared in ``hypersurface``.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .frobenius import PolyMatrix
+from .frobenius import PolyMatrix, _add_into
 from .hypersurface import check_local, check_target, presentation_fk
 from .ring import RESERVED_NAMES, FrobBasis, SparsePoly, echelon
 
@@ -304,37 +305,39 @@ class CompanionReduction(namedtuple(
 
 
 class _Work:
-    """Dense working matrix A with its row and column operations recorded.
+    """The working matrix with its row and column operations applied in place.
 
-    Each row operation is applied to ``left`` as well and each column
-    operation to ``right``, both starting at I, so left * A * right equals
-    the working matrix after every step.  Each operation is recorded once,
-    as the factors (i, j, c) it multiplies by, at the front of ``left_ops``
-    or the end of ``right_ops``, so both stay in product order.
+    ``matrix`` starts as a copy of A, and ``left`` and ``right`` at I; each
+    operation edits the sparse columns of ``matrix`` and of ``left`` (a row
+    operation) or ``right`` (a column operation), so left * A * right equals
+    ``matrix`` after every step.  Each operation is recorded once, as the
+    factors (i, j, c) it multiplies by, at the front of ``left_ops`` or the
+    end of ``right_ops``, so both stay in product order.
     """
 
-    def __init__(self, grid, ring):
-        self.grid = grid
-        identity = PolyMatrix.identity(len(grid), *ring).to_dense
-        self.left, self.right = identity(), identity()
+    def __init__(self, a: PolyMatrix):
+        ring = (a.p, a.n, a.names)
+        self.matrix = PolyMatrix(a.rows, a.cols, *ring, [dict(col) for col in a.data])
+        self.left = PolyMatrix.identity(a.rows, *ring)
+        self.right = PolyMatrix.identity(a.rows, *ring)
         self.one = SparsePoly.one(*ring)
         self.left_ops, self.right_ops = [], []
 
     def row_add(self, i, j, poly):
         # row_i += poly * row_j
-        for grid in (self.grid, self.left):
-            gi, gj = grid[i], grid[j]
-            for c in range(len(gi)):
-                if not gj[c].is_zero():
-                    gi[c] = gi[c] + poly * gj[c]
+        for m in (self.matrix, self.left):
+            for col in m.data:
+                entry = col.get(j)
+                if entry is not None:
+                    _add_into(col, i, poly * entry)
         self.left_ops.insert(0, (i, j, poly))
 
     def col_add(self, j, i, poly):
         # col_j += col_i * poly; as a right factor this is I + poly*E_ij
-        for grid in (self.grid, self.right):
-            for row in grid:
-                if not row[i].is_zero():
-                    row[j] = row[j] + row[i] * poly
+        for m in (self.matrix, self.right):
+            target = m.data[j]
+            for r, entry in m.data[i].items():
+                _add_into(target, r, entry * poly)
         self.right_ops.append((i, j, poly))
 
     def permute(self, row_order, col_order):
@@ -348,16 +351,23 @@ class _Work:
                 pos = current.index(want)
                 if pos != k:
                     current[k], current[pos] = current[pos], current[k]
-                    # the transposition P = E_k,pos(1) E_pos,k(-1) E_k,pos(1) S_k(-1)
-                    swap = [(k, pos, one), (pos, k, neg), (k, pos, one), (k, k, neg)]
+                    # the transposition P = E_k,pos(1) E_pos,k(-1) E_k,pos(1) S_k(-1);
+                    # over F_2, where -1 = 1, the three transvections are P
+                    swap = [(k, pos, one), (pos, k, neg), (k, pos, one)]
+                    if neg != one:
+                        swap.append((k, k, neg))
                     if axis == "row":
-                        for grid in (self.grid, self.left):
-                            grid[k], grid[pos] = grid[pos], grid[k]
+                        for m in (self.matrix, self.left):
+                            for col in m.data:
+                                at_k, at_pos = col.pop(k, None), col.pop(pos, None)
+                                if at_k is not None:
+                                    col[pos] = at_k
+                                if at_pos is not None:
+                                    col[k] = at_pos
                         self.left_ops[:0] = swap
                     else:
-                        for grid in (self.grid, self.right):
-                            for row in grid:
-                                row[k], row[pos] = row[pos], row[k]
+                        for m in (self.matrix, self.right):
+                            m.data[k], m.data[pos] = m.data[pos], m.data[k]
                         self.right_ops += swap
 
 
@@ -417,7 +427,7 @@ def _reduce_chain(work: _Work, idx: range, b: SparsePoly) -> None:
     for step in range(len(idx) - 1):
         i0 = idx[0]
         jcur, jnext = idx[step], idx[step + 1]
-        c = work.grid[i0][jcur]
+        c = work.matrix.entry(i0, jcur)
         work.row_add(i0, jnext, -c)
         work.col_add(jnext, jcur, -b)
 
@@ -443,16 +453,16 @@ def companion_reduce(
     a = companion_matrix(shape, size, b, corner, corner2, k)
     *_, layout = _SHAPES[shape]
     chains, _, order = layout(size, k)
-    work = _Work(a.to_dense(), (b.p, b.n, b.names))
+    work = _Work(a)
     for idx in chains:
         _reduce_chain(work, idx, b)
     if order:
         work.permute(*order)
     return CompanionReduction(
         matrix=a,
-        left=PolyMatrix.from_dense(work.left),
-        right=PolyMatrix.from_dense(work.right),
-        reduced=PolyMatrix.from_dense(work.grid),
+        left=work.left,
+        right=work.right,
+        reduced=work.matrix,
         left_ops=work.left_ops,
         right_ops=work.right_ops,
     )

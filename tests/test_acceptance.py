@@ -83,8 +83,9 @@ WORKED_9X9 = [
 
 
 def worked_matrix():
-    grid = [[parse_poly(s, 3, 2) for s in row] for row in WORKED_9X9]
-    return PolyMatrix.from_dense(grid)
+    entries = [(i, j, parse_poly(s, 3, 2))
+               for i, row in enumerate(WORKED_9X9) for j, s in enumerate(row)]
+    return PolyMatrix.from_entries(9, 9, entries, 3, 2)
 
 
 def test_criterion_01_worked_matrix_reproduced():

@@ -228,14 +228,13 @@ def test_product_matches_entrywise_reference(p, n, extra):
 
 def test_product_drops_entries_that_cancel():
     big = 2 ** 64
-    a = PolyMatrix.from_dense([
-        [parse_poly(f"x1^{big}", 3, 2), parse_poly(f"x1^{big}*x2", 3, 2)],
-        [parse_poly("1", 3, 2), parse_poly("1", 3, 2)],
-    ])
-    b = PolyMatrix.from_dense([
-        [parse_poly("x2", 3, 2), parse_poly("2", 3, 2)],
-        [parse_poly("-1", 3, 2), parse_poly("1", 3, 2)],
-    ])
+    def square(rows):
+        entries = [(i, j, parse_poly(text, 3, 2))
+                   for i, row in enumerate(rows) for j, text in enumerate(row)]
+        return PolyMatrix.from_entries(2, 2, entries, 3, 2)
+
+    a = square([[f"x1^{big}", f"x1^{big}*x2"], ["1", "1"]])
+    b = square([["x2", "2"], ["-1", "1"]])
     product = a * b
     # x1^(2^64) x2 - x1^(2^64) x2 = 0, and 2 + 1 = 0 mod 3: neither is stored
     assert product.data == [
@@ -334,24 +333,6 @@ def test_block_refuses_a_bad_grid(grid, reason):
         PolyMatrix.block(grid)
 
 
-_ONE_X, _ONE_Y = SparsePoly.one(3, 1), SparsePoly.one(3, 1, ("y1",))
-
-
-@pytest.mark.parametrize(
-    "grid, reason",
-    [
-        ([], "at least one entry"),
-        ([[]], "at least one entry"),
-        ([[_ONE_X], [_ONE_X, _ONE_X]], "rows of unequal length"),
-        ([[_ONE_X, _ONE_Y]], "mismatched ambient rings"),
-    ],
-    ids=["no-row", "empty-row", "ragged-grid", "two-rings"],
-)
-def test_from_dense_refuses_a_bad_grid(grid, reason):
-    with pytest.raises(ValueError, match=reason):
-        PolyMatrix.from_dense(grid)
-
-
 _X5 = SparsePoly.variable(1, 5, 1).scale(2)  # 2*x1 over F_5, not F_3
 
 
@@ -370,6 +351,16 @@ def test_entry_paths_refuse_a_foreign_ring(build):
     # the F_3 square of 2*x1 would print x1^2, where F_5 gives 4*x1^2
     with pytest.raises(ValueError, match=r"mismatched ambient rings: F_3\['x1'\] vs F_5"):
         build()
+
+
+@pytest.mark.parametrize("row_off, col_off", [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                         ids=["row-overflow", "col-overflow", "row-before", "col-before"])
+def test_add_block_refuses_a_block_that_does_not_fit(row_off, col_off):
+    # refused before any column is written, past the end or before the start
+    target = PolyMatrix.identity(2, 3, 1)
+    with pytest.raises(ValueError, match=rf"block at \({row_off},{col_off}\) does not fit"):
+        target.add_block(row_off, col_off, PolyMatrix.identity(2, 3, 1))
+    assert target == PolyMatrix.identity(2, 3, 1)
 
 
 def test_matrix_addition_refuses_a_mismatch_and_stores_no_zero():

@@ -381,23 +381,63 @@ def test_companion_reduce_records_each_factor_once():
 
 
 def test_companion_factors_dilate_only_by_minus_one():
-    x = SparsePoly.variable(1, 5, 2)
-    y = SparsePoly.variable(2, 5, 2)
-    minus_one = -SparsePoly.one(5, 2)
-    shapes = 0
-    for shape, takes in _TAKES.items():
-        for size in range(2, 9):
-            kwargs = {"corner": x * y, "corner2": y, "k": size // 2}
-            try:
-                red = companion_reduce(
-                    shape, size, x, **{name: kwargs[name] for name in takes}
-                )
-            except ValueError:
-                continue
-            shapes += 1
-            lf, rf = red.elementary_factors()
-            assert len(lf) == len(red.left_ops) and len(rf) == len(red.right_ops)
-            for i, j, c in red.left_ops + red.right_ops:
-                assert i != j or c == minus_one
-    # chain, split and uv at sizes 2..8, even at 4, 6, 8 and odd at 5, 7
-    assert shapes == 3 * 7 + 3 + 2
+    # over F_2, where -1 = 1, a dilation by -1 would be the identity, so a
+    # swap is recorded as its three transvections alone
+    for p in (5, 2):
+        x = SparsePoly.variable(1, p, 2)
+        y = SparsePoly.variable(2, p, 2)
+        minus_one = -SparsePoly.one(p, 2)
+        identity = {size: PolyMatrix.identity(size, p, 2) for size in range(2, 9)}
+        shapes = 0
+        for shape, takes in _TAKES.items():
+            for size in range(2, 9):
+                kwargs = {"corner": x * y, "corner2": y, "k": size // 2}
+                try:
+                    red = companion_reduce(
+                        shape, size, x, **{name: kwargs[name] for name in takes}
+                    )
+                except ValueError:
+                    continue
+                shapes += 1
+                lf, rf = red.elementary_factors()
+                assert len(lf) == len(red.left_ops) and len(rf) == len(red.right_ops)
+                for i, j, c in red.left_ops + red.right_ops:
+                    assert i != j or c == minus_one
+                assert all(factor != identity[size] for factor in lf + rf)
+                for factors, product in ((lf, red.left), (rf, red.right)):
+                    m = identity[size]
+                    for factor in factors:
+                        m = m * factor
+                    assert m == product
+        # chain, split and uv at sizes 2..8, even at 4, 6, 8 and odd at 5, 7
+        assert shapes == 3 * 7 + 3 + 2
+
+
+def _reductions():
+    """Every shape at sizes 2..12, split at every k, over three rings."""
+    for p, n, b_text in ((3, 1, "x1"), (5, 2, "x1+x2"), (2, 2, "x1*x2+x1")):
+        b = parse_poly(b_text, p, n)
+        corner, corner2 = b * b, SparsePoly.variable(1, p, n)
+        for size in range(2, 13):
+            yield b, CHAIN, size, {}
+            yield b, UV, size, {"corner": corner}
+            for k in range(1, size):
+                yield b, SPLIT, size, {"corner": corner, "corner2": corner2, "k": k}
+            if size % 2 == 0 and size >= 4:
+                yield b, EVEN, size, {"corner": corner}
+            if size % 2 == 1 and size >= 5:
+                yield b, ODD, size, {"corner": corner, "corner2": corner2}
+
+
+def test_companion_reduce_edits_only_its_own_columns():
+    # the reduction edits a copy of the matrix it returns, and the sparse
+    # columns of left, right and reduced store no zero
+    count = 0
+    for b, shape, size, kwargs in _reductions():
+        red = companion_reduce(shape, size, b, **kwargs)
+        assert red.matrix == companion_matrix(shape, size, b, **kwargs)
+        for m in (red.left, red.right, red.reduced):
+            assert all(not poly.is_zero() for col in m.data for poly in col.values())
+        assert red.verify()
+        count += 1
+    assert count == 3 * 97
