@@ -747,6 +747,21 @@ def test_power_gate_counts_the_terms_of_f_to_the_k(capsys):
     )
 
 
+def test_matrix_counts_once_per_remainder_class(capsys):
+    # no two terms of (x1^2+x1*x2+x2^3)^7 share a remainder mod 25: each of
+    # its 18 classes is one term, and no term past the first of a class ticks
+    argv = ("matrix", "--f", "x1^2+x1*x2+x2^3", "--p", "5", "--e", "2", "--power", "7")
+    assert run(capsys, *argv)[::2] == (0, "")
+    assert ring.work() == 243958
+    # (x2^2+x3^3)^13 over F_5 has 12 terms in 4 classes mod 5, and the meter
+    # ticks a class, not a term: its 25684 units fit in 30000
+    argv = ("matrix", "--f", "x2^2+x3^3", "--p", "5", "--e", "1", "--power", "13")
+    unbounded = run(capsys, *argv, "--max-size", str(10 ** 12))
+    assert unbounded[::2] == (0, "")
+    assert run(capsys, *argv, "--max-size", "30000") == unbounded
+    assert ring.work() == 25684
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -105,7 +105,7 @@ def test_matrix_worked_example():
 def test_columns_match_the_oracle_decomposition():
     # column j of M(f, e) is x^j * f decomposed term by term by the oracle,
     # for exponents past q and for terms congruent mod q, which share a
-    # remainder and so a cell
+    # remainder class and so a cell
     rng = random.Random(27)
     for p in (2, 3, 5):
         for e in (1, 2):
@@ -124,7 +124,10 @@ def test_columns_match_the_oracle_decomposition():
                     for j in range(b.size):
                         xj = SparsePoly.monomial(b.tuple_of(j), p, n)
                         assert m.data[j] == decompose_by_exponents(xj * f, b), (f, j)
-                    assert frobenius_decompose(f, b) == m.data[0]
+                    coords = frobenius_decompose(f, b)
+                    assert coords == m.data[0]
+                    # one cell per remainder class in every column
+                    assert {len(col) for col in m.data} == {len(coords)}, f
 
 
 def test_matrix_of_one_is_identity():

@@ -78,6 +78,23 @@ def test_invariant_factors_worked_example():
     assert factors == ["x1", "x1", "x1^2"]
 
 
+@pytest.mark.parametrize(
+    "diagonal, want",
+    [
+        (["x1", "x1+1"], ["1", "x1^2 + x1"]),
+        # gcds of the k x k minors: x1, x1^2 and x1^3 (x1 + 1)(x1 + 2), so
+        # the factors are x1, x1 and (x1 + 1)(x1 + 2) x1 = x1^3 + 2*x1
+        (["x1^2+x1", "x1^2+2*x1", "x1"], ["x1", "x1", "x1^3 + 2*x1"]),
+    ],
+)
+def test_invariant_factors_out_of_divisibility_order(diagonal, want):
+    # the pivots leave these diagonals out of divisibility order, so the last
+    # pass replaces neighbouring factors by their gcd and lcm
+    entries = [(i, i, parse_poly(u, 3, 1)) for i, u in enumerate(diagonal)]
+    m = PolyMatrix.from_entries(len(diagonal), len(diagonal), entries, 3, 1)
+    assert [str(u) for u in invariant_factors_univariate(m)] == want
+
+
 def test_invariant_factors_identity():
     factors = invariant_factors_univariate(PolyMatrix.identity(4, 3, 1))
     assert all(u.is_one() for u in factors)

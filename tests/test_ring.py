@@ -4,8 +4,12 @@ from math import comb
 
 import pytest
 
-from frobsig.frobenius import PolyMatrix
-from frobsig.ring import FrobBasis, SparsePoly, is_prime, parse_poly, ring_names
+from frobsig.frobenius import (PolyMatrix, block_assemble, matrix_of_relations,
+                               matrix_power)
+from frobsig.matfac import verify_matfac
+from frobsig.monomial import diagonalize_monomial_matrix
+from frobsig.ring import (FrobBasis, SparsePoly, extended_names, is_prime, parse_poly,
+                          ring_names)
 
 
 def rand_poly(rng, p, n, max_deg=4, max_terms=4):
@@ -208,3 +212,49 @@ def test_basis_forms_its_place_values_on_first_use():
     assert (b.q, b.size) == (3, 3 ** 10000) and b._radix is None
     assert b.index_of((0, 1) + (0,) * 9997 + (2,)) == 3 + 2 * 3 ** 9999
     assert b.radix[:3] == (1, 3, 9) and len(b.radix) == 10000
+
+
+_ONE = SparsePoly.one(3, 1)
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda: matrix_of_relations(SparsePoly.one(3, 2), FrobBasis(3, 1, 1)),
+         "polynomial not in the ambient ring of the basis"),
+        (lambda: PolyMatrix(2, 2, 3, 1).entry(2, 0), r"entry \(2,0\) out of range"),
+        (lambda: PolyMatrix(-1, 2, 3, 1), "matrix dimensions must be non-negative"),
+        (lambda: PolyMatrix(2, 3, 3, 1) * PolyMatrix(2, 3, 3, 1),
+         "size mismatch in matrix multiplication"),
+        (lambda: PolyMatrix(2, 3, 3, 1).matrix_pow(2),
+         "matrix power of non-square matrix"),
+        (lambda: PolyMatrix.identity(2, 3, 1).matrix_pow(-1), "negative matrix power"),
+        (lambda: matrix_power(_ONE, 0, FrobBasis(3, 1, 1)), "k must be >= 1"),
+        (lambda: block_assemble([], FrobBasis(3, 1, 1)),
+         "need at least one coefficient polynomial"),
+        (lambda: verify_matfac(PolyMatrix(2, 3, 3, 1), PolyMatrix(3, 3, 3, 1), _ONE),
+         "matrix factorization requires square matrices"),
+        (lambda: verify_matfac(PolyMatrix(2, 2, 3, 1), PolyMatrix(3, 3, 3, 1), _ONE),
+         "matrix factorization requires equal sizes"),
+        (lambda: diagonalize_monomial_matrix(PolyMatrix(2, 3, 3, 1)),
+         "expected a square matrix"),
+        (lambda: SparsePoly(3, -1), "variable count must be non-negative"),
+        (lambda: SparsePoly(3, 2, {(1,): 1}), r"exponent tuple \(1,\) has wrong length"),
+        (lambda: SparsePoly(3, 1, {(-1,): 1}), r"negative exponent in \(-1,\)"),
+        (lambda: SparsePoly.variable(3, 3, 2), r"variable index 3 out of range 1\.\.2"),
+        (lambda: _ONE ** -1, "^negative exponent$"),
+        (lambda: FrobBasis(3, 1, 0), "variable count must be >= 1"),
+        (lambda: extended_names(("x1", "x2"), ("x2", "x1", "t")),
+         "extension names must start with existing names"),
+        (lambda: parse_poly("x1$", 3, 1), "unexpected character '\\$' in polynomial"),
+    ],
+    ids=["basis-check", "index", "negative-size", "product-size", "pow-non-square",
+         "pow-negative", "matrix-power-0", "block-assemble-empty", "matfac-non-square",
+         "matfac-unequal", "diagonalize-non-square", "poly-negative-n",
+         "exponent-length", "negative-exponent", "variable-range", "negative-power",
+         "basis-n-0", "extension-prefix", "parse-character"],
+)
+def test_library_refusals_name_their_cause(build, reason):
+    # refusals of the library API that no CLI route reaches
+    with pytest.raises(ValueError, match=reason):
+        build()
