@@ -347,8 +347,10 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
     data: list[dict[int, SparsePoly]] = [dict() for _ in range(size)]
     for idx, g in coords.items():
         # the class's n tables of q entries, and its cell and entry in each
-        # column at about 0.6 + 0.2 n us
-        tick(n * q + size * (n + 4) // 2)
+        # column at about 0.6 + 0.2 n us; n + 2, as for a term product, for
+        # each further term, as it is split off and in each carry entry
+        extra = (len(g.terms) - 1) * (n + 2)
+        tick(n * q + size * (n + 4) // 2 + extra)
         # (row, carry) of x^b * x^r for every column b: the Kronecker product
         # of the tables divmod(b_i + r_i, q), b_i < q, built from x_n down so
         # that x_1 varies fastest, as in the basis
@@ -361,14 +363,12 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
         for col, (row, carry) in zip(data, cells):
             entry = entries.get(carry)
             if entry is None:
+                tick(extra)
                 entry = entries[carry] = SparsePoly._raw(f.p, n, f.names, {
                     tuple(a + c for a, c in zip(e, carry)): coeff
                     for e, coeff in g.terms.items()
                 })
             col[row] = entry
-    # 2^n for each further term of a class, one per carry entry; ticked last,
-    # so the ticks before it are those of terms with distinct remainders
-    tick((len(f.terms) - len(coords)) << n)
     return PolyMatrix(size, size, f.p, n, f.names, data)
 
 

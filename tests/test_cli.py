@@ -754,12 +754,24 @@ def test_matrix_counts_once_per_remainder_class(capsys):
     assert run(capsys, *argv)[::2] == (0, "")
     assert ring.work() == 243958
     # (x2^2+x3^3)^13 over F_5 has 12 terms in 4 classes mod 5, and the meter
-    # ticks a class, not a term: its 25684 units fit in 30000
+    # ticks a class, not a term: its 25740 units fit in 30000
     argv = ("matrix", "--f", "x2^2+x3^3", "--p", "5", "--e", "1", "--power", "13")
     unbounded = run(capsys, *argv, "--max-size", str(10 ** 12))
     assert unbounded[::2] == (0, "")
     assert run(capsys, *argv, "--max-size", "30000") == unbounded
-    assert ring.work() == 25684
+    assert ring.work() == 25740
+
+
+def test_matrix_refuses_a_large_class_before_its_carry_entries(capsys):
+    # every term of f^3 = (x1...x8)^3 (1 + x1^2 + ... + x8^2)^3 over F_2 has
+    # odd exponents: its 81 terms form one class, copied into 255 carry
+    # entries of 80 * 10 units each, 951996 units in all.  Each entry ticks
+    # before it is built, so the call stops within one entry of its bound
+    x = "*".join(f"x{i}" for i in range(1, 9))
+    f = x + "".join(f"+{x}*x{i}^2" for i in range(1, 9))
+    argv = ("matrix", "--f", f, "--p", "2", "--e", "1", "--power", "3")
+    assert run(capsys, *argv, "--max-size", "20000")[:2] == (3, "")
+    assert 20000 < ring.work() <= 20000 + 80 * 10
 
 
 @pytest.mark.parametrize(
