@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import product
+from operator import add
 
 from .ring import FrobBasis, SparsePoly, ring_names, tick
 from .ring import check_same_ring, extended_names, same_ring
@@ -146,17 +148,19 @@ class PolyMatrix:
         exps_of: dict[int, tuple[int, ...]] = {}
         data = []
         for bcol in other.data:
+            # the column's term products, before they are formed, and its own
+            # 10 us however few they are; then the terms they sum to
+            tick(24 + sum(len(a_cols[i]) * len(poly.terms) for i, poly in bcol.items()))
             acc: dict[int, int] = {}
             get = acc.get
-            products = 0
             for i, poly in bcol.items():
                 a_terms = a_cols[i]
-                products += len(a_terms) * len(poly.terms)
                 for e, cb in poly.terms.items():
                     pb = pack[e]
                     for ka, ca in a_terms:
                         k = ka + pb
                         acc[k] = get(k, 0) + ca * cb
+            tick(len(acc))
             rows: dict[int, dict[tuple[int, ...], int]] = {}
             for k, c in acc.items():
                 c %= p
@@ -168,9 +172,6 @@ class PolyMatrix:
                         exps_of[packed] = exps
                     rows.setdefault(k >> offset, {})[exps] = c
             data.append({r: SparsePoly._raw(p, n, names, t) for r, t in rows.items()})
-            # the column's term products and the terms they sum to, and its
-            # own 10 us however few they are
-            tick(24 + products + len(acc))
         return PolyMatrix(self.rows, other.cols, p, n, names, data)
 
     def matrix_pow(self, k: int) -> "PolyMatrix":
@@ -336,9 +337,11 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
 
     Column b is the decomposition of x^b * f.  With f = sum_r g_r^q x^r from
     ``frobenius_decompose``, x^b * f = sum_r (g_r x^c)^q x^((b + r) mod q),
-    with carry c_i = (b_i + r_i) div q in {0, 1}.  For one b, distinct r give
-    distinct rows, so every cell is written once, and column sparsity is
-    bounded by the number of remainder classes r.  It is over f's ring.
+    with carry c_i = (b_i + r_i) div q in {0, 1}: 0 where r_i = 0, and both
+    values (at b_i = 0 and at b_i = q - 1) where r_i > 0.  For one b,
+    distinct r give distinct rows, so every cell is written once, and column
+    sparsity is bounded by the number of remainder classes r.  It is over
+    f's ring.
     """
     coords = frobenius_decompose(f, basis)
     q, n, size = basis.q, basis.n, basis.size
@@ -346,29 +349,26 @@ def matrix_of_relations(f: SparsePoly, basis: FrobBasis) -> PolyMatrix:
     tick(4 * size)
     data: list[dict[int, SparsePoly]] = [dict() for _ in range(size)]
     for idx, g in coords.items():
-        # the class's n tables of q entries, and its cell and entry in each
-        # column at about 0.6 + 0.2 n us; n + 2, as for a term product, for
-        # each further term, as it is split off and in each carry entry
-        extra = (len(g.terms) - 1) * (n + 2)
-        tick(n * q + size * (n + 4) // 2 + extra)
+        r = basis.tuple_of(idx)
+        carries = list(product(*((0, 1) if ri else (0,) for ri in r)))
+        # all of the class, before any of it is built: its n tables of q
+        # entries, and its cell in each column at about 0.6 + 0.2 n us; n + 2,
+        # as for a term product, for each further term, as it is split off
+        # and in the entry g_r x^c of each carry c
+        tick(n * q + size * (n + 4) // 2 + (len(g.terms) - 1) * (n + 2) * len(carries))
+        entries = {carry: SparsePoly._raw(f.p, n, f.names, {
+            tuple(map(add, e, carry)): coeff for e, coeff in g.terms.items()
+        }) if any(carry) else g for carry in carries}
         # (row, carry) of x^b * x^r for every column b: the Kronecker product
         # of the tables divmod(b_i + r_i, q), b_i < q, built from x_n down so
         # that x_1 varies fastest, as in the basis
         cells = [(0, ())]
-        for ri, radix in zip(reversed(basis.tuple_of(idx)), reversed(basis.radix)):
+        for ri, radix in zip(reversed(r), reversed(basis.radix)):
             table = [divmod(b + ri, q) for b in range(q)]
             cells = [(row + rem * radix, (c,) + carry)
                      for row, carry in cells for c, rem in table]
-        entries = {(0,) * n: g}
         for col, (row, carry) in zip(data, cells):
-            entry = entries.get(carry)
-            if entry is None:
-                tick(extra)
-                entry = entries[carry] = SparsePoly._raw(f.p, n, f.names, {
-                    tuple(a + c for a, c in zip(e, carry)): coeff
-                    for e, coeff in g.terms.items()
-                })
-            col[row] = entry
+            col[row] = entries[carry]
     return PolyMatrix(size, size, f.p, n, f.names, data)
 
 

@@ -52,10 +52,13 @@ def check_power_index(k: int, q: int) -> None:
 
 
 def check_exponents(dvec) -> tuple[int, ...]:
-    """dvec as a tuple, refused unless non-empty with every exponent >= 1."""
+    """dvec as a tuple, refused unless non-empty with every exponent an integer >= 1."""
     dvec = tuple(dvec)
     if not dvec:
         raise ValueError("exponent vector must be non-empty")
+    for d in dvec:
+        if not isinstance(d, int):
+            raise ValueError(f"exponent vector entry {d!r} is not an integer")
     if any(d < 1 for d in dvec):
         raise ValueError("exponent vector entries must be >= 1")
     return dvec

@@ -312,7 +312,8 @@ class _Work:
     operation) or ``right`` (a column operation), so left * A * right equals
     ``matrix`` after every step.  Each operation is recorded once, as the
     factors (i, j, c) it multiplies by, at the front of ``left_ops`` or the
-    end of ``right_ops``, so both stay in product order.
+    end of ``right_ops``, so both stay in product order.  Adding 0 times a
+    row or column is the identity, so it is neither applied nor recorded.
     """
 
     def __init__(self, a: PolyMatrix):
@@ -325,6 +326,8 @@ class _Work:
 
     def row_add(self, i, j, poly):
         # row_i += poly * row_j
+        if poly.is_zero():
+            return
         for m in (self.matrix, self.left):
             for col in m.data:
                 entry = col.get(j)
@@ -334,6 +337,8 @@ class _Work:
 
     def col_add(self, j, i, poly):
         # col_j += col_i * poly; as a right factor this is I + poly*E_ij
+        if poly.is_zero():
+            return
         for m in (self.matrix, self.right):
             target = m.data[j]
             for r, entry in m.data[i].items():

@@ -413,8 +413,12 @@ class FrobBasis:
 
     def __init__(self, p: int, e: int, n: int):
         check_prime(p)
+        if not isinstance(e, int):
+            raise ValueError(f"e {e!r} is not an integer")
         if e < 1:
             raise ValueError("e must be >= 1")
+        if not isinstance(n, int):
+            raise ValueError(f"variable count {n!r} is not an integer")
         if n < 1:
             raise ValueError("variable count must be >= 1")
         # q^n has at least e n (bitlen(p) - 1) bits, counted before q is

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -765,13 +766,27 @@ def test_matrix_counts_once_per_remainder_class(capsys):
 def test_matrix_refuses_a_large_class_before_its_carry_entries(capsys):
     # every term of f^3 = (x1...x8)^3 (1 + x1^2 + ... + x8^2)^3 over F_2 has
     # odd exponents: its 81 terms form one class, copied into 255 carry
-    # entries of 80 * 10 units each, 951996 units in all.  Each entry ticks
-    # before it is built, so the call stops within one entry of its bound
-    x = "*".join(f"x{i}" for i in range(1, 9))
-    f = x + "".join(f"+{x}*x{i}^2" for i in range(1, 9))
-    argv = ("matrix", "--f", f, "--p", "2", "--e", "1", "--power", "3")
+    # entries of 80 * 10 units each.  The class ticks all of its work at once,
+    # 16 + 1536 + 80 * 10 * 256 units after the 2424 before it, so the call
+    # is refused before any of its entries is built
+    def f(n):
+        x = "*".join(f"x{i}" for i in range(1, n + 1))
+        return x + "".join(f"+{x}*x{i}^2" for i in range(1, n + 1))
+
+    argv = ("matrix", "--f", f(8), "--p", "2", "--e", "1", "--power", "3")
     assert run(capsys, *argv, "--max-size", "20000")[:2] == (3, "")
-    assert 20000 < ring.work() <= 20000 + 80 * 10
+    assert ring.work() == 2424 + 206352
+    # in 10 variables, at the default bound: the class's 121 terms in 1023
+    # carry entries, some 14 MB of them, are refused before any is built
+    argv = ("matrix", "--f", f(10), "--p", "2", "--e", "1", "--power", "3")
+    tracemalloc.start()
+    try:
+        assert run(capsys, *argv)[:2] == (3, "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring.work() == 1488198
+    assert peak < 3 * 10 ** 6
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import json
 import random
+import time
 
 import pytest
 
+from frobsig import ring
 from frobsig.frobenius import (
     FrobBasis,
     PolyMatrix,
@@ -246,6 +248,22 @@ def test_product_drops_entries_that_cancel():
     ]
     assert product == _entrywise_product(a, b)
 
+
+
+def test_product_ticks_a_column_before_forming_it():
+    # a 1 x 1 product of two 2000-term polynomials has 4 * 10^6 term products
+    # in its one column: a budget of 1000 refuses them before any is formed
+    g = SparsePoly(3, 1, {(i,): 1 for i in range(2000)})
+    a = PolyMatrix.scalar(1, g)
+    ring.open_budget(1000)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceWarning):
+            a * a
+    finally:
+        ring.close_budget()
+    assert time.perf_counter() - start < 0.1
+    assert ring.work() == 24 + 2000 * 2000
 
 def test_block_assemble_worked_example():
     # x^2 + x*y over F_3 assembled from g_0 = x^2, g_1 = x in one variable

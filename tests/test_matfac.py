@@ -382,35 +382,41 @@ def test_companion_reduce_records_each_factor_once():
 
 def test_companion_factors_dilate_only_by_minus_one():
     # over F_2, where -1 = 1, a dilation by -1 would be the identity, so a
-    # swap is recorded as its three transvections alone
-    for p in (5, 2):
+    # swap is recorded as its three transvections alone; with b = 0 a chain
+    # step that adds 0 times a row or column records nothing
+    for p in (5, 3, 2):
         x = SparsePoly.variable(1, p, 2)
         y = SparsePoly.variable(2, p, 2)
         minus_one = -SparsePoly.one(p, 2)
         identity = {size: PolyMatrix.identity(size, p, 2) for size in range(2, 9)}
+        kwargs = {"corner": x * y, "corner2": y}
         shapes = 0
-        for shape, takes in _TAKES.items():
-            for size in range(2, 9):
-                kwargs = {"corner": x * y, "corner2": y, "k": size // 2}
-                try:
-                    red = companion_reduce(
-                        shape, size, x, **{name: kwargs[name] for name in takes}
-                    )
-                except ValueError:
-                    continue
-                shapes += 1
-                lf, rf = red.elementary_factors()
-                assert len(lf) == len(red.left_ops) and len(rf) == len(red.right_ops)
-                for i, j, c in red.left_ops + red.right_ops:
-                    assert i != j or c == minus_one
-                assert all(factor != identity[size] for factor in lf + rf)
-                for factors, product in ((lf, red.left), (rf, red.right)):
-                    m = identity[size]
-                    for factor in factors:
-                        m = m * factor
-                    assert m == product
-        # chain, split and uv at sizes 2..8, even at 4, 6, 8 and odd at 5, 7
-        assert shapes == 3 * 7 + 3 + 2
+        for b in (x, SparsePoly.zero(p, 2)):
+            for shape, takes in _TAKES.items():
+                for size in range(2, 9):
+                    kwargs["k"] = size // 2
+                    try:
+                        red = companion_reduce(
+                            shape, size, b, **{name: kwargs[name] for name in takes}
+                        )
+                    except ValueError:
+                        continue
+                    shapes += 1
+                    lf, rf = red.elementary_factors()
+                    assert len(lf) == len(red.left_ops)
+                    assert len(rf) == len(red.right_ops)
+                    for i, j, c in red.left_ops + red.right_ops:
+                        assert i != j or c == minus_one
+                    assert all(factor != identity[size] for factor in lf + rf)
+                    for factors, product in ((lf, red.left), (rf, red.right)):
+                        m = identity[size]
+                        for factor in factors:
+                            m = m * factor
+                        assert m == product
+                    assert red.verify()
+        # for each b: chain, split and uv at sizes 2..8, even at 4, 6, 8 and
+        # odd at 5, 7
+        assert shapes == 2 * (3 * 7 + 3 + 2)
 
 
 def _reductions():

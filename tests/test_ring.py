@@ -6,8 +6,9 @@ import pytest
 
 from frobsig.frobenius import (PolyMatrix, block_assemble, matrix_of_relations,
                                matrix_power)
+from frobsig.hypersurface import check_exponents
 from frobsig.matfac import verify_matfac
-from frobsig.monomial import diagonalize_monomial_matrix
+from frobsig.monomial import MonomialData, diagonalize_monomial_matrix
 from frobsig.ring import (FrobBasis, SparsePoly, extended_names, is_prime, parse_poly,
                           ring_names)
 
@@ -244,6 +245,12 @@ _ONE = SparsePoly.one(3, 1)
         (lambda: SparsePoly.variable(3, 3, 2), r"variable index 3 out of range 1\.\.2"),
         (lambda: _ONE ** -1, "^negative exponent$"),
         (lambda: FrobBasis(3, 1, 0), "variable count must be >= 1"),
+        (lambda: FrobBasis(3, 1.5, 1), "^e 1.5 is not an integer$"),
+        (lambda: FrobBasis(3, 1, 2.0), r"^variable count 2\.0 is not an integer$"),
+        (lambda: check_exponents((2.5, 1)),
+         r"^exponent vector entry 2\.5 is not an integer$"),
+        (lambda: MonomialData((2.5,)), r"^exponent vector entry 2\.5 is not an integer$"),
+        (lambda: check_exponents((0, 1)), "^exponent vector entries must be >= 1$"),
         (lambda: extended_names(("x1", "x2"), ("x2", "x1", "t")),
          "extension names must start with existing names"),
         (lambda: parse_poly("x1$", 3, 1), "unexpected character '\\$' in polynomial"),
@@ -252,7 +259,9 @@ _ONE = SparsePoly.one(3, 1)
          "pow-negative", "matrix-power-0", "block-assemble-empty", "matfac-non-square",
          "matfac-unequal", "diagonalize-non-square", "poly-negative-n",
          "exponent-length", "negative-exponent", "variable-range", "negative-power",
-         "basis-n-0", "extension-prefix", "parse-character"],
+         "basis-n-0", "basis-e-float", "basis-n-float", "exponent-float",
+         "monomial-exponent-float", "exponent-0", "extension-prefix",
+         "parse-character"],
 )
 def test_library_refusals_name_their_cause(build, reason):
     # refusals of the library API that no CLI route reaches

@@ -12,8 +12,10 @@ when their outputs are identical:
     diff <(python tools/argv_corpus.py old/src) <(python tools/argv_corpus.py src)
 
 The corpus covers all five subcommands, both targets, ``--f`` and
-``--dvec``, exponents at and above q, budgets small enough to refuse, and
-refusals made while parsing; it runs in about 7 s on a 2-vCPU Xeon.
+``--dvec``, exponents at and above q, budgets small enough to refuse,
+refusals made while parsing, and the meter's refusals inside one product
+column and inside one remainder class; it runs in about 7 s on a 2-vCPU
+Xeon.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ REFUSALS = (
     ["decompose", "--dvec", "2,x", "--p", "3", "--e", "1"],
     ["decompose", "--dvec", "2,1", "--p", "3", "--e", "30000"],
     ["bogus"],
+)
+# refused by the meter inside one product column of phi * psi, and inside
+# one remainder class: 121 terms of f^3 in 1023 carry entries
+_X = "*".join(f"x{i}" for i in range(1, 11))
+METER_REFUSALS = (
+    ["verify", "--f", "+".join(f"x1^{i}" for i in range(1, 11)), "--p", "3", "--e", "5",
+     "--k", "121", "--max-size", "444437"],
+    ["matrix", "--f", _X + "".join(f"+{_X}*x{i}^2" for i in range(1, 11)), "--p", "2",
+     "--e", "1", "--power", "3"],
 )
 
 
@@ -106,7 +117,7 @@ def corpus() -> list[list[str]]:
                              "--dvec", dvec, "--p", p, "--e", e]))
         calls.append(["fsignature", "--type", rng.choice(("uv", "z2")), "--dvec", dvec])
         calls.append(budget(["verify", "--dvec", dvec, "--p", p, "--e", "1", "--k", "1"]))
-    return calls
+    return calls + [list(argv) for argv in METER_REFUSALS]
 
 
 def record(cli, ring, argv: list[str]) -> dict:
