@@ -127,15 +127,16 @@ def cmd_fsignature(args) -> str:
     # e = 1, and the closed form of a monomial f, spend the call's budget;
     # each later e gets one of its own, and the first to pass it ends the sweep
     report = empirical_sequence(f, args.p, range(1, 2), args.target)
+    later = []
     for e in range(2, (args.emax or 1) + 1):
         open_budget(args.max_size)
         try:
-            report.empirical.append((e, approximant(f, args.p, e, args.target)))
+            later.append((e, approximant(f, args.p, e, args.target)))
         except ResourceWarning:
             print(f"note: truncating sweep to e <= {e - 1} "
                   f"(size bound {args.max_size})", file=sys.stderr)
             break
-    return report.to_json()
+    return report._replace(empirical=report.empirical + later).to_json()
 
 
 def cmd_decompose(args) -> str:

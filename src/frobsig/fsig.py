@@ -169,20 +169,15 @@ def expansion_check(dvec, u_values) -> bool:
 
 
 class SignatureReport(
-    namedtuple("SignatureReport", "target dvec closed_form empirical")
+    namedtuple("SignatureReport", "target dvec closed_form empirical",
+               defaults=(None, None, ()))
 ):
     """Closed-form value (monomial input only) plus empirical sequence.
 
-    ``empirical`` lists (e, Fraction) pairs; it defaults to a fresh list.
+    ``empirical`` holds (e, Fraction) pairs; it defaults to ().
     """
 
     __slots__ = ()
-
-    def __new__(cls, target, dvec=None, closed_form=None, empirical=None):
-        # a namedtuple default would be one list shared by every report
-        if empirical is None:
-            empirical = []
-        return super().__new__(cls, target, dvec, closed_form, empirical)
 
     def gaps(self) -> list:
         if self.closed_form is None:
@@ -227,15 +222,18 @@ def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> Signature
     check_nonunit(f)
     dvec = monomial_exponents(f)
     closed = None if dvec is None else closed_form(dvec, target)
-    report = SignatureReport(target=target, dvec=dvec, closed_form=closed)
-    for e in e_range:
-        report.empirical.append((e, approximant(f, p, e, target)))
-    return report
+    empirical = [(e, approximant(f, p, e, target)) for e in e_range]
+    return SignatureReport(target, dvec, closed, empirical)
 
 
 def approximant(f: SparsePoly, p: int, e: int, target: str) -> Fraction:
     """s_e, the target's free rank at q = p^e over p^(e*D), where D is the
-    dimension of its hypersurface: n+1 for f+uv and n for f+z^2."""
+    dimension of its hypersurface: n+1 for f+uv and n for f+z^2.  Each variable
+    f does not use multiplies both by q, so a nonconstant f drops them first."""
+    used = sorted({i for exps in f.terms for i, a in enumerate(exps) if a})
+    if 0 < len(used) < f.n:
+        f = SparsePoly(f.p, len(used),
+                       {tuple(exps[i] for i in used): c for exps, c in f.terms.items()})
     free_rank = free_rank_uv if target == "uv" else free_rank_z2
     rank = free_rank(f, FrobBasis(p, e, f.n))
     return Fraction(rank, p ** (e * (f.n + TARGETS[target])))

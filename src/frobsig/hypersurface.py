@@ -24,12 +24,9 @@ budget that a caller opened.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from collections.abc import Iterator
 
 from .ring import FrobBasis, SparsePoly, digit_power, echelon, tick
-
-if TYPE_CHECKING:
-    from .matfac import MatFac
 
 
 # Each target's name and how far the dimension of its hypersurface exceeds n:

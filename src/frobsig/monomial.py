@@ -16,13 +16,9 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter, namedtuple
-from typing import TYPE_CHECKING
 
 from .hypersurface import check_exponents, check_power_index, monomial_dim
 from .ring import FrobBasis, SparsePoly, check_digits, tick
-
-if TYPE_CHECKING:
-    from .frobenius import PolyMatrix
 
 
 class MonomialData(namedtuple("MonomialData", "dvec")):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Iterator
+from collections.abc import Iterator
 
 RESERVED_NAMES = ("u", "v", "z")
 
@@ -421,8 +421,7 @@ class FrobBasis:
             raise ValueError(f"variable count {n!r} is not an integer")
         if n < 1:
             raise ValueError("variable count must be >= 1")
-        # q^n has at least e n (bitlen(p) - 1) bits, counted before q is
-        # formed: a sweep reduces a fraction of about that size
+        # q^n has at least e n (bitlen(p) - 1) bits, counted before q is formed
         tick(e * n * (p.bit_length() - 1))
         self.p = p
         self.e = e

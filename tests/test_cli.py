@@ -120,6 +120,22 @@ def test_verify(capsys):
     assert json.loads(out)["verified"] is True
 
 
+def test_verify_refuses_a_pair_that_does_not_factor_f(capsys, monkeypatch):
+    # (M(f, 1), M(f, 1)) multiplies to M(f^2, 1), not f*I, at q = 3
+    from frobsig.matfac import MatFac
+
+    presentation_fk = cli.presentation_fk
+
+    def squared(f, k, basis):
+        phi = presentation_fk(f, k, basis).phi
+        return MatFac(phi, phi, f)
+
+    monkeypatch.setattr(cli, "presentation_fk", squared)
+    code, out, err = run(capsys, "verify", "--f", "x1^2+x2^3", "--p", "3", "--e", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: the pair is not a matrix factorization of f\n"
+
+
 def test_verify_huge_exponent(capsys):
     # exponents past 2^64 get wide bit fields in the product
     code, out, err = run(capsys, "verify", "--f", "x1^99999999999999999999+x2^2",
@@ -275,6 +291,16 @@ def _env_with_src():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_modules_load_no_typing():
+    # start-up cost: annotations are never evaluated, so no module needs
+    # typing; -S keeps out site, which may load it itself
+    code = ("import sys, frobsig.cli, frobsig.monomial, frobsig.fsig, frobsig.matfac\n"
+            "print('typing' in sys.modules)")
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=_env_with_src(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_cli_import_loads_no_sympy():
@@ -646,12 +672,17 @@ def test_unused_variables_only_scale_the_counts(capsys):
     _, one, _ = run(capsys, *argv)
     assert json.loads(out)["empirical"] == json.loads(one)["empirical"]
     assert [r["s"] for r in json.loads(one)["empirical"]] == ["5/9", "41/81", "365/729"]
-    # but the counts are scaled by q^u, and s_e is reduced in time quadratic
-    # in its bits: with 333333 unused variables the bits of q^n at e = 3
-    # pass the budget and the sweep stops at e = 2
+    # a sweep builds its basis on the variables f uses, so 333333 unused
+    # ones cost nothing past parsing at any e
     code, out, err = run(capsys, *argv, "--n", "333334")
-    assert err == "note: truncating sweep to e <= 2 (size bound 1000000)\n"
-    assert json.loads(out)["empirical"] == json.loads(one)["empirical"][:2]
+    assert (code, err) == (0, "")
+    assert json.loads(out)["empirical"] == json.loads(one)["empirical"]
+    # nor do skipped indices of an inferred count, on either target
+    for target in ("uv", "z2"):
+        argv = ["fsignature", "--type", target, "--p", "3", "--emax", "3", "--f"]
+        code, out, err = run(capsys, *argv, "x3^2+x5^3")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *argv, "x1^2+x2^3")[1]
 
 
 @pytest.mark.parametrize(

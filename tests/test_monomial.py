@@ -93,6 +93,11 @@ def test_diagonalize_rejects_non_permutation():
     m = matrix_power(parse_poly("x1^2 + x1*x2", 3, 2), 1, b)
     with pytest.raises(ValueError):
         diagonalize_monomial_matrix(m)
+    # one entry a column, but two columns in one row, or a non-monomial entry
+    x1, x2 = parse_poly("x1", 3, 2), parse_poly("x2", 3, 2)
+    for entries in ([(0, 0, x1), (0, 1, x2)], [(0, 0, x1 + x2), (1, 1, x2)]):
+        with pytest.raises(ValueError, match="generalized-permutation"):
+            diagonalize_monomial_matrix(PolyMatrix.from_entries(2, 2, entries, 3, 2))
 
 
 def test_eta_matches_diagonalization():

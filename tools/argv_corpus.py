@@ -13,9 +13,9 @@ when their outputs are identical:
 
 The corpus covers all five subcommands, both targets, ``--f`` and
 ``--dvec``, exponents at and above q, budgets small enough to refuse,
-refusals made while parsing, and the meter's refusals inside one product
-column and inside one remainder class; it runs in about 7 s on a 2-vCPU
-Xeon.
+refusals made while parsing, the meter's refusals inside one product
+column and inside one remainder class, and sweeps of an f that leaves
+variables unused; it runs in about 7 s on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -67,6 +67,16 @@ METER_REFUSALS = (
     ["matrix", "--f", _X + "".join(f"+{_X}*x{i}^2" for i in range(1, 11)), "--p", "2",
      "--e", "1", "--power", "3"],
 )
+# sweeps of an f that leaves variables unused: through --n, through skipped
+# indices, with 333333 of them at the default budget, and under a budget
+# that ends the sweep at e = 4
+UNUSED_VARIABLES = tuple(argv.split() for argv in (
+    "fsignature --type uv --f x1^2+x1*x2+x2^3 --p 3 --emax 3 --n 40",
+    "fsignature --type z2 --f x1^2+x1*x2+x2^3 --p 3 --emax 3 --n 40",
+    "fsignature --type uv --f x4^2+x7^3 --p 5 --emax 3",
+    "fsignature --type uv --f x1^2 --p 3 --emax 3 --n 333334",
+    "fsignature --type z2 --f x4^2+x7^3 --p 3 --emax 5 --max-size 100",
+))
 
 
 def random_f(rng: random.Random) -> str:
@@ -117,7 +127,7 @@ def corpus() -> list[list[str]]:
                              "--dvec", dvec, "--p", p, "--e", e]))
         calls.append(["fsignature", "--type", rng.choice(("uv", "z2")), "--dvec", dvec])
         calls.append(budget(["verify", "--dvec", dvec, "--p", p, "--e", "1", "--k", "1"]))
-    return calls + [list(argv) for argv in METER_REFUSALS]
+    return calls + [list(argv) for argv in METER_REFUSALS + UNUSED_VARIABLES]
 
 
 def record(cli, ring, argv: list[str]) -> dict:
