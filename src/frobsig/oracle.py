@@ -3,9 +3,10 @@
 Each function here re-derives a result that the main modules compute by a
 different route: the pushforward coordinates term by term, the W_j by
 summing over subsets, a Fedder-style ideal-membership test by binomial
-expansion, and a univariate Smith normal form by dense polynomial row
-reduction.  Logic is deliberately duplicated rather than shared so
-agreement between paths is meaningful.
+expansion, the colengths of the powers of x+y by Han's theorem, and a
+univariate Smith normal form by dense polynomial row reduction.  Logic is
+deliberately duplicated rather than shared so agreement between paths is
+meaningful.
 """
 
 from __future__ import annotations
@@ -78,6 +79,33 @@ def fedder_membership(dvec, p: int, e: int) -> bool:
         if all(d * j < q for d in dvec):
             return False
     return True
+
+
+def han_colength(r: int, s: int, c: int, p: int) -> int:
+    """dim F_p[x,y]/(x^r, y^s, (x+y)^c), by Han's theorem.
+
+    (Han and Monsky, Math. Z. 214, 1993.)  It is the integer
+    (2(rs + sc + cr) - r^2 - s^2 - c^2 + delta^2)/4.  With t = (r, s, c) and
+    top its largest entry, delta(t) = top - (the other two) when that is
+    >= 0; otherwise it is the largest m - dist_m(t), and at least 0, over the
+    powers m of p below 2*top, where dist_m(t) is m times the taxicab distance
+    from t/m to the integer points with odd coordinate sum.
+    """
+    top = max(r, s, c)
+    delta = 2 * top - r - s - c
+    if delta < 0:
+        delta, m = 0, 1
+        while m < 2 * top:
+            # the nearest integer point k to t/m, ties rounded up; when its
+            # coordinate sum is even, the cheapest move is one coordinate over
+            dist, odd, move = 0, 0, m
+            for x in (r, s, c):
+                k = (2 * x + m) // (2 * m)
+                g = abs(x - m * k)
+                dist, odd, move = dist + g, odd + k, min(move, m - 2 * g)
+            delta = max(delta, m - dist - (0 if odd % 2 else move))
+            m *= p
+    return (2 * (r * s + s * c + c * r) - r * r - s * s - c * c + delta * delta) // 4
 
 
 # -- univariate Smith normal form ---------------------------------------------

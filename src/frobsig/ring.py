@@ -217,8 +217,12 @@ class SparsePoly:
             exps = tuple(exps)
             if len(exps) != n:
                 raise ValueError(f"exponent tuple {exps} has wrong length")
+            if not all(isinstance(a, int) for a in exps):
+                raise ValueError(f"exponent tuple {exps} holds a non-integer")
             if any(a < 0 for a in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            if not isinstance(coeff, int):
+                raise ValueError(f"coefficient {coeff!r} is not an integer")
             c = coeff % p
             if c:
                 clean[exps] = (clean.get(exps, 0) + c) % p
@@ -317,6 +321,8 @@ class SparsePoly:
 
     def __pow__(self, m: int) -> "SparsePoly":
         """self^m by ``digit_power``, from the twists self(x^(p^i))."""
+        if not isinstance(m, int):
+            raise ValueError(f"exponent {m!r} is not an integer")
         if m < 0:
             raise ValueError("negative exponent")
         p, n, names = self.p, self.n, self.names

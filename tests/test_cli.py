@@ -566,6 +566,9 @@ _CONNECTED_4 = "x1^2+x2^2+x3^2+x4^2+x1*x2+x2*x3+x3*x4"
     "argv, rank",
     [
         ("--type uv --f x1^2+x2^3 --p 3 --e 4", 295245),
+        # four closed forms and deep pairs: about 0.05 s, where reading the
+        # pairs' colengths from Han's formula took 2 s and was refused
+        ("--type uv --f x1^2+x2^2+x3^2+x4^2 --p 5 --e 4", 82486636232625),
         ("--type uv --f x1^2+x1*x2+x2^3 --p 5 --e 2", 10425),
         (f"--type uv --f {_SPLIT_5} --p 7 --e 1", 107601),
         # a homogeneous chain on 3 variables, about 0.3 s
@@ -590,14 +593,17 @@ def test_gate_does_not_truncate_a_split_sweep(capsys):
     "argv",
     [
         f"freerank --type uv --f {_CONNECTED_4} --p 3 --e 2",
-        "freerank --type uv --f x1^2+x2^2+x3^2+x4^2 --p 5 --e 4",
         # seven terms and two degrees on 3 variables: about 2.6 s
         "freerank --type uv --f x1^2+x2^2+x3^2+x1*x2+x2*x3+x1*x3+x1^3 --p 11 --e 1",
         # squaring in A, then two eliminations that ran past 8 minutes
         "freerank --type z2 --f x1^2+x1*x2+x2^3+2*x1^2*x2+x1*x2^2+3*x1^3+x1^4+x2^4 "
         "--p 13 --e 2",
+        # closed forms whose pairs of blocks form millions of sizes: 65 s and
+        # 19 s when the pairs' work went uncounted
+        "freerank --type uv --f x1^2+x2^2+x3^2+x4^2 --p 13 --e 4",
+        "freerank --type z2 --f x1^2*x2+x3^3 --p 13 --e 4",
     ],
-    ids=["connected-4", "sum-of-4-squares", "seven-terms", "z2-squaring"],
+    ids=["connected-4", "seven-terms", "z2-squaring", "pairs-uv", "pairs-z2"],
 )
 def test_gate_refuses_what_runs_slow(argv):
     _assert_one_line_refusal(_cli(*argv.split()), 3)
@@ -1105,7 +1111,8 @@ _METERED = [
     "freerank --type z2 --f x1^2+x1*x2+x2^3 --p 5 --e 2",
     "freerank --type z2 --f x1^2+x1*x2+x2^3 --p 5 --e 2 --max-size 30000",
     "fsignature --type uv --f x1^2+x2^3 --p 5 --emax 3",
-    "fsignature --type uv --f x1^2+x2^3 --p 5 --emax 3 --max-size 100",
+    # e = 1 counts 73 units, so the sweep is refused before any s_e
+    "fsignature --type uv --f x1^2+x2^3 --p 5 --emax 3 --max-size 50",
 ]
 
 # runs each argv given as a JSON list and prints its exit code and count

@@ -17,7 +17,6 @@ from frobsig.frobenius import (
 )
 from frobsig.hypersurface import (
     _blocks,
-    _han_colength,
     _pair,
     chain_dims,
     free_rank_uv,
@@ -34,7 +33,7 @@ from frobsig.matfac import (
     z2_presentation,
 )
 from frobsig.monomial import MonomialData, free_rank_formula
-from frobsig.oracle import invariant_factors_univariate
+from frobsig.oracle import han_colength, invariant_factors_univariate
 from frobsig.ring import SparsePoly, default_names, echelon, parse_poly
 
 
@@ -230,7 +229,7 @@ def test_free_rank_uv_reaches_e4():
 
 def _han_pair(a, b, p):
     """Jordan type of x+y on F_p[x,y]/(x^a, y^b) from Han's formula alone."""
-    return _blocks([a * b - _han_colength(a, b, c, p) for c in range(a + b)])
+    return _blocks([a * b - han_colength(a, b, c, p) for c in range(a + b)])
 
 
 def _chain_pair(a, b, p):
@@ -285,7 +284,8 @@ def test_pair_rule_matches_the_chain_of_x1_plus_x2(p, e):
 
 
 def _residual(r, s, p):
-    """Whether no rule on base-p digits decides the pair r <= s."""
+    """Whether the pair r <= s is in _pair's residual case, r + s <= P with
+    P the least power of p >= r, which it splits by the digit of Q = P/p."""
     big = 1
     while big < r:
         big *= p
@@ -293,18 +293,18 @@ def _residual(r, s, p):
 
 
 def test_digit_rules_match_han():
-    # each pair that the rules on base-p digits decide, against Han's
-    # formula on the pair itself, which _pair reads only for the rest
-    for p in (2, 3, 5, 7):
-        for r in range(1, 33):
-            for s in range(r, 33):
-                if not _residual(r, s, p):
-                    assert dict(_pair(r, s, p)) == _han_pair(r, s, p), (r, s, p)
+    # every pair 1 <= r <= s <= 60, against Han's formula in the oracle, which
+    # no route of the library reads
+    for p in (2, 3, 5, 7, 11, 13):
+        memo = {}
+        for r in range(1, 61):
+            for s in range(r, 61):
+                assert dict(_pair(r, s, p, memo)) == _han_pair(r, s, p), (r, s, p)
 
 
 def test_residual_pairs_match_the_chain():
-    # the pairs that only Han's formula decides, against the chain of x+y
-    # on the r*s monomials of F_p[x,y]/(x^r, y^s)
+    # the pairs of the residual digit rule, against the chain of x+y on the
+    # r*s monomials of F_p[x,y]/(x^r, y^s)
     residual = [
         (r, s, p)
         for p in (3, 5, 7)
@@ -599,9 +599,15 @@ def test_power_in_a_by_base_p_digits():
             assert ring.power(g, m) == ring.element(g ** m), (str(g), p, e, m)
 
 
-def _d(lam, j):
-    """d_j = dim f^j A read from the Jordan type: a block of size s adds max(s-j, 0)."""
-    return sum(count * max(s - j, 0) for s, count in lam.items())
+def _dims(lam, q):
+    """[d_0, ..., d_q] for d_j = dim f^j A, read from the Jordan type of f on
+    A: d_j - d_{j+1} counts the blocks of size > j, and none is longer than q."""
+    d = [0] * (q + 1)
+    longer = 0
+    for j in range(q - 1, -1, -1):
+        longer += lam.get(j + 1, 0)
+        d[j] = d[j + 1] + longer
+    return d
 
 
 def _contact(rng, f):
@@ -655,12 +661,26 @@ def test_identities_hold_across_routes():
                     break
                 b = FrobBasis(p, e, n)
                 lam, lam_below = jordan_type(f, b), lam
+                d, d_below = _dims(lam, q), _dims(lam_below, q // p)
                 for j in range(q // p + 1):
-                    assert _d(lam, p * j) == p ** n * _d(lam_below, j), (text, p, e, j)
+                    assert d[p * j] == p ** n * d_below[j], (text, p, e, j)
                 if p > 2:
                     h = (q - 1) // 2
-                    assert free_rank_z2(f, b) == _d(lam, h) + _d(lam, h + 1), (text, p, e)
+                    assert free_rank_z2(f, b) == d[h] + d[h + 1], (text, p, e)
     assert min(routes.values()) > 0, routes
+    # split f at q up to p^6, where the digit rule's residual pairs split at
+    # Q >= p^2, with every d_j read from lambda
+    for text, n, cases in [
+        ("x1^2+x2^3", 2, [(5, 6), (7, 5), (13, 4)]),
+        ("x1^3+x2^5", 2, [(7, 5), (11, 4)]),
+        ("x1^2+x2^2+x3^2", 3, [(3, 6), (5, 5)]),
+    ]:
+        for p, e in cases:
+            f, q = parse_poly(text, p, n), p ** e
+            d = _dims(jordan_type(f, FrobBasis(p, e, n)), q)
+            d_below = _dims(jordan_type(f, FrobBasis(p, e - 1, n)), q // p)
+            for j in range(q // p + 1):
+                assert d[p * j] == p ** n * d_below[j], (text, p, e, j)
     # each f at p = 2, 3, 5 with q < 25 and q^n <= 700, and one at q = 25
     rng = random.Random(1703)
     contact = [
@@ -674,6 +694,6 @@ def test_identities_hold_across_routes():
         lam = jordan_type(f, b)
         assert jordan_type(g, b) == lam, (text, str(g), p, e)
         if p > 2:
-            h = (b.q - 1) // 2
-            assert free_rank_z2(g, b) == _d(lam, h) + _d(lam, h + 1), (str(g), p, e)
+            h, d = (b.q - 1) // 2, _dims(lam, b.q)
+            assert free_rank_z2(g, b) == d[h] + d[h + 1], (str(g), p, e)
     assert time.monotonic() - start < 3.0

@@ -8,7 +8,8 @@ from frobsig.frobenius import (PolyMatrix, block_assemble, matrix_of_relations,
                                matrix_power)
 from frobsig.hypersurface import check_exponents
 from frobsig.matfac import verify_matfac
-from frobsig.monomial import MonomialData, diagonalize_monomial_matrix
+from frobsig.monomial import (MonomialData, diagonalize_monomial_matrix, eta,
+                               free_rank_formula)
 from frobsig.ring import (FrobBasis, SparsePoly, extended_names, is_prime, parse_poly,
                           ring_names)
 
@@ -213,6 +214,29 @@ def test_basis_forms_its_place_values_on_first_use():
     assert (b.q, b.size) == (3, 3 ** 10000) and b._radix is None
     assert b.index_of((0, 1) + (0,) * 9997 + (2,)) == 3 + 2 * 3 ** 9999
     assert b.radix[:3] == (1, 3, 9) and len(b.radix) == 10000
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda: SparsePoly(3, 1, {(1,): 1.5}), "coefficient 1.5 is not an integer"),
+        (lambda: SparsePoly(3, 1, {(2.5,): 1}), r"exponent tuple \(2\.5,\) holds a non"),
+        (lambda: matrix_of_relations(SparsePoly(3, 1, {(2.0,): 1}), FrobBasis(3, 1, 1)),
+         r"exponent tuple \(2\.0,\) holds a non"),
+        (lambda: SparsePoly.variable(1, 3, 1) ** 2.0, "exponent 2.0 is not an integer"),
+        (lambda: matrix_power(SparsePoly.variable(1, 3, 1), 1.5, FrobBasis(3, 1, 1)),
+         "exponent 1.5 is not an integer"),
+        (lambda: eta(1.5, (0, 0), MonomialData((1, 1)), 3), "k 1.5 is not an integer"),
+        (lambda: free_rank_formula(MonomialData((1, 1)), 3, 1.5),
+         "k 1.5 is not an integer"),
+    ],
+    ids=["coefficient", "exponent", "matrix", "pow", "matrix-power", "eta",
+         "free-rank-formula"],
+)
+def test_non_integer_data_is_refused(build, reason):
+    # a float once passed through: 1.5*x1, x1^2.5, float matrix rows, 2.25
+    with pytest.raises(ValueError, match=reason):
+        build()
 
 
 _ONE = SparsePoly.one(3, 1)

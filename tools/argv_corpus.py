@@ -14,8 +14,9 @@ when their outputs are identical:
 The corpus covers all five subcommands, both targets, ``--f`` and
 ``--dvec``, exponents at and above q, budgets small enough to refuse,
 refusals made while parsing, the meter's refusals inside one product
-column and inside one remainder class, and sweeps of an f that leaves
-variables unused; it runs in about 7 s on a 2-vCPU Xeon.
+column and inside one remainder class, sweeps of an f that leaves
+variables unused, and split f whose pairs of blocks recurse deep into the
+digit rule; it runs in about 6 s on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ UNUSED_VARIABLES = tuple(argv.split() for argv in (
     "fsignature --type z2 --f x4^2+x7^3 --p 3 --emax 5 --max-size 100",
 ))
 
+# split f at the default budget, whose pairs of blocks reach the digit
+# rule's residual case with Q >= p^2
+DEEP_PAIRS = tuple(argv.split() for argv in (
+    "freerank --type uv --f x1^2+x2^3 --p 5 --e 6",
+    "freerank --type uv --f x1^2+x2^2+x3^2+x4^2 --p 5 --e 4",
+    "fsignature --type uv --f x1^2+x2^3 --p 5 --emax 9",
+))
+
 
 def random_f(rng: random.Random) -> str:
     """A sum of up to four nonconstant terms in up to three variables, each
@@ -127,7 +136,8 @@ def corpus() -> list[list[str]]:
                              "--dvec", dvec, "--p", p, "--e", e]))
         calls.append(["fsignature", "--type", rng.choice(("uv", "z2")), "--dvec", dvec])
         calls.append(budget(["verify", "--dvec", dvec, "--p", p, "--e", "1", "--k", "1"]))
-    return calls + [list(argv) for argv in METER_REFUSALS + UNUSED_VARIABLES]
+    extra = METER_REFUSALS + UNUSED_VARIABLES + DEEP_PAIRS
+    return calls + [list(argv) for argv in extra]
 
 
 def record(cli, ring, argv: list[str]) -> dict:
