@@ -11,9 +11,9 @@ uses.
 
 ``--max-size`` is the budget of ``ring``'s work meter: the routes tick the
 work they do, and a call that passes the budget is refused while it runs,
-after about that much work.  An ``fsignature`` sweep gives each e a
-budget of its own.  How ``--f`` reads and Python's digit limit are
-``ring``'s.
+after about that much work.  An ``fsignature`` sweep spends the call's one
+budget over all its e, and the first e to pass it ends the sweep.  How
+``--f`` reads and Python's digit limit are ``ring``'s.
 """
 
 from __future__ import annotations
@@ -124,12 +124,12 @@ def cmd_fsignature(args) -> str:
     if args.p is None:
         raise ValueError("--p is required")
     f = _parse_f(args)
-    # e = 1, and the closed form of a monomial f, spend the call's budget;
-    # each later e gets one of its own, and the first to pass it ends the sweep
+    # the whole sweep spends the call's one budget: e = 1, with the closed
+    # form of a monomial f, must fit, and the first later e to pass it ends
+    # the sweep
     report = empirical_sequence(f, args.p, range(1, 2), args.target)
     later = []
     for e in range(2, (args.emax or 1) + 1):
-        open_budget(args.max_size)
         try:
             later.append((e, approximant(f, args.p, e, args.target)))
         except ResourceWarning:

@@ -5,8 +5,8 @@ from the symmetric quantities W_j; the signature of S[[z]]/(x^dvec + z^2)
 is 1/2^{n-1} when all exponents are 1 and 0 otherwise.  Empirical
 sequences s_e divide exact free ranks by the matching power of p so the
 convergence toward the closed form can be checked at small e; every e
-given is computed, and the CLI's budget for each e decides where its sweep
-stops.
+given is computed, and the CLI's one budget for the call decides where
+its sweep stops.
 ``closed_form`` picks a target's formula; the target names, the z2 rule
 for p, the rule for an exponent vector and each target's dimension are
 ``hypersurface``'s.  All arithmetic is exact rational, and a fraction too
@@ -234,6 +234,11 @@ def approximant(f: SparsePoly, p: int, e: int, target: str) -> Fraction:
     if 0 < len(used) < f.n:
         f = SparsePoly(f.p, len(used),
                        {tuple(exps[i] for i in used): c for exps, c in f.terms.items()})
+    power = e * (f.n + TARGETS[target])
+    # what s_e prints, ticked first: e, the 19 characters of JSON around it
+    # with its comma, and twice the digits of p^power (s_e <= 1), at most
+    # its bits times 1234/4096 > log10 2
+    tick(19 + len(str(e)) + 2 * ((power * p.bit_length() * 1234 >> 12) + 1))
     free_rank = free_rank_uv if target == "uv" else free_rank_z2
     rank = free_rank(f, FrobBasis(p, e, f.n))
-    return Fraction(rank, p ** (e * (f.n + TARGETS[target])))
+    return Fraction(rank, p ** power)

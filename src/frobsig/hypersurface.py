@@ -13,8 +13,8 @@ product of their rings, and the Jordan type into a sum over pairs of
 blocks, each read by a recursion on base-p digits (Han's formula, in
 ``oracle``, is the tests' check on it).  A component is a closed form when
 it is a monomial or has one variable, and otherwise the chain f^j A is
-walked on its own variables.  ``_components`` alone splits f and tags each
-component's route, once for each free rank.
+walked on its own variables.  ``_components`` alone splits f and reads
+each closed form's Jordan type, once for each free rank.
 Only ``ring`` is imported with this module; ``presentation_fk`` imports
 ``frobenius`` and ``matfac`` when it runs.  The free ranks load neither:
 the one piece of the pushforward they need, ``FrobBasis``, is in ``ring``.
@@ -134,22 +134,6 @@ class _Artinian:
         return ({i: 1} for i in range(self.basis.size))
 
 
-def monomial_dim(gamma, q: int, j: int) -> int:
-    """dim (x^gamma)^j A = prod_i max(q - j*gamma_i, 0).
-
-    (x^gamma)^j A is spanned by the x^a with j*gamma_i <= a_i < q for all i.
-    """
-    # 0.3 us for the call and for each variable, for each 64-bit word of q
-    tick((1 + len(gamma)) * (1 + q.bit_length() // 64))
-    total = 1
-    for g in gamma:
-        factor = q - j * g
-        if factor <= 0:
-            return 0
-        total *= factor
-    return total
-
-
 def chain_dims(f: SparsePoly, basis: FrobBasis) -> list[int]:
     """[dim f^j A for j = 0, 1, ...], up to the last nonzero one.
 
@@ -172,9 +156,9 @@ def _components(f: SparsePoly, q: int):
 
     Two variables are joined when some term holds both; a term with an
     exponent of at least q is 0 in A and is dropped.  Returns each
-    component as ``(g, gamma)``, g a polynomial in its own variables and
-    gamma its closed form's exponents or None for the chain, and the count
-    of variables that no component uses.
+    component as ``(g, lam)``, g a polynomial in its own variables and lam
+    its Jordan type read in closed form or None for the chain, and the
+    count of variables that no component uses.
     """
     groups: list[tuple[set[int], dict]] = []
     for exps, c in f.terms.items():
@@ -195,22 +179,36 @@ def _components(f: SparsePoly, q: int):
         idx = sorted(used)
         sub = {tuple(exps[i] for i in idx): c for exps, c in terms.items()}
         g = SparsePoly(f.p, len(idx), sub)
-        parts.append((g, _closed_form_exponents(g)))
+        parts.append((g, _closed_form_type(g, q)))
     return parts, f.n - sum(len(used) for used, _ in groups)
 
 
-def _closed_form_exponents(g: SparsePoly):
-    """gamma with dim g^j A = prod_i max(q - j*gamma_i, 0), or None.
+def _closed_form_type(g: SparsePoly, q: int):
+    """The Jordan type of g on its own A, or None when g needs the chain.
 
-    A monomial c*x^gamma is one; so is g of one variable, x^m times a unit
-    with m the order of g, as gamma = (m,).  Other g need the chain.
+    g of one variable is x^m times a unit, m its order: x^i, x^(i+m), ...
+    is a block for each i < m, so q mod m blocks have size ceil(q/m) and the
+    rest floor(q/m).  A monomial c*x^gamma in k >= 2 variables has
+    d_j = dim g^j A = prod_i max(q - j*gamma_i, 0), since g^j A is spanned
+    by the x^a with j*gamma_i <= a_i < q, and its type is read from them.
     """
     if g.n == 1:
-        return (min(exps[0] for exps in g.terms),)
-    if g.is_monomial():
-        (gamma,) = g.terms
-        return gamma
-    return None
+        m = min(exps[0] for exps in g.terms)
+        # 0.3 us for the division, for each 64-bit word of q
+        tick(2 * (1 + q.bit_length() // 64))
+        size, longer = divmod(q, m)
+        return {s: k for s, k in ((size, m - longer), (size + 1, longer)) if k}
+    if not g.is_monomial():
+        return None
+    (gamma,) = g.terms
+    # d_j > 0 exactly while j * max(gamma) < q; 0.3 us for each d_j and
+    # each of its k factors, for each 64-bit word of q
+    count = (q - 1) // max(gamma) + 1
+    tick(count * (1 + len(gamma)) * (1 + q.bit_length() // 64))
+    dims = [1] * count
+    for a in gamma:
+        dims = [d * (q - j * a) for j, d in enumerate(dims)]
+    return _blocks(dims)
 
 
 def _blocks(dims) -> dict[int, int]:
@@ -279,8 +277,9 @@ def _pair(r: int, s: int, p: int, memo=None) -> tuple[tuple[int, int], ...]:
         b, s0 = divmod(s, small)
         low, high = _pair(r0, s0, p, memo), _pair(small - r0, small - s0, p, memo)
         tick((a + 1) * (len(low) + 1) + a * len(high))
-        sizes = [((c - 1) * small + t, k) for t, k in low for c in _cg(a + 1, b + 1)]
-        sizes += [((c + 1) * small - t, k) for t, k in high for c in _cg(a, b)]
+        up, down = _cg(a + 1, b + 1), _cg(a, b)
+        sizes = [((c - 1) * small + t, k) for t, k in low for c in up]
+        sizes += [((c + 1) * small - t, k) for t, k in high for c in down]
         extra = _cg(a, b + 1) if s0 >= r0 else _cg(a + 1, b)
         sizes += [(c * small, abs(s0 - r0)) for c in extra]
     out: dict[int, int] = {}
@@ -293,12 +292,12 @@ def _pair(r: int, s: int, p: int, memo=None) -> tuple[tuple[int, int], ...]:
 def jordan_type(f: SparsePoly, basis: FrobBasis) -> dict[int, int]:
     """Jordan type of multiplication by f on A, as {block size: count}.
 
-    Each component of f gives its type from d_j = dim g^j A, a closed form
-    or the chain on its own variables.  A = A_I (x) A_J for disjoint I and
-    J, and f = g + h acts as g(x)1 + 1(x)h, so the types combine by summing
-    the type of x+y on F_p[x,y]/(x^a, y^b) over pairs of blocks (a, b).  A
-    variable f does not use gives q blocks of size 1, and x+y on (a, 1) is
-    one block of size a: it multiplies every count by q.
+    Each component of f gives its type, read in closed form or from the
+    chain's d_j = dim g^j A on its own variables.  A = A_I (x) A_J for
+    disjoint I and J, and f = g + h acts as g(x)1 + 1(x)h, so the types
+    combine by summing the type of x+y on F_p[x,y]/(x^a, y^b) over pairs of
+    blocks (a, b).  A variable f does not use gives q blocks of size 1, and
+    x+y on (a, 1) is one block of size a: it multiplies every count by q.
     """
     check_local(f, basis)
     return _jordan_type(*_components(f, basis.q), basis)
@@ -309,14 +308,9 @@ def _jordan_type(parts, unused: int, basis: FrobBasis) -> dict[int, int]:
     q = basis.q
     lam = {1: 1}
     memo = {}
-    for g, gamma in parts:
-        if gamma is None:
-            dims = chain_dims(g, FrobBasis(basis.p, basis.e, g.n))
-        else:
-            # d_j > 0 exactly while j * max(gamma) < q
-            last = (q - 1) // max(gamma)
-            dims = [monomial_dim(gamma, q, j) for j in range(last + 1)]
-        mu = _blocks(dims)
+    for g, mu in parts:
+        if mu is None:
+            mu = _blocks(chain_dims(g, FrobBasis(basis.p, basis.e, g.n)))
         out: dict[int, int] = {}
         for a, count_a in lam.items():
             for b, count_b in mu.items():
@@ -330,8 +324,9 @@ def _jordan_type(parts, unused: int, basis: FrobBasis) -> dict[int, int]:
     return {size: count * scale for size, count in lam.items()}
 
 
-def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis) -> MatFac:
-    """The pair (M(f^k,e), M(f^{q-k},e)); its product M(f^q,e) is f*I.
+def presentation_fk(f: SparsePoly, k: int, basis: FrobBasis):
+    """The pair (M(f^k,e), M(f^{q-k},e)) as a ``matfac.MatFac``; its
+    product M(f^q,e) is f*I.
 
     Its cokernel presents F_*^e(S/f^k S).  Units of the local ring pass.
     """
@@ -379,7 +374,6 @@ def free_rank_z2(f: SparsePoly, basis: FrobBasis) -> int:
         g_span = ring.image(ring.monomials(), ring.power(g, half))
         f_span = ring.image(g_span.values(), ring.element(g))
         return (len(g_span) + len(f_span)) * basis.q ** unused
+    # a block of size s > half adds s - half and s - half - 1
     lam = _jordan_type(parts, unused, basis)
-    return sum(
-        count * (max(s - half, 0) + max(s - half - 1, 0)) for s, count in lam.items()
-    )
+    return sum(count * (2 * (s - half) - 1) for s, count in lam.items() if s > half)

@@ -17,7 +17,7 @@ import itertools
 import json
 from collections import Counter, namedtuple
 
-from .hypersurface import check_exponents, check_power_index, monomial_dim
+from .hypersurface import check_exponents, check_power_index
 from .ring import FrobBasis, SparsePoly, check_digits, tick
 
 
@@ -65,11 +65,12 @@ def eta(k: int, c, md: MonomialData, q: int) -> int:
     return total
 
 
-def diagonalize_monomial_matrix(a: PolyMatrix) -> Counter:
+def diagonalize_monomial_matrix(a) -> Counter:
     """Multiset of diagonal exponent tuples after row/column permutation.
 
-    Requires a generalized permutation matrix with monomial entries: at most
-    one nonzero entry per row and per column, and no zero row or column.
+    ``a`` (a ``frobenius.PolyMatrix``) must be a generalized permutation
+    matrix with monomial entries: at most one nonzero entry per row and per
+    column, and no zero row or column.
     """
     if a.rows != a.cols:
         raise ValueError("expected a square matrix")
@@ -90,13 +91,12 @@ def diagonalize_monomial_matrix(a: PolyMatrix) -> Counter:
 def free_rank_formula(md: MonomialData, q: int, k: int) -> int:
     """Trivial-summand count of M(f^k,e): prod_j max(0, q - d_j(q-k)).
 
-    It is the rank of M(f^{q-k},e) at the origin, dim f^{q-k} A on
-    A = F_p[x]/(x_1^q..x_n^q), read from ``hypersurface.monomial_dim``.
-    The clamp at 0 encodes that the count vanishes unless k > q(d_j-1)/d_j
-    for every j.
+    The trivial summands are those of label c = dvec, which
+    ``decomposition_report`` folds into the free part, so the count is
+    eta_k(dvec).  The clamp at 0 encodes that it vanishes unless
+    k > q(d_j-1)/d_j for every j.
     """
-    check_power_index(k, q)
-    return monomial_dim(md.dvec, q, q - k)
+    return eta(k, md.dvec, md, q)
 
 
 class DecompositionReport(namedtuple(

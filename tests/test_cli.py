@@ -207,7 +207,7 @@ def test_huge_prime_refused_quickly():
         ("decompose --dvec 2,1 --p 3 --e -1", 2),
         ("matrix --f x1 --p 3 --e 0", 2),
         ("freerank --type uv --f x1^2 --p 3 --e -1", 2),
-        # the sweep stops at the first e over the size bound, with one note
+        # the sweep stops at the first e to pass the call's budget, with one note
         ("fsignature --type uv --f x1^2 --p 3 --emax 300000000", 0),
     ],
 )
@@ -222,9 +222,10 @@ def test_e_and_emax_bounded(argv, want):
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
     else:
-        # x1^2 is a closed form whose dims at e = 13 pass the budget
-        assert result.stderr.startswith("note: truncating sweep to e <= 12")
-        assert [r["e"] for r in json.loads(result.stdout)["empirical"]] == list(range(1, 13))
+        # x1^2 is a closed form read outright, so each e costs about its
+        # basis and its printed s_e, and together e = 1..753 pass the budget
+        assert result.stderr.startswith("note: truncating sweep to e <= 752")
+        assert [r["e"] for r in json.loads(result.stdout)["empirical"]] == list(range(1, 753))
 
 
 def test_fsignature_closed_form_many_variables():
@@ -538,21 +539,23 @@ def test_frobbasis_loads_only_ring():
 
 
 def test_freerank_prices_the_chain_like_fsignature(capsys):
-    # both count the same work against the same budget: x1^2 + x2^3 is two
-    # closed forms and a pair step, so each reaches e = 11, where s_11 = 5/9
-    # = 5 * 3^31 / 3^(3*11), and not e = 12; neither walks a chain
-    code, out, err = run(capsys, "freerank", "--type", "uv", "--f", "x1^2+x2^3",
-                         "--p", "3", "--e", "11")
+    # both count the same work against the same budget: x1^2 + x1*x2 + x2^3
+    # walks the chain, whose e = 3 fits the budget with e = 1 and 2 beside
+    # it, so each reaches e = 3, where s_3 = 13131 / 3^(3*3) = 1459/2187,
+    # and not e = 4
+    f = "x1^2+x1*x2+x2^3"
+    code, out, err = run(capsys, "freerank", "--type", "uv", "--f", f,
+                         "--p", "3", "--e", "3")
     assert (code, err) == (0, "")
-    assert json.loads(out)["free_rank"] == 5 * 3 ** 31
-    code, out, err = run(capsys, "fsignature", "--type", "uv", "--f", "x1^2+x2^3",
-                         "--p", "3", "--emax", "12")
+    assert json.loads(out)["free_rank"] == 13131
+    code, out, err = run(capsys, "fsignature", "--type", "uv", "--f", f,
+                         "--p", "3", "--emax", "4")
     assert code == 0
-    assert json.loads(out)["empirical"][10] == {"e": 11, "s": "5/9"}
-    assert err == "note: truncating sweep to e <= 11 (size bound 1000000)\n"
+    assert json.loads(out)["empirical"][2] == {"e": 3, "s": "1459/2187"}
+    assert err == "note: truncating sweep to e <= 3 (size bound 1000000)\n"
     # the refusal names the budget it passed
-    code, _, err = run(capsys, "freerank", "--type", "uv", "--f", "x1^2+x2^3",
-                       "--p", "3", "--e", "12")
+    code, _, err = run(capsys, "freerank", "--type", "uv", "--f", f,
+                       "--p", "3", "--e", "4")
     assert code == 3
     assert err.strip() == "error: computation passed its bound of 1000000 units of work"
 
@@ -1111,7 +1114,7 @@ _METERED = [
     "freerank --type z2 --f x1^2+x1*x2+x2^3 --p 5 --e 2",
     "freerank --type z2 --f x1^2+x1*x2+x2^3 --p 5 --e 2 --max-size 30000",
     "fsignature --type uv --f x1^2+x2^3 --p 5 --emax 3",
-    # e = 1 counts 73 units, so the sweep is refused before any s_e
+    # e = 1 counts 74 units, so the sweep is refused before any s_e
     "fsignature --type uv --f x1^2+x2^3 --p 5 --emax 3 --max-size 50",
 ]
 
@@ -1164,19 +1167,51 @@ def test_count_depends_only_on_argv(capsys):
 def test_budget_does_not_leak(capsys):
     # a refused call leaves no budget open: a larger --max-size answers, and
     # direct library calls that do more work than the refused bound complete
-    argv = ["freerank", "--type", "uv", "--f", "x1^2+x2^3", "--p", "3", "--e", "4"]
+    f = "x1^2+x1*x2+x2^3"
+    argv = ["freerank", "--type", "uv", "--f", f, "--p", "3", "--e", "2"]
     assert main(argv + ["--max-size", "100"]) == 3
     assert main(argv + ["--max-size", str(10 ** 6)]) == 0
-    assert json.loads(capsys.readouterr().out)["free_rank"] == 295245
+    assert json.loads(capsys.readouterr().out)["free_rank"] == 489
     assert main(argv + ["--max-size", "100"]) == 3
     before = ring.work()
-    assert free_rank_uv(parse_poly("x1^2+x2^3", 3, 2), FrobBasis(3, 4, 2)) == 295245
+    assert free_rank_uv(parse_poly(f, 3, 2), FrobBasis(3, 2, 2)) == 489
     assert ring.work() - before > 100
     before = ring.work()
     report = decomposition_report(MonomialData((2, 1)), 3, 4)
     assert ring.work() - before > 100
     assert report.free_rank > 3 ** 8
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "fsignature --type uv --f x1^2 --p 3 --emax 1000 --max-size 10000",
+        "fsignature --type uv --f x1^2+x2^3 --p 5 --emax 20 --max-size 100000",
+        "fsignature --type z2 --f x1*x2 --p 3 --emax 20 --max-size 100000",
+        "fsignature --type uv --f x1^2+x1*x2+x2^3 --p 3 --emax 5 --max-size 100000",
+    ],
+)
+def test_truncated_sweep_passes_its_budget_by_one_tick(monkeypatch, capsys, argv):
+    # the sweep spends the call's one budget: the count after it is every
+    # tick the call made, and only the last, which refused the sweep,
+    # passes --max-size
+    from frobsig import fsig, hypersurface
+
+    ticks = []
+    tick = ring.tick
+
+    def recorded(units):
+        ticks.append(units)
+        tick(units)
+
+    for module in (ring, hypersurface, fsig):
+        monkeypatch.setattr(module, "tick", recorded)
+    bound = int(argv.split()[-1])
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().err.startswith("note: truncating sweep to e <= ")
+    assert ring.work() == sum(ticks)
+    assert ring.work() - ticks[-1] <= bound < ring.work()
 
 
 def test_argv_corpus_covers_every_subcommand():

@@ -1,5 +1,7 @@
 import ast
 import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import frobsig
@@ -72,3 +74,23 @@ def test_no_module_imports_a_name_it_never_uses():
     assert _unused_imports("import os\nfrom typing import TYPE_CHECKING\n"
                            "if TYPE_CHECKING:\n    from x import A\n"
                            "def g(a: 'A') -> int:\n    return 1\n") == ["line 1: os"]
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates each annotation in its module; a name
+    # a module never imports raises NameError there
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"frobsig.{path.stem}")
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            found = [value]
+            if inspect.isclass(value):
+                found += [getattr(member, "fget", member) for member in vars(value).values()]
+            for item in found:
+                item = getattr(item, "__func__", item)
+                if inspect.isfunction(item) or inspect.isclass(item):
+                    typing.get_type_hints(item)
+                    checked += 1
+    assert checked > 100

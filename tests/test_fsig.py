@@ -161,22 +161,23 @@ def test_empirical_gaps_shrink():
 
 
 def test_empirical_resource_bound(capsys):
-    # the budget is the CLI's: the sweep stops at the last e whose own count
-    # fits, and refuses when even e = 1 does not.  After a call the meter
-    # holds the count of its last e
+    # the budget is the CLI's, one for the whole call: the sweep stops at the
+    # last e whose count fits with those of the e before it, and refuses
+    # when even e = 1 does not.  After a call the meter holds its whole count
     argv = ["fsignature", "--type", "uv", "--f", "x1", "--p", "3", "--emax"]
     counts = []
-    for emax in ("1", "2"):
+    for emax in ("1", "2", "3"):
         assert main(argv + [emax, "--max-size", str(10 ** 12)]) == 0
         counts.append(ring.work())
     capsys.readouterr()
-    first, second = counts
-    assert first < second
-    bound = second - 1
-    assert main(argv + ["19", "--max-size", str(bound)]) == 0
-    out, err = capsys.readouterr()
-    assert [row["e"] for row in json.loads(out)["empirical"]] == [1]
-    assert err == f"note: truncating sweep to e <= 1 (size bound {bound})\n"
+    first, second, third = counts
+    assert first < second < third
+    for bound, last in ((second - 1, 1), (second, 2), (third - 1, 2)):
+        assert main(argv + ["19", "--max-size", str(bound)]) == 0
+        assert ring.work() > bound
+        out, err = capsys.readouterr()
+        assert [row["e"] for row in json.loads(out)["empirical"]] == list(range(1, last + 1))
+        assert err == f"note: truncating sweep to e <= {last} (size bound {bound})\n"
     assert main(argv + ["19", "--max-size", str(first - 1)]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -302,6 +302,18 @@ def test_digit_rules_match_han():
                 assert dict(_pair(r, s, p, memo)) == _han_pair(r, s, p), (r, s, p)
 
 
+def test_one_variable_type_is_read_outright():
+    # x^m times a unit on F_p[x]/(x^q): q mod m blocks of size ceil(q/m) and
+    # the rest of size floor(q/m), against the blocks of d_j = max(q - jm, 0)
+    for p, e in ((2, 7), (3, 5), (5, 3), (7, 2)):
+        q = p ** e
+        for m in range(1, q):
+            want = _blocks([max(q - j * m, 0) for j in range(q // m + 1)])
+            for terms in ({(m,): 1}, {(m,): p - 1, (m + 1,): 1}):
+                g = SparsePoly(p, 1, terms)
+                assert hypersurface._closed_form_type(g, q) == want, (q, m, terms)
+
+
 def test_residual_pairs_match_the_chain():
     # the pairs of the residual digit rule, against the chain of x+y on the
     # r*s monomials of F_p[x,y]/(x^r, y^s)
@@ -540,8 +552,8 @@ def test_free_rank_z2_squares_only_one_chain_component(
 def test_cli_prices_the_plan_that_runs(monkeypatch, capsys, text, n):
     # the CLI makes no split of its own: each e of a call makes the one
     # split its free rank runs, recorded as (f, q), and the work meter
-    # counts what that split runs; a budget of e = 2's count admits e = 2
-    # of a sweep and cuts the sweep at e = 3
+    # counts what that split runs; the count of a sweep to e = 2, as its
+    # budget, admits e = 2 and refuses e = 3 before e = 3 splits f
     made = []
     split = hypersurface._components
 
@@ -559,12 +571,12 @@ def test_cli_prices_the_plan_that_runs(monkeypatch, capsys, text, n):
             assert cli.main(call) == 0, call
             assert made == [(f, 3 ** e) for e in es], call
             out = capsys.readouterr().out
-        # the sweep's last budget was e = 2's own
+        # the sweep's one budget counted e = 1 and e = 2
         bound = ring.work()
         made.clear()
         call = ["fsignature", *argv, "--emax", "3", "--max-size", str(bound)]
         assert cli.main(call) == 0, call
-        assert made == [(f, 3 ** e) for e in (1, 2, 3)], call
+        assert made == [(f, 3 ** e) for e in (1, 2)], call
         assert capsys.readouterr() == (
             out, f"note: truncating sweep to e <= 2 (size bound {bound})\n")
 

@@ -123,6 +123,18 @@ def test_free_rank_formula_values():
     assert free_rank_formula(MonomialData((1, 1)), 5, 3) == 9
 
 
+def test_free_rank_formula_is_the_clamped_product():
+    # eta_k(dvec) = prod_j max(q - d_j(q-k), 0) on a grid of dvec, q and k
+    for dvec in ((1,), (2,), (5,), (1, 1), (2, 3), (3, 1, 2), (4, 4, 1, 2)):
+        md = MonomialData(dvec)
+        for q in (2, 3, 4, 8, 9, 25, 27, 49):
+            for k in range(1, q):
+                want = 1
+                for d in dvec:
+                    want *= max(q - d * (q - k), 0)
+                assert free_rank_formula(md, q, k) == want, (dvec, q, k)
+
+
 def test_free_rank_triple_agreement():
     for dvec, p in (((2,), 3), ((1, 1), 3), ((2, 1), 3), ((2,), 5)):
         md = MonomialData(dvec)

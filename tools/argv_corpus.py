@@ -15,8 +15,9 @@ The corpus covers all five subcommands, both targets, ``--f`` and
 ``--dvec``, exponents at and above q, budgets small enough to refuse,
 refusals made while parsing, the meter's refusals inside one product
 column and inside one remainder class, sweeps of an f that leaves
-variables unused, and split f whose pairs of blocks recurse deep into the
-digit rule; it runs in about 6 s on a 2-vCPU Xeon.
+variables unused, split f whose pairs of blocks recurse deep into the
+digit rule, closed forms at large q, and sweeps cut by their one budget;
+it runs in about 9 s on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ DEEP_PAIRS = tuple(argv.split() for argv in (
     "fsignature --type uv --f x1^2+x2^3 --p 5 --emax 9",
 ))
 
+# closed forms read outright at large q, and sweeps that spend one budget
+# over every e: refused at the first e whose work passes what is left
+ONE_BUDGET = tuple(argv.split() for argv in (
+    "freerank --type uv --f x1 --p 1000003 --e 1",
+    "freerank --type z2 --f x1^2 --p 3 --e 30",
+    "freerank --type uv --f x1^2+x2^3 --p 5 --e 9",
+    "fsignature --type z2 --f x1*x2 --p 3 --emax 12",
+    "fsignature --type uv --f x1^2+x2^3 --p 3 --emax 2000",
+))
+
 
 def random_f(rng: random.Random) -> str:
     """A sum of up to four nonconstant terms in up to three variables, each
@@ -136,7 +147,7 @@ def corpus() -> list[list[str]]:
                              "--dvec", dvec, "--p", p, "--e", e]))
         calls.append(["fsignature", "--type", rng.choice(("uv", "z2")), "--dvec", dvec])
         calls.append(budget(["verify", "--dvec", dvec, "--p", p, "--e", "1", "--k", "1"]))
-    extra = METER_REFUSALS + UNUSED_VARIABLES + DEEP_PAIRS
+    extra = METER_REFUSALS + UNUSED_VARIABLES + DEEP_PAIRS + ONE_BUDGET
     return calls + [list(argv) for argv in extra]
 
 
