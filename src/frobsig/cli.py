@@ -11,8 +11,8 @@ uses.
 
 ``--max-size`` is the budget of ``ring``'s work meter: the routes tick the
 work they do, and a call that passes the budget is refused while it runs,
-after about that much work.  An ``fsignature`` sweep spends the call's one
-budget over all its e, and the first e to pass it ends the sweep.  How
+after about that much work.  An ``fsignature`` sweep is one loop over e,
+``fsig.empirical_sequence``, ended by the budget or the digit limit.  How
 ``--f`` reads and Python's digit limit are ``ring``'s.
 """
 
@@ -27,7 +27,7 @@ import sys
 from .hypersurface import (TARGETS, check_exponents, check_target, free_rank_uv,
                            free_rank_z2, presentation_fk)
 from .ring import (FrobBasis, SparsePoly, check_digits, close_budget, open_budget,
-                   parse_int, parse_poly, variable_count)
+                   parse_int, parse_poly, variable_count, work)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -116,27 +116,20 @@ def cmd_matrix(args) -> str:
 
 
 def cmd_fsignature(args) -> str:
-    from .fsig import SignatureReport, approximant, closed_form, empirical_sequence
+    from .fsig import SignatureReport, empirical_sequence
 
     if args.f is None:
-        closed = closed_form(args.dvec, args.target)
-        return SignatureReport(args.target, args.dvec, closed).to_json()
+        return SignatureReport.head(args.target, args.dvec).to_json()
     if args.p is None:
         raise ValueError("--p is required")
-    f = _parse_f(args)
-    # the whole sweep spends the call's one budget: e = 1, with the closed
-    # form of a monomial f, must fit, and the first later e to pass it ends
-    # the sweep
-    report = empirical_sequence(f, args.p, range(1, 2), args.target)
-    later = []
-    for e in range(2, (args.emax or 1) + 1):
-        try:
-            later.append((e, approximant(f, args.p, e, args.target)))
-        except ResourceWarning:
-            print(f"note: truncating sweep to e <= {e - 1} "
-                  f"(size bound {args.max_size})", file=sys.stderr)
-            break
-    return report._replace(empirical=report.empirical + later).to_json()
+    emax = args.emax or 1
+    report = empirical_sequence(_parse_f(args), args.p, range(1, emax + 1), args.target)
+    if (last := len(report.empirical)) < emax:
+        # the meter is past the budget after a budget stop, not a digit stop
+        reason = (f"size bound {args.max_size}" if work() > args.max_size
+                  else f"digit limit {sys.get_int_max_str_digits()}")
+        print(f"note: truncating sweep to e <= {last} ({reason})", file=sys.stderr)
+    return report.to_json()
 
 
 def cmd_decompose(args) -> str:

@@ -4,13 +4,11 @@ The closed-form signature of S[[u,v]]/(x^dvec + uv) is a rational built
 from the symmetric quantities W_j; the signature of S[[z]]/(x^dvec + z^2)
 is 1/2^{n-1} when all exponents are 1 and 0 otherwise.  Empirical
 sequences s_e divide exact free ranks by the matching power of p so the
-convergence toward the closed form can be checked at small e; every e
-given is computed, and the CLI's one budget for the call decides where
-its sweep stops.
-``closed_form`` picks a target's formula; the target names, the z2 rule
-for p, the rule for an exponent vector and each target's dimension are
-``hypersurface``'s.  All arithmetic is exact rational, and a fraction too
-long to print is refused (``ring.check_digits``).
+convergence toward the closed form can be checked; ``empirical_sequence``
+is the one sweep over e, ended by the open budget or the digit limit
+(``ring.check_digits``), which no report passes.  ``closed_form`` picks a
+target's formula; the target names, the z2 rule for p, the rule for an
+exponent vector and each target's dimension are ``hypersurface``'s.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from functools import lru_cache
 from math import comb
 
 from .hypersurface import (TARGETS, check_exponents, check_nonunit, check_target,
-                           free_rank_uv, free_rank_z2)
+                           free_rank_uv, free_rank_z2, on_variables)
 from .ring import FrobBasis, SparsePoly, check_digits, tick
 
 
@@ -172,17 +170,20 @@ class SignatureReport(
     namedtuple("SignatureReport", "target dvec closed_form empirical",
                defaults=(None, None, ()))
 ):
-    """Closed-form value (monomial input only) plus empirical sequence.
-
-    ``empirical`` holds (e, Fraction) pairs; it defaults to ().
-    """
+    """Closed form (monomial f only) and ``empirical``, (e, s_e) pairs or ()."""
 
     __slots__ = ()
 
+    @classmethod
+    def head(cls, target, dvec) -> "SignatureReport":
+        """No s_e yet, with x^dvec's closed form if dvec; its JSON and newline ticked."""
+        report = cls(target, dvec, None if dvec is None else closed_form(dvec, target))
+        tick(len(json.dumps(report.to_json_dict())) + 1)
+        return report
+
     def gaps(self) -> list:
-        if self.closed_form is None:
-            return []
-        return [(e, abs(s - self.closed_form)) for e, s in self.empirical]
+        closed = self.closed_form
+        return [] if closed is None else [(e, abs(s - closed)) for e, s in self.empirical]
 
     def to_json_dict(self) -> dict:
         out = {"target": self.target}
@@ -190,55 +191,57 @@ class SignatureReport(
             out["dvec"] = list(self.dvec)
         if self.closed_form is not None:
             out["closed_form"] = _frac_str(self.closed_form)
-        out["empirical"] = [
-            {"e": e, "s": _frac_str(s)} for e, s in self.empirical
-        ]
+        out["empirical"] = [{"e": e, "s": _frac_str(s)} for e, s in self.empirical]
         return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
 
-def _frac_str(x: Fraction) -> str:
+def _check_printable(x: Fraction, error=ValueError) -> None:
     check_digits(max(x.numerator, x.denominator, key=abs),
-                 "the signature has too many digits to print")
+                 "the signature has too many digits to print", error)
+
+
+def _frac_str(x: Fraction) -> str:
+    _check_printable(x)
     return f"{x.numerator}/{x.denominator}"
 
 
-def monomial_exponents(f: SparsePoly) -> tuple[int, ...] | None:
-    """The exponents of f = c*x^dvec with every exponent >= 1, else None."""
-    if not f.is_monomial():
-        return None
-    (exps,) = f.terms
-    return exps if all(exps) else None
-
-
 def empirical_sequence(f: SparsePoly, p: int, e_range, target: str) -> SignatureReport:
-    """Exact signature approximants s_e for e in e_range.
-
-    Every e given is computed; bounding the work is the caller's choice.
-    """
+    """s_e for e in e_range after the report's head, as far as the report
+    prints: the first e must fit the open budget and the digit limit, and a
+    later e past either ends it, with ``ring.work()`` past the budget only
+    after a budget stop.  ``approximant`` gives s_e past the digit limit."""
     check_target(target, p)
     check_nonunit(f)
-    dvec = monomial_exponents(f)
-    closed = None if dvec is None else closed_form(dvec, target)
-    empirical = [(e, approximant(f, p, e, target)) for e in e_range]
-    return SignatureReport(target, dvec, closed, empirical)
+    # f = c*x^dvec with every exponent >= 1 has a closed form
+    dvec = next(iter(f.terms)) if f.is_monomial() else None
+    head = SignatureReport.head(target, dvec if dvec and all(dvec) else None)
+    empirical = []
+    for e in e_range:
+        try:
+            s = approximant(f, p, e, target)
+            _check_printable(s, ResourceWarning if empirical else ValueError)
+        except ResourceWarning:
+            if not empirical:
+                raise
+            break
+        empirical.append((e, s))
+    return head._replace(empirical=empirical)
 
 
 def approximant(f: SparsePoly, p: int, e: int, target: str) -> Fraction:
     """s_e, the target's free rank at q = p^e over p^(e*D), where D is the
     dimension of its hypersurface: n+1 for f+uv and n for f+z^2.  Each variable
     f does not use multiplies both by q, so a nonconstant f drops them first."""
-    used = sorted({i for exps in f.terms for i, a in enumerate(exps) if a})
+    used = {i for exps in f.terms for i, a in enumerate(exps) if a}
     if 0 < len(used) < f.n:
-        f = SparsePoly(f.p, len(used),
-                       {tuple(exps[i] for i in used): c for exps, c in f.terms.items()})
-    power = e * (f.n + TARGETS[target])
-    # what s_e prints, ticked first: e, the 19 characters of JSON around it
-    # with its comma, and twice the digits of p^power (s_e <= 1), at most
-    # its bits times 1234/4096 > log10 2
-    tick(19 + len(str(e)) + 2 * ((power * p.bit_length() * 1234 >> 12) + 1))
+        f = on_variables(f.p, f.terms, used)
     free_rank = free_rank_uv if target == "uv" else free_rank_z2
     rank = free_rank(f, FrobBasis(p, e, f.n))
-    return Fraction(rank, p ** power)
+    s = Fraction(rank, p ** (e * (f.n + TARGETS[target])))
+    # its row: 19 + len(str(e)), and each part's digits (1234/4096 > log10 2)
+    tick(19 + len(str(e)) + sum((x.bit_length() * 1234 >> 12) + 1
+                                for x in (s.numerator, s.denominator)))
+    return s

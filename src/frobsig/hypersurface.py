@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .ring import FrobBasis, SparsePoly, digit_power, echelon, tick
+from .ring import FrobBasis, SparsePoly, default_names, digit_power, echelon, tick
 
 
 # Each target's name and how far the dimension of its hypersurface exceeds n:
@@ -174,13 +174,16 @@ def _components(f: SparsePoly, q: int):
             else:
                 apart.append(group)
         groups = apart + [(used, terms)]
-    parts = []
-    for used, terms in groups:
-        idx = sorted(used)
-        sub = {tuple(exps[i] for i in idx): c for exps, c in terms.items()}
-        g = SparsePoly(f.p, len(idx), sub)
-        parts.append((g, _closed_form_type(g, q)))
-    return parts, f.n - sum(len(used) for used, _ in groups)
+    parts = [on_variables(f.p, terms, used) for used, terms in groups]
+    return ([(g, _closed_form_type(g, q)) for g in parts],
+            f.n - sum(len(used) for used, _ in groups))
+
+
+def on_variables(p: int, terms: dict, used) -> SparsePoly:
+    """``terms``, which use only the variables ``used``, over F_p in those alone."""
+    idx = sorted(used)
+    return SparsePoly._raw(p, len(idx), default_names(len(idx)),
+                           {tuple(exps[i] for i in idx): c for exps, c in terms.items()})
 
 
 def _closed_form_type(g: SparsePoly, q: int):

@@ -124,7 +124,8 @@ def check_digits(value: int | None, what: str, error=ValueError) -> None:
     the limit stays as it is.  None stands for a text int() has refused.
     """
     limit = sys.get_int_max_str_digits()
-    if value is None or limit and abs(value) >= 10 ** limit:
+    # 10^limit has more than 3 * limit bits: a value of fewer is not compared
+    if value is None or 0 < 3 * limit < value.bit_length() and abs(value) >= 10 ** limit:
         raise error(f"{what} (limit {limit})")
 
 

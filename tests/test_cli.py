@@ -223,9 +223,10 @@ def test_e_and_emax_bounded(argv, want):
         assert result.stderr.startswith("error: ")
     else:
         # x1^2 is a closed form read outright, so each e costs about its
-        # basis and its printed s_e, and together e = 1..753 pass the budget
-        assert result.stderr.startswith("note: truncating sweep to e <= 752")
-        assert [r["e"] for r in json.loads(result.stdout)["empirical"]] == list(range(1, 753))
+        # basis and the digits its s_e prints, and together with the
+        # report's head e = 1..813 pass the budget
+        assert result.stderr == "note: truncating sweep to e <= 812 (size bound 1000000)\n"
+        assert [r["e"] for r in json.loads(result.stdout)["empirical"]] == list(range(1, 813))
 
 
 def test_fsignature_closed_form_many_variables():
@@ -638,6 +639,47 @@ def test_matrix_prints_within_its_bound(capsys, seed):
         assert run(capsys, *argv, "--max-size", str(len(out) - 1))[0] == 3, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each printed past its bound: 89 characters on 64 units, 73 on 1,
+        # and 3366 on none, since the report's head was never charged
+        "fsignature --type uv --f x1^2 --p 3 --emax 400 --max-size 50",
+        "fsignature --type uv --dvec 2,1 --max-size 1",
+        "fsignature --type z2 --dvec " + ",".join(["1"] * 1000) + " --max-size 10",
+    ],
+    ids=["sweep", "uv-dvec", "z2-dvec"],
+)
+def test_fsignature_head_is_charged(capsys, argv):
+    assert run(capsys, *argv.split()) == (
+        3, "", f"error: computation passed its bound of {argv.split()[-1]} units of work\n")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fsignature_prints_within_its_bound(capsys, seed):
+    # an fsignature call admitted at --max-size B prints at most B characters,
+    # its report's head included: a tight budget truncates a sweep before
+    # it prints past B, or refuses the call
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(16):
+        target = rng.choice(["uv", "z2"])
+        if rng.random() < 0.25:
+            dvec = ",".join(str(rng.choice([1, 1, 2, 3])) for _ in range(rng.randint(1, 300)))
+            argv = ["fsignature", "--type", target, "--dvec", dvec]
+        else:
+            f = rng.choice(["x1^2", "x1*x2", "x1^2+x2^3", "x1^3+x2^5", "x1^2*x2",
+                            "x1^2+x1*x2+x2^3", "x2^2+x3^3"])
+            argv = ["fsignature", "--type", target, "--f", f, "--p",
+                    str(rng.choice([3, 5, 7])), "--emax", str(rng.randint(1, 300))]
+        bound = rng.choice([10, 80, 100, 300, 1000, 5000, 30000])
+        code, out, err = run(capsys, *argv, "--max-size", str(bound))
+        codes.append(code)
+        assert code in (0, 3), (argv, bound, err)
+        assert len(out) <= bound, (argv, bound)
+    assert 0 in codes and 3 in codes
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_decompose_prints_within_its_bound(capsys, seed):
     # a decompose call admitted at --max-size B prints at most B characters
@@ -1033,6 +1075,31 @@ def test_signature_past_the_digit_limit_refused_in_one_line(capsys, argv):
     assert (code, out) == (2, "")
     assert err == (f"error: the signature has too many digits to print "
                    f"(limit {_LIMIT})\n")
+
+
+def test_sweep_ends_at_the_digit_limit(capsys):
+    # the first e whose s_e has too many digits to print ends the sweep with
+    # a note, like a budget does, and the meter stays inside the budget:
+    # 1000003^718 has 4308 digits.  It once computed every e and printed nothing
+    bound = 10 ** 8
+    code, out, err = run(capsys, "fsignature", "--type", "uv", "--f", "x1^2",
+                         "--p", "1000003", "--emax", "1000", "--max-size", str(bound))
+    assert code == 0
+    assert err == f"note: truncating sweep to e <= 358 (digit limit {_LIMIT})\n"
+    assert [row["e"] for row in json.loads(out)["empirical"]] == list(range(1, 359))
+    assert ring.work() <= bound
+
+
+def test_first_s_e_past_the_digit_limit_refused_in_one_line(capsys):
+    # two monomials on 4600 variables each: s_1 has 3^9201, of 4390 digits,
+    # for its denominator, so the sweep has no e to print
+    f = "+".join("*".join(f"x{i}" for i in range(k, k + 4600)) for k in (1, 4601))
+    for emax in ("1", "3"):
+        code, out, err = run(capsys, "fsignature", "--type", "uv", "--f", f,
+                             "--p", "3", "--emax", emax)
+        assert (code, out) == (2, "")
+        assert err == (f"error: the signature has too many digits to print "
+                       f"(limit {_LIMIT})\n")
 
 
 @pytest.mark.parametrize(

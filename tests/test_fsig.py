@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from frobsig import fsig, ring
 from frobsig.cli import main
 from frobsig.oracle import w_values_by_subsets
 from frobsig.fsig import (
+    approximant,
     bernoulli,
     closed_form,
     empirical_sequence,
@@ -182,6 +184,35 @@ def test_empirical_resource_bound(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: computation passed its bound of {first - 1} units of work\n"
+
+
+def test_reduced_s_e_is_charged_for_what_it_prints(monkeypatch):
+    # x1^2+x2^3 at p=3 has s_e = 5/9 at every e: each s_e is charged for the
+    # 21 + len(str(e)) characters of its row, {"e": e, "s": "5/9"} and a
+    # comma, and one more for the bits of 9, not for the digits of p^(e*D):
+    # past the digits of e the charge does not grow with e
+    f = parse_poly("x1^2+x2^3", 3, 2)
+    for e in (1, 10, 100, 900):
+        ticks = []
+        monkeypatch.setattr(fsig, "tick", ticks.append)
+        assert approximant(f, 3, e, "uv") == Fraction(5, 9)
+        assert len(json.dumps({"e": e, "s": "5/9"}) + ", ") == 21 + len(str(e))
+        assert ticks == [22 + len(str(e))]
+
+
+def test_digit_limit_ends_the_sequence():
+    # with no budget open, x1^2 at p=3 stops at the last e whose s_e prints;
+    # a first e past the limit is refused, and approximant still gives s_e
+    f = parse_poly("x1^2", 3, 1)
+    limit = sys.get_int_max_str_digits()
+    rep = empirical_sequence(f, 3, range(4500, 4600), "uv")
+    last = rep.empirical[-1][0]
+    assert [e for e, _ in rep.empirical] == list(range(4500, last + 1))
+    assert rep.empirical[-1][1].denominator < 10 ** limit
+    assert approximant(f, 3, last + 1, "uv").denominator >= 10 ** limit
+    with pytest.raises(ValueError, match=rf"^the signature has too many digits "
+                                         rf"to print \(limit {limit}\)$"):
+        empirical_sequence(f, 3, range(last + 1, last + 3), "uv")
 
 
 def test_empirical_validation():

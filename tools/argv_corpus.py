@@ -16,8 +16,9 @@ The corpus covers all five subcommands, both targets, ``--f`` and
 refusals made while parsing, the meter's refusals inside one product
 column and inside one remainder class, sweeps of an f that leaves
 variables unused, split f whose pairs of blocks recurse deep into the
-digit rule, closed forms at large q, and sweeps cut by their one budget;
-it runs in about 9 s on a 2-vCPU Xeon.
+digit rule, closed forms at large q, sweeps cut by their one budget or by
+the digit limit, and reports whose head passes a tight budget; it runs in
+about 9 s on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -98,6 +99,15 @@ ONE_BUDGET = tuple(argv.split() for argv in (
     "fsignature --type uv --f x1^2+x2^3 --p 3 --emax 2000",
 ))
 
+# sweeps that end at the digit limit, not at their budget, and sweeps whose
+# report's head is charged against a tight budget: refused, and cut at e <= 1
+REPORT_BOUNDS = tuple(argv.split() for argv in (
+    "fsignature --type uv --f x1^2 --p 1000003 --emax 1000 --max-size 100000000",
+    "fsignature --type z2 --f x1^2 --p 1000003 --emax 1000 --max-size 100000000",
+    "fsignature --type uv --f x1^2 --p 3 --emax 400 --max-size 50",
+    "fsignature --type uv --f x1^2+x2^3 --p 3 --emax 400 --max-size 100",
+))
+
 
 def random_f(rng: random.Random) -> str:
     """A sum of up to four nonconstant terms in up to three variables, each
@@ -147,7 +157,7 @@ def corpus() -> list[list[str]]:
                              "--dvec", dvec, "--p", p, "--e", e]))
         calls.append(["fsignature", "--type", rng.choice(("uv", "z2")), "--dvec", dvec])
         calls.append(budget(["verify", "--dvec", dvec, "--p", p, "--e", "1", "--k", "1"]))
-    extra = METER_REFUSALS + UNUSED_VARIABLES + DEEP_PAIRS + ONE_BUDGET
+    extra = METER_REFUSALS + UNUSED_VARIABLES + DEEP_PAIRS + ONE_BUDGET + REPORT_BOUNDS
     return calls + [list(argv) for argv in extra]
 
 
